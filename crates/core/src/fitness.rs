@@ -340,12 +340,36 @@ impl<'a> BatchProblem<'a> {
         acc
     }
 
-    /// `Cⱼ` for queue `q` re-summed from its task-gene `positions` (gene
-    /// order), with the task at `replace_pos` substituted by
-    /// `replace_slot` — exactly the sum `fill_completions` would produce
-    /// for that queue after the swap, without mutating the chromosome.
-    /// Used by the §3.5 rebalance to cost candidate swaps.
+    /// `Cⱼ` for the queue `q` whose task genes start at `start`, with the
+    /// task at `replace_pos` substituted by `replace_slot` — exactly the
+    /// sum `fill_completions` would produce for that queue after the swap
+    /// (same gene order, stopping at the delimiter), without mutating the
+    /// chromosome. Used by the §3.5 rebalance to cost candidate swaps.
     pub(crate) fn queue_cost_substituted(
+        &self,
+        c: &Chromosome,
+        q: usize,
+        start: usize,
+        replace_pos: usize,
+        replace_slot: u32,
+    ) -> f64 {
+        let mut acc = self.delta[q];
+        for (pos, &g) in c.genes().iter().enumerate().skip(start) {
+            let slot = match g {
+                Gene::Task(_) if pos == replace_pos => replace_slot,
+                Gene::Task(s) => s,
+                Gene::Delim(_) => break,
+            };
+            acc += self.mflops[slot as usize] / self.rate[q] + self.comm[q];
+        }
+        acc
+    }
+
+    /// The position-list form of [`BatchProblem::queue_cost_substituted`]
+    /// that the reference rebalance in `rebalance.rs`'s tests is costed
+    /// with: `positions` are the queue's task-gene positions in gene order.
+    #[cfg(test)]
+    pub(crate) fn queue_cost_substituted_reference(
         &self,
         c: &Chromosome,
         q: usize,

@@ -6,9 +6,11 @@
 //! permutation crossover applies directly; [`OrderCrossover`] and
 //! [`OnePointOrder`] are provided for the `ablate_crossover` study.
 
+use std::cell::RefCell;
+
 use dts_distributions::{Prng, Rng};
 
-use crate::encoding::{Chromosome, Gene};
+use crate::encoding::{substitution_delta, Chromosome, Gene};
 
 /// Produces two children from two parents of the same symbol set.
 pub trait CrossoverOp: Send + Sync {
@@ -21,67 +23,127 @@ pub trait CrossoverOp: Send + Sync {
     fn label(&self) -> &'static str;
 }
 
-/// Scratch buffers shared by the operators; reallocation-free across calls
-/// would require `&mut self`, and the operators stay `&self` for easy
-/// sharing, so buffers are local but sized exactly once.
-fn position_table(c: &Chromosome) -> Vec<u32> {
-    let n = c.genes().len();
-    let h = c.n_tasks() as usize;
-    let mut pos = vec![0u32; n];
-    for (i, g) in c.genes().iter().enumerate() {
-        pos[g.dense_index(h)] = i as u32;
-    }
-    pos
+/// The two tables of one [`CycleCrossover::cross`] call. The operators stay
+/// `&self` for easy sharing, so the tables live per thread instead of in the
+/// operator: breeding a generation then allocates nothing but the children.
+/// Both are resized and overwritten at the start of every call, so no call
+/// reads anything an earlier call (or another chromosome shape) left behind.
+struct CxScratch {
+    /// `pos_in_a[s]` = position of dense symbol `s` in parent `a`.
+    pos_in_a: Vec<u32>,
+    /// `next[p]` = position that follows `p` on its cycle; [`VISITED`] once
+    /// the walk has passed `p`.
+    next: Vec<u32>,
+}
+
+thread_local! {
+    static CX_SCRATCH: RefCell<CxScratch> = const {
+        RefCell::new(CxScratch {
+            pos_in_a: Vec::new(),
+            next: Vec::new(),
+        })
+    };
+}
+
+/// Marks a symbol of `a` not yet met while the position table is built.
+const UNSEEN: u32 = u32::MAX;
+/// Marks a position the cycle walk has already assigned to a cycle.
+const VISITED: u32 = u32::MAX;
+
+#[cold]
+#[inline(never)]
+fn not_a_permutation(parent: char, pos: usize, g: Gene) -> ! {
+    panic!(
+        "cycle crossover: parent {parent} is not a permutation of the shared symbol set \
+         (gene {g:?} at position {pos} is out of range or repeated)"
+    );
 }
 
 /// Cycle crossover (CX): children inherit *positions* from alternating
 /// parental cycles, guaranteeing each child is a valid permutation and each
 /// allele comes from one of its parents at the same position.
+///
+/// One pass over the cycles builds both children, their content digests and
+/// the proof that they are permutations:
+///
+/// * Child A is parent A with parent B's genes at the positions of the odd
+///   cycles and child B is the mirror image, so both digests are the parents'
+///   digests XOR **one shared delta** — the Zobrist terms of every swapped
+///   position where the parents differ. Nothing is re-hashed.
+/// * Building the position table checks that every symbol occurs once in
+///   `a`; the walk checks that it never steps onto a position another cycle
+///   already owns, which holds iff `b` is a permutation of the same symbols.
+///   The children of two such parents are permutations (the CX theorem), so
+///   they are not validated again.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CycleCrossover;
 
 impl CrossoverOp for CycleCrossover {
     fn cross(&self, a: &Chromosome, b: &Chromosome, _rng: &mut Prng) -> (Chromosome, Chromosome) {
         assert!(a.same_symbol_set(b), "parents must share a symbol set");
-        let n = a.genes().len();
+        let (genes_a, genes_b) = (a.genes(), b.genes());
+        let n = genes_a.len();
         let h = a.n_tasks() as usize;
-        let pos_in_a = position_table(a);
+        let mut child_a: Vec<Gene> = genes_a.to_vec();
+        let mut child_b: Vec<Gene> = genes_b.to_vec();
+        let mut delta = [0u64; 2];
 
-        let mut child_a: Vec<Gene> = a.genes().to_vec();
-        let mut child_b: Vec<Gene> = b.genes().to_vec();
-        let mut visited = vec![false; n];
-        let mut cycle_members: Vec<usize> = Vec::new();
-        let mut cycle_parity = false; // false: keep from own parent
-
-        for start in 0..n {
-            if visited[start] {
-                continue;
-            }
-            cycle_members.clear();
-            let mut p = start;
-            loop {
-                visited[p] = true;
-                cycle_members.push(p);
-                // Follow the cycle: the symbol b has at this position sits
-                // somewhere in a; that position continues the cycle.
-                let sym = b.genes()[p];
-                p = pos_in_a[sym.dense_index(h)] as usize;
-                if p == start {
-                    break;
+        CX_SCRATCH.with_borrow_mut(|scratch| {
+            let CxScratch { pos_in_a, next } = scratch;
+            pos_in_a.clear();
+            pos_in_a.resize(n, UNSEEN);
+            for (i, &g) in genes_a.iter().enumerate() {
+                match g.checked_dense_index(h, n) {
+                    Some(s) if pos_in_a[s] == UNSEEN => pos_in_a[s] = i as u32,
+                    _ => not_a_permutation('a', i, g),
                 }
             }
-            if cycle_parity {
-                // Odd cycles swap parental material.
-                for &i in &cycle_members {
-                    std::mem::swap(&mut child_a[i], &mut child_b[i]);
+            // The symbol b has at a position sits somewhere in a; that
+            // position continues the cycle.
+            next.clear();
+            next.extend(genes_b.iter().enumerate().map(
+                |(i, &g)| match g.checked_dense_index(h, n) {
+                    Some(s) => pos_in_a[s],
+                    None => not_a_permutation('b', i, g),
+                },
+            ));
+
+            // Every position is walked exactly once: it is either already
+            // `VISITED` when the outer loop reaches it or starts a cycle,
+            // and the walk only ever moves onto unvisited positions.
+            let mut swap = false; // even cycles keep the own parent's genes
+            for start in 0..n {
+                if next[start] == VISITED {
+                    continue;
                 }
+                let mut p = start;
+                loop {
+                    let step = next[p] as usize;
+                    next[p] = VISITED;
+                    // A position is its own successor iff the parents
+                    // agree there; swapping it would change nothing.
+                    if swap && step != p {
+                        let (from_a, from_b) = (genes_a[p], genes_b[p]);
+                        child_a[p] = from_b;
+                        child_b[p] = from_a;
+                        let d = substitution_delta(p, from_a, from_b);
+                        delta = [delta[0] ^ d[0], delta[1] ^ d[1]];
+                    }
+                    if step == start {
+                        break;
+                    }
+                    if next[step] == VISITED {
+                        not_a_permutation('b', p, genes_b[p]);
+                    }
+                    p = step;
+                }
+                swap = !swap;
             }
-            cycle_parity = !cycle_parity;
-        }
+        });
 
         (
-            Chromosome::from_genes(child_a, a.n_tasks(), a.n_procs()),
-            Chromosome::from_genes(child_b, b.n_tasks(), b.n_procs()),
+            Chromosome::with_digest_delta(a, child_a, delta),
+            Chromosome::with_digest_delta(b, child_b, delta),
         )
     }
 
@@ -231,6 +293,7 @@ impl CrossoverOp for PartiallyMapped {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn chrom(queues: &[Vec<u32>]) -> Chromosome {
         Chromosome::from_queues(queues)
@@ -327,6 +390,164 @@ mod tests {
         let b = chrom(&[vec![0], vec![1]]);
         let mut rng = Prng::seed_from(7);
         let _ = CycleCrossover.cross(&a, &b, &mut rng);
+    }
+
+    /// The straightforward cycle crossover this module shipped before the
+    /// fused pass: collect each cycle, swap the odd ones, then build both
+    /// children through the validating, from-scratch-hashing public
+    /// constructor. The oracle the fused kernel must match exactly.
+    fn cycle_crossover_reference(a: &Chromosome, b: &Chromosome) -> (Chromosome, Chromosome) {
+        let n = a.genes().len();
+        let h = a.n_tasks() as usize;
+        let mut pos_in_a = vec![0u32; n];
+        for (i, g) in a.genes().iter().enumerate() {
+            pos_in_a[g.dense_index(h)] = i as u32;
+        }
+
+        let mut child_a: Vec<Gene> = a.genes().to_vec();
+        let mut child_b: Vec<Gene> = b.genes().to_vec();
+        let mut visited = vec![false; n];
+        let mut cycle_members: Vec<usize> = Vec::new();
+        let mut cycle_parity = false; // false: keep from own parent
+
+        for start in 0..n {
+            if visited[start] {
+                continue;
+            }
+            cycle_members.clear();
+            let mut p = start;
+            loop {
+                visited[p] = true;
+                cycle_members.push(p);
+                let sym = b.genes()[p];
+                p = pos_in_a[sym.dense_index(h)] as usize;
+                if p == start {
+                    break;
+                }
+            }
+            if cycle_parity {
+                for &i in &cycle_members {
+                    std::mem::swap(&mut child_a[i], &mut child_b[i]);
+                }
+            }
+            cycle_parity = !cycle_parity;
+        }
+
+        (
+            Chromosome::from_genes(child_a, a.n_tasks(), a.n_procs()),
+            Chromosome::from_genes(child_b, b.n_tasks(), b.n_procs()),
+        )
+    }
+
+    /// A uniformly shuffled chromosome of `h` tasks over `m` processors.
+    fn shuffled(h: u32, m: u16, rng: &mut Prng) -> Chromosome {
+        let mut genes: Vec<Gene> = (0..h)
+            .map(Gene::Task)
+            .chain((0..m - 1).map(Gene::Delim))
+            .collect();
+        for i in (1..genes.len()).rev() {
+            genes.swap(i, rng.below(i + 1));
+        }
+        Chromosome::from_genes(genes, h, m)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The fused kernel against the reference: same genes, and digests
+        /// equal to the from-scratch digest of those genes. `distance`
+        /// picks the second parent: 0 → the first parent itself, 1..=4 →
+        /// that many transpositions away (a converged population), else an
+        /// independent shuffle. `h` and `m` reach 1.
+        #[test]
+        fn fused_cycle_crossover_matches_reference(
+            h in 1u32..70,
+            m in 1u16..9,
+            distance in 0usize..10,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = Prng::seed_from(seed);
+            let a = shuffled(h, m, &mut rng);
+            let b = if distance <= 4 {
+                let mut b = a.clone();
+                let n = b.genes().len();
+                for _ in 0..distance {
+                    b.genes_swap(rng.below(n), rng.below(n));
+                }
+                b
+            } else {
+                shuffled(h, m, &mut rng)
+            };
+            let (want_c, want_d) = cycle_crossover_reference(&a, &b);
+            let (c, d) = CycleCrossover.cross(&a, &b, &mut rng);
+            for (got, want) in [(&c, &want_c), (&d, &want_d)] {
+                prop_assert_eq!(got.genes(), want.genes());
+                let rebuilt = Chromosome::from_genes(got.genes().to_vec(), h, m);
+                prop_assert_eq!(got.content_hash(), rebuilt.content_hash());
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    /// Parents of one shape that are not permutations of one symbol set can
+    /// only be built by bypassing the constructors; the fused checks must
+    /// still turn them into a diagnostic, not a loop or an invalid child.
+    fn cross_unchecked(a: Vec<Gene>, b: Vec<Gene>, h: u32, m: u16) {
+        let a = Chromosome::unchecked(a, h, m);
+        let b = Chromosome::unchecked(b, h, m);
+        let _ = CycleCrossover.cross(&a, &b, &mut Prng::seed_from(11));
+    }
+
+    #[test]
+    #[should_panic(expected = "parent a is not a permutation")]
+    fn repeated_symbol_in_first_parent_rejected() {
+        use Gene::{Delim, Task};
+        cross_unchecked(
+            vec![Task(0), Task(0), Delim(0), Task(2)],
+            vec![Task(2), Delim(0), Task(1), Task(0)],
+            3,
+            2,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "parent b is not a permutation")]
+    fn repeated_symbol_in_second_parent_rejected() {
+        use Gene::{Delim, Task};
+        // Task(1) twice, Task(2) never: the walk from position 0 is led back
+        // onto a position the first cycle already owns.
+        cross_unchecked(
+            vec![Task(0), Task(1), Delim(0), Task(2)],
+            vec![Task(1), Task(1), Task(0), Delim(0)],
+            3,
+            2,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "parent b is not a permutation")]
+    fn foreign_symbol_in_second_parent_rejected() {
+        use Gene::{Delim, Task};
+        // Task(3) aliases Delim(0)'s dense index when H = 3; it must be
+        // rejected as out of range, not followed.
+        cross_unchecked(
+            vec![Task(0), Task(1), Delim(0), Task(2)],
+            vec![Task(2), Task(3), Task(1), Task(0)],
+            3,
+            2,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "parent a is not a permutation")]
+    fn out_of_range_delimiter_in_first_parent_rejected() {
+        use Gene::{Delim, Task};
+        cross_unchecked(
+            vec![Task(0), Task(1), Delim(1), Task(2)],
+            vec![Task(2), Delim(0), Task(1), Task(0)],
+            3,
+            2,
+        );
     }
 
     #[test]

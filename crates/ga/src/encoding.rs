@@ -47,6 +47,20 @@ impl Gene {
         }
     }
 
+    /// [`Gene::dense_index`] for a gene that may not belong to an
+    /// `n_tasks`-slot, `n_symbols`-gene chromosome: `None` for a task slot
+    /// `≥ H` or a delimiter `≥ M − 1`, so the two ranges cannot alias.
+    #[inline]
+    pub(crate) fn checked_dense_index(self, n_tasks: usize, n_symbols: usize) -> Option<usize> {
+        match self {
+            Gene::Task(i) => ((i as usize) < n_tasks).then_some(i as usize),
+            Gene::Delim(k) => {
+                let idx = n_tasks + k as usize;
+                (idx < n_symbols).then_some(idx)
+            }
+        }
+    }
+
     /// True if this gene is a task slot.
     #[inline]
     pub fn is_task(self) -> bool {
@@ -85,6 +99,17 @@ const HASH_SALTS: [u64; 2] = [0xA076_1D64_78BD_642F, 0xE703_7ED1_A0B4_28DB];
 #[inline]
 fn position_term(pos: usize, g: Gene, salt: u64) -> u64 {
     splitmix64(((pos as u64) << 33 | g.code()) ^ salt)
+}
+
+/// The change to a content digest when the gene at `pos` is replaced:
+/// XOR-ing it in takes the digest of a gene string holding `old` there to
+/// the digest of the same string holding `new`. Deltas of distinct
+/// positions XOR together, so an operator that rewrites a known set of
+/// positions pays for those positions only (cycle crossover; see
+/// [`Chromosome::with_digest_delta`]).
+#[inline]
+pub(crate) fn substitution_delta(pos: usize, old: Gene, new: Gene) -> [u64; 2] {
+    HASH_SALTS.map(|salt| position_term(pos, old, salt) ^ position_term(pos, new, salt))
 }
 
 /// A schedule encoding: a permutation of `H` task slots and `M − 1`
@@ -141,7 +166,7 @@ impl Chromosome {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if the queues do not form a permutation.
+    /// Panics if there are no queues or they do not form a permutation.
     pub fn from_queues(queues: &[Vec<u32>]) -> Self {
         assert!(!queues.is_empty(), "need at least one processor queue");
         let n_tasks: usize = queues.iter().map(Vec::len).sum();
@@ -153,15 +178,7 @@ impl Chromosome {
                 genes.push(Gene::Delim(k as u16));
             }
         }
-        let content_hash = compute_content_hash(&genes, n_tasks as u32, n_procs as u16);
-        let c = Self {
-            genes,
-            n_tasks: n_tasks as u32,
-            n_procs: n_procs as u16,
-            content_hash,
-        };
-        debug_assert!(c.validate().is_ok(), "{:?}", c.validate());
-        c
+        Self::from_genes(genes, n_tasks as u32, n_procs as u16)
     }
 
     /// Builds a chromosome directly from a gene string.
@@ -182,6 +199,49 @@ impl Chromosome {
             panic!("invalid chromosome: {e}");
         }
         c
+    }
+
+    /// Builds the chromosome that has `parent`'s shape, the gene string
+    /// `genes`, and `parent`'s digest XOR `delta` — for operators that
+    /// know which positions they rewrote and that the result is still a
+    /// permutation, so neither the O(H + M) re-hash nor the re-validation
+    /// of [`Chromosome::from_genes`] is repeated. `delta` must be the XOR
+    /// of [`substitution_delta`] over every position where `genes` differs
+    /// from `parent`; both obligations are checked in debug builds.
+    pub(crate) fn with_digest_delta(
+        parent: &Chromosome,
+        genes: Vec<Gene>,
+        delta: [u64; 2],
+    ) -> Self {
+        let c = Self {
+            genes,
+            n_tasks: parent.n_tasks,
+            n_procs: parent.n_procs,
+            content_hash: [
+                parent.content_hash[0] ^ delta[0],
+                parent.content_hash[1] ^ delta[1],
+            ],
+        };
+        debug_assert!(c.validate().is_ok(), "{:?}", c.validate());
+        debug_assert_eq!(
+            c.content_hash,
+            compute_content_hash(&c.genes, c.n_tasks, c.n_procs),
+            "digest delta diverged from the from-scratch digest"
+        );
+        c
+    }
+
+    /// Builds a (possibly invalid) chromosome without any validation, for
+    /// tests that exercise the checks themselves.
+    #[cfg(test)]
+    pub(crate) fn unchecked(genes: Vec<Gene>, n_tasks: u32, n_procs: u16) -> Self {
+        let content_hash = compute_content_hash(&genes, n_tasks, n_procs);
+        Self {
+            genes,
+            n_tasks,
+            n_procs,
+            content_hash,
+        }
     }
 
     /// The 128-bit position-sensitive content digest: a pure function of
@@ -329,13 +389,7 @@ mod tests {
     /// Builds a (possibly invalid) chromosome without the `from_genes`
     /// validation, for exercising `validate` itself.
     fn raw(genes: Vec<Gene>, n_tasks: u32, n_procs: u16) -> Chromosome {
-        let content_hash = compute_content_hash(&genes, n_tasks, n_procs);
-        Chromosome {
-            genes,
-            n_tasks,
-            n_procs,
-            content_hash,
-        }
+        Chromosome::unchecked(genes, n_tasks, n_procs)
     }
 
     #[test]
@@ -396,6 +450,42 @@ mod tests {
     #[should_panic]
     fn from_genes_panics_on_invalid() {
         let _ = Chromosome::from_genes(vec![Gene::Task(0), Gene::Task(1)], 2, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid chromosome: duplicate gene")]
+    fn from_queues_panics_on_duplicated_slot() {
+        let _ = Chromosome::from_queues(&[vec![0, 1], vec![1]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid chromosome: out-of-range gene")]
+    fn from_queues_panics_on_missing_slot() {
+        // Three tasks, slot 1 missing: its place is taken by slot 3.
+        let _ = Chromosome::from_queues(&[vec![0, 3], vec![2]]);
+    }
+
+    #[test]
+    fn substitution_deltas_compose_to_the_from_scratch_digest() {
+        let a = Chromosome::from_queues(&[vec![0, 3], vec![1], vec![2, 4, 5]]);
+        let b = Chromosome::from_queues(&[vec![5, 0], vec![4, 2], vec![3, 1]]);
+        let mut delta = [0u64; 2];
+        for (pos, (&old, &new)) in a.genes().iter().zip(b.genes()).enumerate() {
+            let d = substitution_delta(pos, old, new);
+            delta = [delta[0] ^ d[0], delta[1] ^ d[1]];
+        }
+        let rebuilt = Chromosome::with_digest_delta(&a, b.genes().to_vec(), delta);
+        assert_eq!(rebuilt, b);
+        assert_eq!(rebuilt.content_hash(), b.content_hash());
+    }
+
+    #[test]
+    fn checked_dense_index_rejects_aliasing_genes() {
+        // H = 2, M = 2: the symbols are Task(0), Task(1), Delim(0).
+        assert_eq!(Gene::Task(1).checked_dense_index(2, 3), Some(1));
+        assert_eq!(Gene::Delim(0).checked_dense_index(2, 3), Some(2));
+        assert_eq!(Gene::Task(2).checked_dense_index(2, 3), None);
+        assert_eq!(Gene::Delim(1).checked_dense_index(2, 3), None);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! * The task genes are reordered by a greedy stable pass: walk the
 //!   original gene order left to right, repeatedly emitting the first
 //!   not-yet-emitted task whose (batch-local) predecessors have all been
-//!   emitted. O(H²) worst case, O(H) when already feasible.
+//!   emitted. The walk keeps the blocked tasks it passed over in a deferred
+//!   list, so the cost is O(H × |deferred| + pairs): O(H + pairs) when
+//!   already feasible, O(H²) only when most of the string is blocked.
 //! * The result is the *identity* on already-feasible chromosomes and is a
 //!   pure function of the input — no RNG, so repairing preserves the
 //!   engine's bit-determinism contract verbatim.
@@ -135,39 +137,43 @@ impl SlotPrecedence {
 /// Reorders `order` in place into the greedy stable topological order:
 /// repeatedly emit the earliest remaining slot whose predecessors are all
 /// emitted. Returns `false` (leaving a partial prefix) only on a cycle.
+///
+/// The remaining slots are the ones the cursor has not reached plus the
+/// `deferred` ones it passed over while they were blocked, and every
+/// deferred slot sits earlier in `order` than the cursor. So the earliest
+/// ready slot is the first ready entry of `deferred` (kept in position
+/// order) or, when none is ready, the first ready slot at or after the
+/// cursor — every blocked slot met on the way joins `deferred`. Emissions
+/// never outrun the cursor, so `order` is rewritten in place.
 fn topological_reorder(order: &mut [u32], prec: &SlotPrecedence) -> bool {
-    let h = prec.n_slots();
-    let mut emitted = vec![false; h];
-    let mut taken = vec![false; order.len()];
-    let remaining: Vec<u32> = order.to_vec();
-    let mut write = 0usize;
-    let mut scan_from = 0usize;
-    while write < order.len() {
-        let mut found = false;
-        for (k, &slot) in remaining.iter().enumerate().skip(scan_from) {
-            if taken[k] {
-                continue;
-            }
-            if prec.preds_of(slot).iter().all(|&p| emitted[p as usize]) {
-                order[write] = slot;
-                write += 1;
-                taken[k] = true;
-                emitted[slot as usize] = true;
-                if k == scan_from {
-                    scan_from += 1;
-                    while scan_from < remaining.len() && taken[scan_from] {
-                        scan_from += 1;
-                    }
+    let mut emitted = vec![false; prec.n_slots()];
+    let mut deferred: Vec<u32> = Vec::new();
+    let mut cursor = 0usize;
+    for write in 0..order.len() {
+        let ready = |slot: u32| prec.preds_of(slot).iter().all(|&p| emitted[p as usize]);
+        let slot = if let Some(k) = deferred.iter().position(|&slot| ready(slot)) {
+            deferred.remove(k)
+        } else {
+            loop {
+                let Some(&slot) = order.get(cursor) else {
+                    return false;
+                };
+                cursor += 1;
+                if ready(slot) {
+                    break slot;
                 }
-                found = true;
-                break;
+                deferred.push(slot);
             }
-        }
-        if !found {
-            return false;
-        }
+        };
+        order[write] = slot;
+        emitted[slot as usize] = true;
     }
     true
+}
+
+/// The task slots of `c` in gene order, delimiters skipped.
+fn task_slots(c: &Chromosome) -> impl Iterator<Item = u32> + '_ {
+    c.assignments().map(|(_, slot)| slot)
 }
 
 /// Repairs `c` into a topologically valid gene order under `prec`:
@@ -201,18 +207,10 @@ pub fn repair_topological(c: &mut Chromosome, prec: &SlotPrecedence) -> bool {
     if prec.is_unconstrained() {
         return false;
     }
-    let mut order: Vec<u32> = c
-        .genes()
-        .iter()
-        .filter_map(|g| match g {
-            Gene::Task(t) => Some(*t),
-            Gene::Delim(_) => None,
-        })
-        .collect();
-    let before = order.clone();
+    let mut order: Vec<u32> = task_slots(c).collect();
     let ok = topological_reorder(&mut order, prec);
     assert!(ok, "validated precedence table cannot cycle");
-    if order == before {
+    if task_slots(c).eq(order.iter().copied()) {
         return false;
     }
     c.with_genes_mut(|genes| {
@@ -229,6 +227,8 @@ pub fn repair_topological(c: &mut Chromosome, prec: &SlotPrecedence) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dts_distributions::{Prng, Rng};
+    use proptest::prelude::*;
 
     /// A chain 0 → 1 → 2 → 3 over four slots.
     fn chain4() -> SlotPrecedence {
@@ -311,6 +311,122 @@ mod tests {
     #[should_panic]
     fn out_of_range_pred_rejected() {
         let _ = SlotPrecedence::new(vec![vec![7], vec![]]);
+    }
+
+    /// The rescan-from-the-blocked-prefix reorder this module shipped
+    /// before the cursor + deferred-list form; the oracle for it.
+    fn topological_reorder_reference(order: &mut [u32], prec: &SlotPrecedence) -> bool {
+        let h = prec.n_slots();
+        let mut emitted = vec![false; h];
+        let mut taken = vec![false; order.len()];
+        let remaining: Vec<u32> = order.to_vec();
+        let mut write = 0usize;
+        let mut scan_from = 0usize;
+        while write < order.len() {
+            let mut found = false;
+            for (k, &slot) in remaining.iter().enumerate().skip(scan_from) {
+                if taken[k] {
+                    continue;
+                }
+                if prec.preds_of(slot).iter().all(|&p| emitted[p as usize]) {
+                    order[write] = slot;
+                    write += 1;
+                    taken[k] = true;
+                    emitted[slot as usize] = true;
+                    if k == scan_from {
+                        scan_from += 1;
+                        while scan_from < remaining.len() && taken[scan_from] {
+                            scan_from += 1;
+                        }
+                    }
+                    found = true;
+                    break;
+                }
+            }
+            if !found {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// A random layered DAG over `h` slots: slot `s` is in layer
+    /// `s / width` and takes each slot of the previous layer as a
+    /// predecessor with probability `edge_pct`%.
+    fn layered(h: usize, width: usize, edge_pct: usize, rng: &mut Prng) -> SlotPrecedence {
+        let preds = (0..h)
+            .map(|s| {
+                let layer = s / width;
+                let prev = layer.saturating_sub(1) * width..layer * width;
+                prev.filter(|_| rng.below(100) < edge_pct)
+                    .map(|p| p as u32)
+                    .collect()
+            })
+            .collect();
+        SlotPrecedence::new(preds)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Cursor + deferred list against the reference over random layered
+        /// DAGs × random permutations, through both the slot-order kernel
+        /// and `repair_topological`; the output is feasible, and feasible
+        /// input comes back untouched.
+        #[test]
+        fn reorder_matches_reference(
+            h in 1usize..60,
+            width in 1usize..8,
+            edge_pct in 0usize..101,
+            m in 1usize..6,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = Prng::seed_from(seed);
+            let prec = layered(h, width, edge_pct, &mut rng);
+            let mut order: Vec<u32> = (0..h as u32).collect();
+            for i in (1..h).rev() {
+                order.swap(i, rng.below(i + 1));
+            }
+            let mut queues = vec![Vec::new(); m];
+            for &slot in &order {
+                queues[rng.below(m)].push(slot);
+            }
+            let mut c = Chromosome::from_queues(&queues);
+            let mut order: Vec<u32> = task_slots(&c).collect();
+
+            let mut want = order.clone();
+            prop_assert!(topological_reorder_reference(&mut want, &prec));
+            let before = order.clone();
+            prop_assert!(topological_reorder(&mut order, &prec));
+            prop_assert_eq!(&order, &want);
+
+            let lengths = c.queue_lengths();
+            prop_assert_eq!(repair_topological(&mut c, &prec), want != before);
+            let repaired: Vec<u32> = task_slots(&c).collect();
+            prop_assert_eq!(&repaired, &want);
+            prop_assert_eq!(c.queue_lengths(), lengths);
+            prop_assert_eq!(
+                c.content_hash(),
+                Chromosome::from_queues(&c.to_queues()).content_hash()
+            );
+
+            let mut seen = vec![false; h];
+            for &slot in &repaired {
+                prop_assert!(prec.preds_of(slot).iter().all(|&p| seen[p as usize]));
+                seen[slot as usize] = true;
+            }
+            let feasible = c.clone();
+            prop_assert!(!repair_topological(&mut c, &prec));
+            prop_assert_eq!(c, feasible);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle")]
+    fn cycle_behind_an_acyclic_prefix_rejected() {
+        // 0 → 4 is fine; 1 → 2 → 3 → 1 is not. The cursor runs off the end
+        // with the three cycle members deferred.
+        let _ = SlotPrecedence::new(vec![vec![], vec![3], vec![1], vec![2], vec![0]]);
     }
 
     #[test]
