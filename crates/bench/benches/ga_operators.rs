@@ -3,10 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dts_bench::figures::{batch_processors, batch_tasks};
-use dts_core::batch_run::schedule_batch_capped;
 use dts_core::fitness::BatchProblem;
 use dts_core::rebalance::rebalance_once;
-use dts_core::PnConfig;
+use dts_core::{plan_batch, PlanRequest, PnConfig};
 use dts_distributions::Prng;
 use dts_ga::{Chromosome, CrossoverOp, CycleCrossover, MutationOp, Problem, SwapMutation};
 use dts_model::SizeDistribution;
@@ -80,7 +79,7 @@ fn bench_full_ga(c: &mut Criterion) {
             let mut cfg = PnConfig::default();
             cfg.ga.max_generations = gens;
             bench.iter(|| {
-                std::hint::black_box(schedule_batch_capped(&tasks, &procs, &cfg, None, 42))
+                std::hint::black_box(plan_batch(&PlanRequest::new(&tasks, &procs, 42), &cfg))
             })
         });
     }

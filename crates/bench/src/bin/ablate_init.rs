@@ -5,8 +5,7 @@
 
 use dts_bench::figures::{batch_processors, batch_tasks};
 use dts_bench::{env_or, write_csv, Table};
-use dts_core::batch_run::schedule_batch;
-use dts_core::PnConfig;
+use dts_core::{plan_batch, PlanRequest, PnConfig};
 use dts_distributions::{OnlineStats, SeedSequence};
 use dts_model::SizeDistribution;
 
@@ -42,7 +41,7 @@ fn main() {
             cfg.ga.max_generations = gens;
             cfg.ga.record_history = true;
             cfg.init_random_fraction = (fraction, fraction);
-            let out = schedule_batch(&tasks, &procs, &cfg, sub.next_seed());
+            let out = plan_batch(&PlanRequest::new(&tasks, &procs, sub.next_seed()), &cfg);
             initial.push(out.ga.history[0].best_makespan);
             fin.push(out.best_makespan);
         }

@@ -6,8 +6,7 @@ use std::time::Instant;
 
 use dts_bench::figures::{batch_processors, batch_tasks};
 use dts_bench::{env_or, write_csv, Table};
-use dts_core::batch_run::schedule_batch;
-use dts_core::PnConfig;
+use dts_core::{plan_batch, PlanRequest, PnConfig};
 use dts_distributions::{OnlineStats, SeedSequence};
 use dts_model::SizeDistribution;
 
@@ -37,7 +36,7 @@ fn main() {
             let mut cfg = PnConfig::default();
             cfg.ga.max_generations = gens;
             cfg.ga.population_size = pop;
-            let out = schedule_batch(&tasks, &procs, &cfg, sub.next_seed());
+            let out = plan_batch(&PlanRequest::new(&tasks, &procs, sub.next_seed()), &cfg);
             stats.push(out.best_makespan);
         }
         table.row(vec![

@@ -4,8 +4,7 @@
 
 use dts_bench::figures::{batch_processors, batch_tasks};
 use dts_bench::{env_or, write_csv, Table};
-use dts_core::batch_run::schedule_batch_with_ops;
-use dts_core::PnConfig;
+use dts_core::{plan_batch, PlanRequest, PnConfig};
 use dts_distributions::{OnlineStats, SeedSequence};
 use dts_ga::{CycleCrossover, RankSelection, RouletteWheel, SelectionOp, SwapMutation, Tournament};
 use dts_model::SizeDistribution;
@@ -40,15 +39,13 @@ fn main() {
             let procs = batch_processors(m, sub.next_seed());
             let mut cfg = PnConfig::default();
             cfg.ga.max_generations = gens;
-            let out = schedule_batch_with_ops(
-                &tasks,
-                &procs,
+            let out = plan_batch(
+                &PlanRequest::new(&tasks, &procs, sub.next_seed()).with_ops(
+                    op.as_ref(),
+                    &CycleCrossover,
+                    &SwapMutation,
+                ),
                 &cfg,
-                op.as_ref(),
-                &CycleCrossover,
-                &SwapMutation,
-                None,
-                sub.next_seed(),
             );
             stats.push(out.best_makespan);
         }

@@ -10,7 +10,7 @@
 //!   evaluator), and
 //! * the speedup against the serial evaluator on the same host.
 //!
-//! A second, smaller sweep times an end-to-end `schedule_batch` GA run so
+//! A second, smaller sweep times an end-to-end `plan_batch` GA run so
 //! the Amdahl gap between "evaluation pipeline" and "whole GA" stays
 //! visible. Results are printed as a table and written as machine-readable
 //! JSON to `BENCH_parallel_eval.json` (override with `DTS_OUT`) — the
@@ -41,7 +41,7 @@ use std::time::Instant;
 use dts_bench::{env_flag, env_or, host_json, HostMeta};
 use dts_core::fitness::{BatchProblem, ProcessorState};
 use dts_core::rebalance::rebalance_once;
-use dts_core::{schedule_batch, PnConfig};
+use dts_core::{plan_batch, PlanRequest, PnConfig};
 use dts_distributions::{Prng, Rng, SeedSequence};
 use dts_ga::{Chromosome, Evaluator, FitnessMemo, Gene, Problem, DEFAULT_MEMO_CAPACITY};
 use dts_model::{SimTime, Task, TaskId};
@@ -209,7 +209,7 @@ fn main() {
         let mut samples: Vec<u128> = Vec::with_capacity(e2e_reps);
         for _ in 0..e2e_reps {
             let t0 = Instant::now();
-            let outcome = schedule_batch(&e2e_batch, &states, &cfg, seed ^ 0xE2E);
+            let outcome = plan_batch(&PlanRequest::new(&e2e_batch, &states, seed ^ 0xE2E), &cfg);
             samples.push(t0.elapsed().as_nanos());
             checksum += outcome.best_makespan;
         }
@@ -219,7 +219,7 @@ fn main() {
         }
         e2e.push((workers, median, e2e_serial as f64 / median.max(1) as f64));
     }
-    println!("\nend-to-end schedule_batch (pop=100, tasks=500, gens={e2e_gens}, R=0):");
+    println!("\nend-to-end plan_batch (pop=100, tasks=500, gens={e2e_gens}, R=0):");
     for &(workers, median, speedup) in &e2e {
         println!(
             "  workers={workers:<2} median={:>9.1}us speedup={speedup:.2}x",
@@ -585,7 +585,7 @@ fn incremental_bench(reps: usize, seed: u64, m: usize) {
             let mut hit_rate = 0.0f64;
             for _ in 0..e2e_reps {
                 let t0 = Instant::now();
-                let out = schedule_batch(batch, &e2e_procs, &cfg, seed ^ 0x1CE);
+                let out = plan_batch(&PlanRequest::new(batch, &e2e_procs, seed ^ 0x1CE), &cfg);
                 samples.push(t0.elapsed().as_nanos());
                 checksum += out.best_makespan;
                 let total = out.ga.memo_hits + out.ga.memo_misses;

@@ -5,7 +5,7 @@
 //! islands (it never multiplies it), so every cell of this sweep performs
 //! the same number of fitness evaluations per generation as the
 //! monolithic baseline. The sweep runs islands × migration-interval over
-//! one PN batch (the Fig. 3 setting: a single `schedule_batch` call) and
+//! one PN batch (the Fig. 3 setting: a single `plan_batch` call) and
 //! reports, per cell over `DTS_REPS` seeded replications:
 //!
 //! * median/p95 **best makespan** — schedule quality at equal budget;
@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use dts_bench::{env_or, host_json};
 use dts_core::fitness::ProcessorState;
-use dts_core::{schedule_batch, PnConfig};
+use dts_core::{plan_batch, PlanRequest, PnConfig};
 use dts_distributions::{Prng, Rng};
 use dts_ga::{IslandConfig, Topology};
 use dts_model::{SimTime, Task, TaskId};
@@ -124,7 +124,10 @@ fn main() {
     let mut mono_makespans = vec![0.0f64; reps];
     for (rep, mono) in mono_makespans.iter_mut().enumerate() {
         let (b, p) = problem(tasks, procs, seed ^ (rep as u64).wrapping_mul(0x9E37));
-        let out = schedule_batch(&b, &p, &config_for(1, 0), seed + rep as u64);
+        let out = plan_batch(
+            &PlanRequest::new(&b, &p, seed + rep as u64),
+            &config_for(1, 0),
+        );
         *mono = out.best_makespan;
     }
 
@@ -141,7 +144,7 @@ fn main() {
         for (rep, mono) in mono_makespans.iter().enumerate().take(reps) {
             let (b, p) = problem(tasks, procs, seed ^ (rep as u64).wrapping_mul(0x9E37));
             let t0 = Instant::now();
-            let out = schedule_batch(&b, &p, &cfg, seed + rep as u64);
+            let out = plan_batch(&PlanRequest::new(&b, &p, seed + rep as u64), &cfg);
             walls.push(t0.elapsed().as_secs_f64() * 1e3);
             makespans.push(out.best_makespan);
             ratios.push(out.best_makespan / mono);

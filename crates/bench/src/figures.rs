@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use dts_core::{batch_run::schedule_batch_capped, fitness::ProcessorState, PnConfig};
+use dts_core::{fitness::ProcessorState, plan_batch, PlanRequest, PnConfig};
 use dts_distributions::{DistributionExt, OnlineStats, Prng, Rng, SeedSequence};
 use dts_model::{SizeDistribution, Task, TaskId, WorkloadSpec};
 
@@ -64,7 +64,7 @@ pub fn convergence_series(
             // Fig. 3 isolates the GA: a fully random initial population
             // makes the improvement visible (DESIGN.md §5.3).
             cfg.init_random_fraction = (1.0, 1.0);
-            let out = schedule_batch_capped(&tasks, &procs, &cfg, None, sub.next_seed());
+            let out = plan_batch(&PlanRequest::new(&tasks, &procs, sub.next_seed()), &cfg);
             let initial = out.ga.history[0].best_makespan.max(1e-12);
             let mut best_so_far = f64::INFINITY;
             for (g, sum) in sums.iter_mut().enumerate().take(generations as usize + 1) {
@@ -126,12 +126,9 @@ pub fn rebalance_timing(
         let mut batch_seed = SeedSequence::new(master_seed ^ 0xBA7C4 ^ u64::from(r));
         while offset < tasks.len() {
             let end = (offset + batch_size).min(tasks.len());
-            let _ = schedule_batch_capped(
-                &tasks[offset..end],
-                &procs,
+            let _ = plan_batch(
+                &PlanRequest::new(&tasks[offset..end], &procs, batch_seed.next_seed()),
                 &cfg,
-                None,
-                batch_seed.next_seed(),
             );
             offset = end;
         }

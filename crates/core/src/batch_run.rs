@@ -1,30 +1,17 @@
-//! One-shot GA scheduling of a single batch.
+//! [`BatchOutcome`]: what one plan call returns.
 //!
-//! This is the inner loop of the PN scheduler, exposed standalone because
-//! two of the paper's experiments exercise it directly:
+//! Besides the winning schedule it carries the full GA result, which two
+//! of the paper's experiments read directly:
 //!
-//! * **Fig. 3** runs the GA on one batch for 1000 generations recording the
-//!   best makespan per generation;
+//! * **Fig. 3** runs the GA on one batch for 1000 generations and reads
+//!   the best makespan per generation from `ga.history`;
 //! * **Fig. 4** measures the wall-clock time of GA runs with 0–20
 //!   rebalances per generation.
 //!
-//! Where fitness evaluation executes is controlled by
-//! `config.ga.evaluator` (see [`dts_ga::Evaluator`] and the `perf_eval`
-//! bench): the GA engine opens the evaluation context once per
-//! [`schedule_batch`] call, so thread-pool workers are spawned once and
-//! reused across all generations of the run. The outcome is bit-identical
-//! at any worker count.
+//! The run itself is [`crate::plan::plan_batch`]; the tests below pin its
+//! one-batch behaviour.
 
-use dts_distributions::Prng;
-use dts_ga::{
-    island_sizes, Chromosome, CrossoverOp, CycleCrossover, GaEngine, GaResult, IslandEngine,
-    MutationOp, RouletteWheel, SelectionOp, SlotPrecedence, SwapMutation,
-};
-use dts_model::Task;
-
-use crate::config::PnConfig;
-use crate::fitness::{BatchProblem, ProcessorState};
-use crate::init::initial_population;
+use dts_ga::{Chromosome, GaResult, IslandResult};
 
 /// Everything a one-batch GA run produces.
 #[derive(Debug, Clone)]
@@ -54,281 +41,68 @@ pub struct BatchOutcome {
     pub islands: Vec<GaResult>,
 }
 
-/// Runs the PN genetic algorithm over one batch of tasks.
-///
-/// `procs[j]` describes processor `j`'s estimated rate, existing load
-/// (`Lⱼ`) and per-message communication estimate. `seed` makes the run
-/// reproducible. Generation count is capped by `config.ga.max_generations`
-/// and optionally `max_generations_override` (the §3.4 processor-idle
-/// budget).
-pub fn schedule_batch_capped(
-    batch: &[Task],
-    procs: &[ProcessorState],
-    config: &PnConfig,
-    max_generations_override: Option<u32>,
-    seed: u64,
-) -> BatchOutcome {
-    // The paper's operators: roulette selection, cycle crossover, swap
-    // mutation (§3.3).
-    schedule_batch_with_ops(
-        batch,
-        procs,
-        config,
-        &RouletteWheel,
-        &CycleCrossover,
-        &SwapMutation,
-        max_generations_override,
-        seed,
-    )
-}
-
-/// [`schedule_batch_capped`] warm-started from `warm_seeds`: chromosomes
-/// already remapped onto this batch's shape (see
-/// [`crate::init::remap_elite`]), best first. They occupy the head of the
-/// initial population; the remainder is filled with fresh §3.3
-/// list-scheduled individuals. Seeds whose shape does not match the batch
-/// are skipped, so a stale carry-over can never poison the run. An empty
-/// slice is exactly [`schedule_batch_capped`].
-pub fn schedule_batch_warm(
-    batch: &[Task],
-    procs: &[ProcessorState],
-    config: &PnConfig,
-    warm_seeds: &[Chromosome],
-    max_generations_override: Option<u32>,
-    seed: u64,
-) -> BatchOutcome {
-    run_batch_ga(
-        batch,
-        procs,
-        config,
-        &RouletteWheel,
-        &CycleCrossover,
-        &SwapMutation,
-        warm_seeds,
-        &[],
-        None,
-        max_generations_override,
-        None,
-        seed,
-    )
-}
-
-/// [`schedule_batch_capped`] with pluggable GA operators — the entry point
-/// of the `ablate_selection` and `ablate_crossover` studies.
-#[allow(clippy::too_many_arguments)]
-pub fn schedule_batch_with_ops(
-    batch: &[Task],
-    procs: &[ProcessorState],
-    config: &PnConfig,
-    selection: &dyn SelectionOp,
-    crossover: &dyn CrossoverOp,
-    mutation: &dyn MutationOp,
-    max_generations_override: Option<u32>,
-    seed: u64,
-) -> BatchOutcome {
-    run_batch_ga(
-        batch,
-        procs,
-        config,
-        selection,
-        crossover,
-        mutation,
-        &[],
-        &[],
-        None,
-        max_generations_override,
-        None,
-        seed,
-    )
-}
-
-/// The shared one-batch GA runner behind every public entry point
-/// ([`schedule_batch`] and friends here, [`crate::plan::plan_batch`] for
-/// budgeted calls). `time_budget`, when set, stops the run at the first
-/// generation boundary past the deadline
-/// ([`dts_ga::StopReason::TimeBudget`]).
-///
-/// `warm_islands`, when non-empty, provides one warm-seed list per island
-/// (already remapped onto this batch, best first — see
-/// [`crate::init::remap_islands`]); it is how carry-over re-seeds each
-/// island independently. For a monolithic run only its first list is
-/// used, exactly like `warm_seeds`. When both are given, `warm_seeds`
-/// wins for a monolithic run and `warm_islands` for a sharded one.
-///
-/// `precedence`, when given (and constrained), makes this a DAG planning
-/// run: the problem is built with
-/// [`BatchProblem::with_precedence`], so the engine repairs every
-/// chromosome into topological order and completion times charge
-/// predecessor finishes. `None` — every online call site — is the
-/// original independent-task pipeline, untouched.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_batch_ga(
-    batch: &[Task],
-    procs: &[ProcessorState],
-    config: &PnConfig,
-    selection: &dyn SelectionOp,
-    crossover: &dyn CrossoverOp,
-    mutation: &dyn MutationOp,
-    warm_seeds: &[Chromosome],
-    warm_islands: &[Vec<Chromosome>],
-    precedence: Option<&SlotPrecedence>,
-    max_generations_override: Option<u32>,
-    time_budget: Option<std::time::Duration>,
-    seed: u64,
-) -> BatchOutcome {
-    assert!(!batch.is_empty(), "cannot schedule an empty batch");
-    config.validate().expect("invalid PnConfig");
-    let mut rng = Prng::seed_from(seed);
-
-    let mut problem = BatchProblem::new(batch, procs, config);
-    if let Some(prec) = precedence {
-        problem = problem.with_precedence(prec);
-    }
-    let shape_ok = |c: &&Chromosome| {
-        c.n_tasks() as usize == batch.len()
-            && c.n_procs() as usize == procs.len()
-            && c.validate().is_ok()
-    };
-
-    let n_islands = config.islands.islands;
-    if n_islands > 1 {
-        // --- island-model run: per-island seed lists, shared RNG fill ---
-        let sizes = island_sizes(config.ga.population_size, n_islands);
-        let mut seeds: Vec<Vec<Chromosome>> = vec![Vec::new(); n_islands];
-        if !warm_islands.is_empty() {
-            for (k, island) in warm_islands.iter().enumerate().take(n_islands) {
-                seeds[k] = island
-                    .iter()
-                    .filter(shape_ok)
-                    .take(sizes[k])
-                    .cloned()
-                    .collect();
-            }
+impl BatchOutcome {
+    /// Packages what [`dts_ga::IslandEngine`] returned. A one-island
+    /// ensemble *is* its island (the engine delegates to the monolithic
+    /// GA), so that island's result moves into `ga` whole — history and
+    /// final population included — and `islands` stays empty.
+    pub(crate) fn from_ensemble(mut result: IslandResult) -> Self {
+        let (ga, islands) = if result.islands.len() == 1 {
+            (result.islands.swap_remove(0), Vec::new())
         } else {
-            // A flat warm list is distributed round-robin, so every island
-            // gets a share of the carried structure.
-            for (i, c) in warm_seeds
-                .iter()
-                .filter(shape_ok)
-                .take(config.ga.population_size)
-                .enumerate()
-            {
-                seeds[i % n_islands].push(c.clone());
-            }
-        }
-        // Fill each island to its exact size with fresh §3.3 individuals,
-        // in island order from the single run RNG — deterministic, and no
-        // seed list ever needs cycling.
-        for (k, size) in sizes.iter().enumerate() {
-            seeds[k].truncate(*size);
-            let missing = size - seeds[k].len();
-            if missing > 0 {
-                let fill = initial_population(
-                    batch,
-                    procs,
-                    missing,
-                    config.init_random_fraction,
-                    &mut rng,
-                );
-                seeds[k].extend(fill);
-            }
-        }
-
-        let engine = IslandEngine::new(
-            selection,
-            crossover,
-            mutation,
-            config.ga.clone(),
-            config.islands.clone(),
-        )
-        .expect("validated PnConfig");
-        let result = engine.run_budgeted(
-            &problem,
-            &seeds,
-            max_generations_override,
-            time_budget,
-            &mut rng,
-        );
-
-        let ga = GaResult {
-            best: result.best.clone(),
-            best_makespan: result.best_makespan,
-            best_fitness: result.best_fitness,
-            generations: result.generations,
-            stop_reason: result.stop_reason,
-            history: Vec::new(),
-            final_population: result.merged_final_population(),
-            memo_hits: result.memo_hits,
-            memo_misses: result.memo_misses,
+            let final_population = result.merged_final_population();
+            let ga = GaResult {
+                best: result.best,
+                best_makespan: result.best_makespan,
+                best_fitness: result.best_fitness,
+                generations: result.generations,
+                stop_reason: result.stop_reason,
+                history: Vec::new(),
+                final_population,
+                memo_hits: result.memo_hits,
+                memo_misses: result.memo_misses,
+            };
+            (ga, result.islands)
         };
-        return BatchOutcome {
+        Self {
             queues: ga.best.to_queues(),
             best: ga.best.clone(),
             best_makespan: ga.best_makespan,
             best_fitness: ga.best_fitness,
             generations: ga.generations,
             ga,
-            islands: result.islands,
+            islands,
+        }
+    }
+
+    /// Moves the best `elites` schedules of every island's final
+    /// population out of the outcome, one list per island (a monolithic
+    /// run yields a single list) — what warm-start carry-over keeps.
+    /// Nothing is cloned; the populations left behind are empty.
+    pub(crate) fn take_elites(&mut self, elites: usize) -> Vec<Vec<Chromosome>> {
+        let per_island = if self.islands.is_empty() {
+            std::slice::from_mut(&mut self.ga)
+        } else {
+            &mut self.islands[..]
         };
+        per_island
+            .iter_mut()
+            .map(|island| {
+                let mut pop = std::mem::take(&mut island.final_population);
+                pop.truncate(elites);
+                pop
+            })
+            .collect()
     }
-
-    // --- monolithic run (the paper's GA), byte-for-byte the pre-island
-    // pipeline ---
-    let flat_warm: &[Chromosome] = if !warm_seeds.is_empty() {
-        warm_seeds
-    } else {
-        warm_islands.first().map(Vec::as_slice).unwrap_or(&[])
-    };
-    let mut initial: Vec<Chromosome> = flat_warm
-        .iter()
-        .filter(shape_ok)
-        .take(config.ga.population_size)
-        .cloned()
-        .collect();
-    if initial.len() < config.ga.population_size {
-        initial.extend(initial_population(
-            batch,
-            procs,
-            config.ga.population_size - initial.len(),
-            config.init_random_fraction,
-            &mut rng,
-        ));
-    }
-
-    let engine = GaEngine::new(selection, crossover, mutation, config.ga.clone());
-    let ga = engine.run_budgeted(
-        &problem,
-        initial,
-        max_generations_override,
-        time_budget,
-        &mut rng,
-    );
-
-    BatchOutcome {
-        queues: ga.best.to_queues(),
-        best: ga.best.clone(),
-        best_makespan: ga.best_makespan,
-        best_fitness: ga.best_fitness,
-        generations: ga.generations,
-        ga,
-        islands: Vec::new(),
-    }
-}
-
-/// [`schedule_batch_capped`] without a generation override.
-pub fn schedule_batch(
-    batch: &[Task],
-    procs: &[ProcessorState],
-    config: &PnConfig,
-    seed: u64,
-) -> BatchOutcome {
-    schedule_batch_capped(batch, procs, config, None, seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dts_model::{SimTime, TaskId};
+    use crate::config::PnConfig;
+    use crate::fitness::ProcessorState;
+    use crate::plan::{plan_batch, PlanBudget, PlanRequest};
+    use dts_model::{SimTime, Task, TaskId};
 
     fn batch(sizes: &[f64]) -> Vec<Task> {
         sizes
@@ -355,11 +129,28 @@ mod tests {
         c
     }
 
+    fn run(batch: &[Task], procs: &[ProcessorState], config: &PnConfig, seed: u64) -> BatchOutcome {
+        plan_batch(&PlanRequest::new(batch, procs, seed), config)
+    }
+
+    fn run_warm(
+        batch: &[Task],
+        procs: &[ProcessorState],
+        config: &PnConfig,
+        warm_seeds: &[Chromosome],
+        seed: u64,
+    ) -> BatchOutcome {
+        plan_batch(
+            &PlanRequest::new(batch, procs, seed).with_warm_seeds(warm_seeds),
+            config,
+        )
+    }
+
     #[test]
     fn all_tasks_scheduled_exactly_once() {
         let b = batch(&[100.0, 200.0, 50.0, 300.0, 75.0, 25.0, 500.0]);
         let p = procs(&[100.0, 150.0, 80.0]);
-        let out = schedule_batch(&b, &p, &quick_config(100), 1);
+        let out = run(&b, &p, &quick_config(100), 1);
         let mut seen: Vec<u32> = out.queues.iter().flatten().copied().collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..7).collect::<Vec<_>>());
@@ -369,8 +160,8 @@ mod tests {
     fn deterministic_per_seed() {
         let b = batch(&[100.0, 200.0, 50.0, 300.0]);
         let p = procs(&[100.0, 150.0]);
-        let a = schedule_batch(&b, &p, &quick_config(50), 7);
-        let c = schedule_batch(&b, &p, &quick_config(50), 7);
+        let a = run(&b, &p, &quick_config(50), 7);
+        let c = run(&b, &p, &quick_config(50), 7);
         assert_eq!(a.queues, c.queues);
         assert_eq!(a.best_makespan, c.best_makespan);
     }
@@ -381,7 +172,7 @@ mod tests {
         // no worse than a naive all-on-one-processor plan.
         let b = batch(&[500.0, 400.0, 300.0, 200.0, 100.0, 50.0, 25.0, 12.0]);
         let p = procs(&[60.0, 120.0, 240.0]);
-        let out = schedule_batch(&b, &p, &quick_config(200), 3);
+        let out = run(&b, &p, &quick_config(200), 3);
         let total: f64 = b.iter().map(|t| t.mflops).sum();
         let naive = total / 60.0; // everything on the slowest
         assert!(out.best_makespan < naive);
@@ -394,7 +185,10 @@ mod tests {
     fn generation_override_is_respected() {
         let b = batch(&[100.0; 20]);
         let p = procs(&[100.0, 100.0]);
-        let out = schedule_batch_capped(&b, &p, &quick_config(1000), Some(3), 5);
+        let out = plan_batch(
+            &PlanRequest::new(&b, &p, 5).with_budget(PlanBudget::Generations(3)),
+            &quick_config(1000),
+        );
         assert_eq!(out.generations, 3);
     }
 
@@ -404,7 +198,7 @@ mod tests {
         let p = procs(&[100.0, 100.0]);
         let mut cfg = quick_config(20);
         cfg.ga.record_history = true;
-        let out = schedule_batch(&b, &p, &cfg, 5);
+        let out = run(&b, &p, &cfg, 5);
         assert_eq!(out.ga.history.len(), out.generations as usize + 1);
     }
 
@@ -412,10 +206,10 @@ mod tests {
     fn parallel_evaluation_matches_serial_bitwise() {
         let b = batch(&[520.0, 260.0, 130.0, 390.0, 65.0, 910.0, 45.0, 700.0]);
         let p = procs(&[100.0, 150.0, 80.0]);
-        let serial = schedule_batch(&b, &p, &quick_config(80), 21);
+        let serial = run(&b, &p, &quick_config(80), 21);
         for workers in [2, 8] {
             let cfg = quick_config(80).with_eval_workers(workers);
-            let par = schedule_batch(&b, &p, &cfg, 21);
+            let par = run(&b, &p, &cfg, 21);
             assert_eq!(par.queues, serial.queues, "workers={workers}");
             assert_eq!(par.best, serial.best);
             assert_eq!(par.best_makespan.to_bits(), serial.best_makespan.to_bits());
@@ -433,7 +227,7 @@ mod tests {
         let seeded = Chromosome::from_queues(&[vec![0, 1], vec![2, 3]]);
         let mut cfg = quick_config(1);
         cfg.init_random_fraction = (1.0, 1.0); // fresh fill is all-random
-        let out = schedule_batch_warm(&b, &p, &cfg, std::slice::from_ref(&seeded), None, 11);
+        let out = run_warm(&b, &p, &cfg, std::slice::from_ref(&seeded), 11);
         // The balanced seed achieves the 2.0 s optimum.
         assert!(
             (out.best_makespan - 2.0).abs() < 1e-9,
@@ -446,8 +240,8 @@ mod tests {
     fn warm_run_with_empty_seeds_matches_fresh() {
         let b = batch(&[100.0, 200.0, 50.0, 300.0]);
         let p = procs(&[100.0, 150.0]);
-        let fresh = schedule_batch(&b, &p, &quick_config(50), 7);
-        let warm = schedule_batch_warm(&b, &p, &quick_config(50), &[], None, 7);
+        let fresh = run(&b, &p, &quick_config(50), 7);
+        let warm = run_warm(&b, &p, &quick_config(50), &[], 7);
         assert_eq!(fresh.queues, warm.queues);
         assert_eq!(fresh.best_makespan.to_bits(), warm.best_makespan.to_bits());
     }
@@ -460,14 +254,7 @@ mod tests {
         let p = procs(&[100.0, 150.0]);
         let wrong_tasks = Chromosome::from_queues(&[vec![0, 1, 2, 3], vec![]]);
         let wrong_procs = Chromosome::from_queues(&[vec![0], vec![1], vec![2]]);
-        let out = schedule_batch_warm(
-            &b,
-            &p,
-            &quick_config(20),
-            &[wrong_tasks, wrong_procs],
-            None,
-            13,
-        );
+        let out = run_warm(&b, &p, &quick_config(20), &[wrong_tasks, wrong_procs], 13);
         let mut seen: Vec<u32> = out.queues.iter().flatten().copied().collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2]);
@@ -477,7 +264,7 @@ mod tests {
     fn outcome_exposes_final_population() {
         let b = batch(&[100.0, 200.0, 50.0, 300.0]);
         let p = procs(&[100.0, 150.0]);
-        let out = schedule_batch(&b, &p, &quick_config(30), 17);
+        let out = run(&b, &p, &quick_config(30), 17);
         let pop = &out.ga.final_population;
         assert_eq!(pop.len(), PnConfig::default().ga.population_size);
         assert!(pop.iter().all(|c| c.validate().is_ok()));
@@ -487,14 +274,14 @@ mod tests {
     #[should_panic]
     fn empty_batch_rejected() {
         let p = procs(&[100.0]);
-        let _ = schedule_batch(&[], &p, &PnConfig::default(), 1);
+        let _ = run(&[], &p, &PnConfig::default(), 1);
     }
 
     #[test]
     fn single_processor_batch_works() {
         let b = batch(&[10.0, 20.0, 30.0]);
         let p = procs(&[100.0]);
-        let out = schedule_batch(&b, &p, &quick_config(10), 2);
+        let out = run(&b, &p, &quick_config(10), 2);
         assert_eq!(out.queues.len(), 1);
         assert_eq!(out.queues[0].len(), 3);
         assert!((out.best_makespan - 0.6).abs() < 1e-9);

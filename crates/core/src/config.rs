@@ -188,8 +188,8 @@ impl PnConfig {
         if !(0.0..=1.0).contains(&self.batch_nu) {
             return Err(format!("batch_nu {} not in [0,1]", self.batch_nu));
         }
-        if self.batch_scale <= 0.0 {
-            return Err("batch_scale must be positive".into());
+        if self.batch_scale.is_nan() || self.batch_scale <= 0.0 {
+            return Err(format!("batch_scale {} must be positive", self.batch_scale));
         }
         if self.seed_strategy == (SeedStrategy::CarryOver { elites: 0 }) {
             return Err("carry-over elites must be ≥ 1".into());
@@ -234,6 +234,18 @@ mod tests {
             ..PnConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_catches_bad_batch_scale() {
+        for bad in [f64::NAN, 0.0, -1.0] {
+            let c = PnConfig {
+                batch_scale: bad,
+                ..PnConfig::default()
+            };
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("batch_scale"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -30,16 +30,18 @@
 //!   scheduler host.
 //! * [`scheduler`] — [`scheduler::PnScheduler`], the
 //!   [`dts_model::Scheduler`] implementation driven by the simulator.
-//! * [`batch_run`] — a standalone one-batch GA run (used directly by the
-//!   Fig. 3 / Fig. 4 experiments and the benches).
-//! * [`plan`] — the unified plan-call entry point: one request struct,
-//!   an explicit latency budget (generations, or wall-clock for the
-//!   online server), warm seeds.
+//! * [`plan`] — the one planning pipeline: [`plan::plan_batch`], the only
+//!   one-shot entry point (one request struct: operators, warm seeds,
+//!   precedence, an explicit latency budget), and [`plan::Planner`], the
+//!   owner of the seed stream and carried elites that both
+//!   [`scheduler::PnScheduler`] and the online `dts-server` plan through.
+//! * [`batch_run`] — [`batch_run::BatchOutcome`], what a plan call
+//!   returns (read directly by the Fig. 3 / Fig. 4 experiments).
 //!
 //! # Quickstart
 //!
 //! ```
-//! use dts_core::{PnConfig, batch_run::schedule_batch, fitness::ProcessorState};
+//! use dts_core::{plan_batch, PlanRequest, PnConfig, ProcessorState};
 //! use dts_model::{Task, TaskId, SimTime};
 //!
 //! // Four tasks for two processors, one fast and one slow.
@@ -52,7 +54,8 @@
 //!     ProcessorState { rate: 200.0, existing_load_mflops: 0.0, comm_cost: 0.1 },
 //!     ProcessorState { rate: 50.0, existing_load_mflops: 0.0, comm_cost: 0.1 },
 //! ];
-//! let outcome = schedule_batch(&tasks, &procs, &PnConfig::default(), 0xC0FFEE);
+//! let request = PlanRequest::new(&tasks, &procs, 0xC0FFEE);
+//! let outcome = plan_batch(&request, &PnConfig::default());
 //! assert_eq!(outcome.queues.iter().map(Vec::len).sum::<usize>(), 4);
 //! // The fast processor should receive the bulk of the work.
 //! assert!(outcome.queues[0].len() >= outcome.queues[1].len());
@@ -71,13 +74,10 @@ pub mod rebalance;
 pub mod scheduler;
 pub mod time_model;
 
-pub use batch_run::{
-    schedule_batch, schedule_batch_capped, schedule_batch_warm, schedule_batch_with_ops,
-    BatchOutcome,
-};
+pub use batch_run::BatchOutcome;
 pub use config::{PnConfig, SeedStrategy};
 pub use fitness::{slot_precedence, BatchProblem, ProcessorState};
 pub use init::{remap_elite, remap_islands};
-pub use plan::{plan_batch, PlanBudget, PlanRequest};
+pub use plan::{plan_batch, PlanBudget, PlanRequest, Planner};
 pub use scheduler::PnScheduler;
 pub use time_model::GaTimeModel;

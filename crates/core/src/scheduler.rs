@@ -13,39 +13,28 @@
 //! * communication-cost and execution-rate estimates arrive via the
 //!   [`SystemView`], which the simulator maintains with the §3.6 smoothing
 //!   function;
-//! * with [`SeedStrategy::CarryOver`] the scheduler keeps the previous
-//!   batch's final GA population and warm-starts the next run from its
-//!   remapped elites (see [`crate::init::remap_elite`]) — the only state
-//!   that persists across `plan` calls besides the queues, and itself a
-//!   pure function of the seeds.
+//! * the GA run itself — the per-call seed, and under
+//!   [`SeedStrategy::CarryOver`](crate::config::SeedStrategy) the elites
+//!   carried from the previous batch — belongs to the [`Planner`] the
+//!   scheduler holds: the only state that persists across `plan` calls
+//!   besides the queues, and itself a pure function of the seeds.
 
 use std::collections::VecDeque;
 
-use dts_distributions::{Prng, Rng};
-use dts_ga::{Chromosome, CycleCrossover, RouletteWheel, SwapMutation};
 use dts_model::{PlanOutcome, ProcessorId, Scheduler, SchedulerMode, SystemView, Task, TaskQueues};
 
-use crate::batch_run::run_batch_ga;
 use crate::batching::BatchSizer;
-use crate::config::{PnConfig, SeedStrategy};
+use crate::config::PnConfig;
 use crate::fitness::ProcessorState;
-use crate::init::remap_islands;
+use crate::plan::{PlanBudget, Planner};
 
 /// The PN dynamic GA scheduler.
 pub struct PnScheduler {
-    config: PnConfig,
+    planner: Planner,
     unscheduled: VecDeque<Task>,
     queues: TaskQueues,
     batch_sizer: BatchSizer,
-    rng: Prng,
     batches_planned: u64,
-    /// The previous batch's final populations (best first), kept when
-    /// [`SeedStrategy::CarryOver`] is configured; each list's head is
-    /// remapped onto the next batch as warm-start seeds. A monolithic run
-    /// carries one list; an island run (`config.islands.islands > 1`)
-    /// carries one list *per island*, remapped independently so islands'
-    /// elites never mix across planning invocations.
-    carried: Option<Vec<Vec<Chromosome>>>,
 }
 
 impl PnScheduler {
@@ -56,22 +45,20 @@ impl PnScheduler {
     /// Panics on an invalid configuration or `n_procs == 0`.
     pub fn new(n_procs: usize, config: PnConfig) -> Self {
         assert!(n_procs > 0, "need at least one processor");
-        config.validate().expect("invalid PnConfig");
+        let planner = Planner::new(config);
+        let config = planner.config();
         let batch_sizer = BatchSizer::new(
             config.batch_nu,
             config.batch_scale,
             config.initial_batch,
             config.max_batch,
         );
-        let rng = Prng::seed_from(config.seed);
         Self {
-            config,
+            planner,
             unscheduled: VecDeque::new(),
             queues: TaskQueues::new(n_procs),
             batch_sizer,
-            rng,
             batches_planned: 0,
-            carried: None,
         }
     }
 
@@ -82,7 +69,7 @@ impl PnScheduler {
 
     /// The configuration in use.
     pub fn config(&self) -> &PnConfig {
-        &self.config
+        self.planner.config()
     }
 
     /// Builds the per-processor state vector the fitness function needs:
@@ -93,7 +80,7 @@ impl PnScheduler {
             .map(|p| ProcessorState {
                 rate: p.rate_estimate.max(1e-9),
                 existing_load_mflops: self.queues.queued_mflops(p.id) + p.inflight_mflops,
-                comm_cost: if self.config.use_comm_estimates {
+                comm_cost: if self.config().use_comm_estimates {
                     p.comm_estimate
                 } else {
                     0.0
@@ -125,8 +112,9 @@ impl Scheduler for PnScheduler {
             return PlanOutcome::IDLE;
         }
         let m = view.processors.len();
-        let rho = self.config.ga.population_size;
-        let rebalances = self.config.rebalances_per_generation;
+        let config = self.planner.config();
+        let rho = config.ga.population_size;
+        let rebalances = config.rebalances_per_generation;
 
         // --- batch selection (FCFS prefix, dynamically sized, §3.7) ----
         let h = self
@@ -136,70 +124,25 @@ impl Scheduler for PnScheduler {
         let batch: Vec<Task> = self.unscheduled.drain(..h).collect();
 
         // --- generation budget from the idle horizon (§3.4) ------------
-        let per_gen = self
-            .config
+        let per_gen = config
             .time_model
             .seconds_per_generation(h, m, rho, rebalances);
         let budget = match view.seconds_until_first_idle {
             // A processor is already idle: compute the bare minimum.
-            None => self.config.min_generations,
+            None => config.min_generations,
             Some(secs) => {
-                let affordable = self
-                    .config
+                let affordable = config
                     .time_model
                     .generations_within(secs, h, m, rho, rebalances);
-                affordable.max(self.config.min_generations)
+                affordable.max(config.min_generations)
             }
         };
 
         // --- evolve ------------------------------------------------------
         let states = self.processor_states(view);
-        let seed = self.rng.next_u64();
-        // Warm start (SeedStrategy::CarryOver): remap the previous batch's
-        // elites onto this batch's shape, island by island. The remap is
-        // deterministic, so the whole lifecycle stays a pure function of
-        // the seeds.
-        let warm_islands: Vec<Vec<Chromosome>> = match (self.config.seed_strategy, &self.carried) {
-            (SeedStrategy::CarryOver { elites }, Some(prev)) => {
-                remap_islands(prev, elites, &batch, &states)
-            }
-            _ => Vec::new(),
-        };
-        let mut outcome = run_batch_ga(
-            &batch,
-            &states,
-            &self.config,
-            &RouletteWheel,
-            &CycleCrossover,
-            &SwapMutation,
-            &[],
-            &warm_islands,
-            None,
-            Some(budget),
-            None,
-            seed,
-        );
-        if let SeedStrategy::CarryOver { elites } = self.config.seed_strategy {
-            // Only the top `elites` schedules per island are ever read
-            // back; move them out of the outcome instead of cloning whole
-            // populations. A monolithic run carries a single list.
-            let carried: Vec<Vec<Chromosome>> = if outcome.islands.is_empty() {
-                let mut pop = std::mem::take(&mut outcome.ga.final_population);
-                pop.truncate(elites);
-                vec![pop]
-            } else {
-                outcome
-                    .islands
-                    .iter_mut()
-                    .map(|island| {
-                        let mut pop = std::mem::take(&mut island.final_population);
-                        pop.truncate(elites);
-                        pop
-                    })
-                    .collect()
-            };
-            self.carried = Some(carried);
-        }
+        let outcome = self
+            .planner
+            .plan(&batch, &states, PlanBudget::Generations(budget));
 
         // --- commit the winning assignment -------------------------------
         for (proc, queue) in outcome.queues.iter().enumerate() {
@@ -246,6 +189,7 @@ impl Scheduler for PnScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SeedStrategy;
     use dts_model::sched::ProcessorView;
     use dts_model::{SimTime, TaskId};
 
@@ -321,7 +265,7 @@ mod tests {
         let mut v = view(&[100.0, 100.0]);
         v.seconds_until_first_idle = None; // someone is already idle
         let out = hurried.plan(&v);
-        assert_eq!(out.generations, hurried.config.min_generations);
+        assert_eq!(out.generations, hurried.config().min_generations);
     }
 
     #[test]
@@ -447,13 +391,16 @@ mod tests {
         s.enqueue(&tasks(20, 100.0));
         let v = view(&[100.0, 100.0]);
         s.plan(&v);
-        assert!(s.carried.is_none(), "Fresh must not accumulate state");
+        assert!(
+            s.planner.carried().is_empty(),
+            "Fresh must not accumulate state"
+        );
         let mut c = quick_config();
         c.seed_strategy = SeedStrategy::CarryOver { elites: 3 };
         let mut s = PnScheduler::new(2, c);
         s.enqueue(&tasks(20, 100.0));
         s.plan(&v);
-        let carried = s.carried.as_ref().expect("carry-over retains population");
+        let carried = s.planner.carried();
         assert_eq!(carried.len(), 1, "monolithic run carries one list");
         assert_eq!(carried[0].len(), 3, "only the elites are retained");
         assert!(carried[0].iter().all(|ch| ch.validate().is_ok()));
@@ -476,7 +423,7 @@ mod tests {
         s.enqueue(&varied_tasks(32));
         let v = view(&[100.0, 150.0, 80.0]);
         s.plan(&v);
-        let carried = s.carried.as_ref().expect("elites carried");
+        let carried = s.planner.carried();
         assert_eq!(carried.len(), 2, "one carried list per island");
         assert!(carried.iter().all(|isl| isl.len() == 3));
         assert!(carried.iter().flatten().all(|ch| ch.validate().is_ok()));
@@ -497,8 +444,7 @@ mod tests {
             s.enqueue(&varied_tasks(16));
             let v = view(&[100.0, 150.0, 80.0]);
             s.plan(&v); // 10-task batch
-            let carried_shapes: Vec<usize> =
-                s.carried.as_ref().unwrap().iter().map(Vec::len).collect();
+            let carried_shapes: Vec<usize> = s.planner.carried().iter().map(Vec::len).collect();
             while s.unscheduled_len() > 0 {
                 s.plan(&v); // remaining 6 tasks: shape change
             }

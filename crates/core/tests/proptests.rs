@@ -1,11 +1,10 @@
 //! Property tests for the PN scheduler's components: fitness sanity,
 //! rebalance safety, warm-start remapping, and whole-batch conservation.
 
-use dts_core::batch_run::{schedule_batch, schedule_batch_warm};
 use dts_core::fitness::{BatchProblem, ProcessorState};
 use dts_core::init::{initial_population, list_scheduled_individual, remap_elite};
 use dts_core::rebalance::rebalance_once;
-use dts_core::PnConfig;
+use dts_core::{plan_batch, PlanRequest, PnConfig};
 use dts_distributions::Prng;
 use dts_ga::Problem;
 use dts_model::{SimTime, Task, TaskId};
@@ -142,9 +141,9 @@ proptest! {
         memo_off.ga.memo_capacity = 0;
         let mut memo_on_parallel = base.clone();
         memo_on_parallel.ga.evaluator = dts_ga::Evaluator::ThreadPool { workers: 4 };
-        let reference = schedule_batch(&batch, &procs, &base, seed);
+        let reference = plan_batch(&PlanRequest::new(&batch, &procs, seed), &base);
         for cfg in [&memo_off, &memo_on_parallel] {
-            let run = schedule_batch(&batch, &procs, cfg, seed);
+            let run = plan_batch(&PlanRequest::new(&batch, &procs, seed), cfg);
             prop_assert_eq!(&run.queues, &reference.queues);
             prop_assert_eq!(run.best_fitness.to_bits(), reference.best_fitness.to_bits());
             prop_assert_eq!(run.best_makespan.to_bits(), reference.best_makespan.to_bits());
@@ -202,7 +201,7 @@ proptest! {
         let mut rng = Prng::seed_from(seed ^ 0x5EED);
         let prev = list_scheduled_individual(&old_batch, &procs, 0.5, &mut rng);
         let warm = vec![remap_elite(&prev, &batch, &procs)];
-        let out = schedule_batch_warm(&batch, &procs, &cfg, &warm, None, seed);
+        let out = plan_batch(&PlanRequest::new(&batch, &procs, seed).with_warm_seeds(&warm), &cfg);
         let mut seen: Vec<u32> = out.queues.iter().flatten().copied().collect();
         seen.sort_unstable();
         let expect: Vec<u32> = (0..batch.len() as u32).collect();
@@ -219,7 +218,7 @@ proptest! {
     ) {
         let mut cfg = PnConfig::default();
         cfg.ga.max_generations = 10;
-        let out = schedule_batch(&batch, &procs, &cfg, seed);
+        let out = plan_batch(&PlanRequest::new(&batch, &procs, seed), &cfg);
         let mut seen: Vec<u32> = out.queues.iter().flatten().copied().collect();
         seen.sort_unstable();
         let expect: Vec<u32> = (0..batch.len() as u32).collect();

@@ -338,7 +338,7 @@ impl IslandResult {
 ///     .map(|_| vec![Chromosome::from_queues(&[(0..12).collect::<Vec<_>>(), vec![], vec![], vec![]])])
 ///     .collect();
 /// let mut rng = Prng::seed_from(7);
-/// let result = engine.run(&Balance, &seeds, None, &mut rng);
+/// let result = engine.run(&Balance, seeds, None, &mut rng);
 /// assert_eq!(result.islands.len(), 4);
 /// assert!(result.best_makespan <= 12.0);
 /// ```
@@ -384,12 +384,14 @@ impl<'a> IslandEngine<'a> {
     /// Runs the island GA from per-island seed lists (`initial.len()` must
     /// equal the island count; each non-empty list is cycled to its
     /// island's size, exactly like [`GaEngine::run`] cycles its initial
-    /// population). See [`IslandEngine::run_budgeted`] for the wall-clock
+    /// population). The lists are taken by value, so the one-island
+    /// delegation hands its population to the monolithic engine without a
+    /// copy. See [`IslandEngine::run_budgeted`] for the wall-clock
     /// budgeted form.
     pub fn run<P: Problem + Sync>(
         &self,
         problem: &P,
-        initial: &[Vec<Chromosome>],
+        initial: Vec<Vec<Chromosome>>,
         max_generations_override: Option<u32>,
         rng: &mut Prng,
     ) -> IslandResult {
@@ -405,7 +407,7 @@ impl<'a> IslandEngine<'a> {
     pub fn run_budgeted<P: Problem + Sync>(
         &self,
         problem: &P,
-        initial: &[Vec<Chromosome>],
+        mut initial: Vec<Vec<Chromosome>>,
         max_generations_override: Option<u32>,
         time_budget: Option<Duration>,
         rng: &mut Prng,
@@ -419,7 +421,7 @@ impl<'a> IslandEngine<'a> {
             // engine — including memo counters and stop reasons.
             let ga = self.mono.run_budgeted(
                 problem,
-                initial[0].clone(),
+                initial.swap_remove(0),
                 max_generations_override,
                 time_budget,
                 rng,
@@ -465,7 +467,7 @@ impl<'a> IslandEngine<'a> {
 
         let mut runs: Vec<GaRun<'_, P>> = engines
             .iter()
-            .zip(initial)
+            .zip(&initial)
             .map(|(engine, seeds)| {
                 engine.start(
                     problem,
@@ -678,7 +680,7 @@ mod tests {
                 ..IslandConfig::default()
             },
         )
-        .run(&Balance, &[vec![skewed()]], None, &mut r2);
+        .run(&Balance, vec![vec![skewed()]], None, &mut r2);
 
         assert_eq!(island.best, mono.best);
         assert_eq!(island.best_makespan.to_bits(), mono.best_makespan.to_bits());
@@ -709,7 +711,7 @@ mod tests {
                 },
             );
             let mut rng = Prng::seed_from(91);
-            e.run(&Balance, &seeds(4), None, &mut rng)
+            e.run(&Balance, seeds(4), None, &mut rng)
         };
         let serial = run(1);
         for workers in [2, 8] {
@@ -855,7 +857,7 @@ mod tests {
             },
         );
         let mut rng = Prng::seed_from(5);
-        let result = e.run(&Balance, &seeds(4), None, &mut rng);
+        let result = e.run(&Balance, seeds(4), None, &mut rng);
         assert_eq!(result.stop_reason, StopReason::TargetReached);
         assert!(result.best_makespan <= 4.0);
         assert!(result.generations < 500);
@@ -877,7 +879,7 @@ mod tests {
         let mut rng = Prng::seed_from(6);
         let budget = Duration::from_millis(20);
         let started = Instant::now();
-        let result = e.run_budgeted(&Balance, &seeds(4), None, Some(budget), &mut rng);
+        let result = e.run_budgeted(&Balance, seeds(4), None, Some(budget), &mut rng);
         let elapsed = started.elapsed();
         assert_eq!(result.stop_reason, StopReason::TimeBudget);
         assert!(elapsed < budget + Duration::from_millis(200));
@@ -900,7 +902,7 @@ mod tests {
             },
         );
         let mut rng = Prng::seed_from(8);
-        let result = e.run(&Balance, &seeds(3), Some(4), &mut rng);
+        let result = e.run(&Balance, seeds(3), Some(4), &mut rng);
         assert_eq!(result.generations, 4);
         assert_eq!(result.stop_reason, StopReason::MaxGenerations);
         assert!(result.islands.iter().all(|r| r.generations == 4));
@@ -919,7 +921,7 @@ mod tests {
                 },
             );
             let mut rng = Prng::seed_from(seed);
-            e.run(&Balance, &seeds(4), None, &mut rng)
+            e.run(&Balance, seeds(4), None, &mut rng)
         };
         let a = run(1);
         let b = run(2);
@@ -940,7 +942,7 @@ mod tests {
             },
         );
         let mut rng = Prng::seed_from(9);
-        let result = e.run(&Balance, &seeds(3), None, &mut rng);
+        let result = e.run(&Balance, seeds(3), None, &mut rng);
         let merged = result.merged_final_population();
         assert_eq!(merged.len(), 16, "every individual present exactly once");
         // Head of the merge = every island's rank-0 schedule, island order.

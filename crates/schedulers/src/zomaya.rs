@@ -27,8 +27,8 @@ use std::collections::VecDeque;
 
 use dts_distributions::{Prng, Rng};
 use dts_ga::{
-    island_sizes, Chromosome, CycleCrossover, GaConfig, GaEngine, Gene, IslandConfig, IslandEngine,
-    Problem, RouletteWheel, SwapMutation,
+    island_sizes, Chromosome, CycleCrossover, GaConfig, Gene, IslandConfig, IslandEngine, Problem,
+    RouletteWheel, SwapMutation,
 };
 use dts_model::{PlanOutcome, ProcessorId, Scheduler, SchedulerMode, SystemView, Task, TaskQueues};
 
@@ -385,50 +385,34 @@ impl Scheduler for Zomaya {
 
         let problem = ZoProblem::new(&batch, &rates, &existing);
         let initial = self.initial_population(&batch, &rates, &existing);
-        let selection = RouletteWheel;
-        let crossover = CycleCrossover;
-        let mutation = SwapMutation;
+        // Shard the already-built population contiguously: the carried
+        // elites land on the first island(s), random fill on the rest (a
+        // single island takes it whole and is the monolithic GA bit for
+        // bit). Deterministic — the split is a pure function of the sizes.
         let n_islands = self.config.islands.islands;
-        let (best, generations, final_population) = if n_islands > 1 {
-            // Shard the already-built population contiguously: the carried
-            // elites land on the first island(s), random fill on the rest.
-            // Deterministic — the split is a pure function of the sizes.
-            let mut seeds: Vec<Vec<Chromosome>> = Vec::with_capacity(n_islands);
-            let mut rest = initial;
-            for size in island_sizes(self.config.ga.population_size, n_islands) {
-                let tail = rest.split_off(size.min(rest.len()));
-                seeds.push(rest);
-                rest = tail;
-            }
-            let engine = IslandEngine::new(
-                &selection,
-                &crossover,
-                &mutation,
-                self.config.ga.clone(),
-                self.config.islands.clone(),
-            )
-            .expect("validated ZoConfig");
-            let result = engine.run(&problem, &seeds, Some(budget), &mut self.rng);
-            (
-                result.best.clone(),
-                result.generations,
-                result.merged_final_population(),
-            )
-        } else {
-            let engine = GaEngine::new(&selection, &crossover, &mutation, self.config.ga.clone());
-            let mut result = engine.run(&problem, initial, Some(budget), &mut self.rng);
-            // Only the top schedules are ever read back; move the
-            // population out of the result instead of cloning it.
-            let pop = std::mem::take(&mut result.final_population);
-            (result.best, result.generations, pop)
-        };
+        let mut seeds: Vec<Vec<Chromosome>> = Vec::with_capacity(n_islands);
+        let mut rest = initial;
+        for size in island_sizes(self.config.ga.population_size, n_islands) {
+            let tail = rest.split_off(size.min(rest.len()));
+            seeds.push(rest);
+            rest = tail;
+        }
+        let engine = IslandEngine::new(
+            &RouletteWheel,
+            &CycleCrossover,
+            &SwapMutation,
+            self.config.ga.clone(),
+            self.config.islands.clone(),
+        )
+        .expect("validated ZoConfig");
+        let result = engine.run(&problem, seeds, Some(budget), &mut self.rng);
         if let SeedStrategy::CarryOver { elites } = self.config.seed_strategy {
-            let mut pop = final_population;
+            let mut pop = result.merged_final_population();
             pop.truncate(elites);
             self.carried = Some(pop);
         }
 
-        for (proc, queue) in best.to_queues().iter().enumerate() {
+        for (proc, queue) in result.best.to_queues().iter().enumerate() {
             let pid = ProcessorId(proc as u16);
             for &slot in queue {
                 self.queues.push(pid, batch[slot as usize]);
@@ -437,8 +421,8 @@ impl Scheduler for Zomaya {
 
         PlanOutcome {
             tasks_assigned: h,
-            compute_seconds: per_gen * generations as f64,
-            generations,
+            compute_seconds: per_gen * result.generations as f64,
+            generations: result.generations,
         }
     }
 

@@ -4,9 +4,9 @@
 //! continuous stream of task submissions flows through **admission**
 //! (bounded per-tenant queues with backpressure), **batching** (FCFS
 //! prefix of the pending queue, like the paper's §3.7 batch-mode loop),
-//! and **planning** (one warm-started GA run per batch via
-//! [`dts_core::plan::plan_batch`]), emitting one [`PlacementEvent`] per
-//! task.
+//! and **planning** (one GA run per batch through a
+//! [`dts_core::Planner`], which owns the seed stream and the warm-start
+//! carry-over), emitting one [`PlacementEvent`] per task.
 //!
 //! The core is deliberately **wall-clock-free**: it never reads a clock,
 //! so with a deterministic [`PlanBudget`] (generations, not wall-time)
@@ -21,10 +21,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use dts_core::plan::{plan_batch, PlanBudget, PlanRequest};
-use dts_core::{remap_islands, PnConfig, ProcessorState, SeedStrategy};
-use dts_distributions::{Prng, Rng};
-use dts_ga::Chromosome;
+use dts_core::{PlanBudget, Planner, PnConfig, ProcessorState};
 use dts_model::{ProcessorId, SimTime, Task, TaskId, TaskQueues};
 
 /// Identifies a submitting tenant (user, job class, ingress shard).
@@ -132,9 +129,9 @@ pub struct ServerConfig {
     /// The worker fleet the server places tasks onto.
     pub procs: Vec<ProcessorProfile>,
     /// The PN planning configuration (GA knobs, warm-start strategy,
-    /// seed). The server's RNG stream is seeded from `pn.seed` exactly
-    /// like [`dts_core::PnScheduler`]'s, which is what makes the two
-    /// pipelines comparable placement-for-placement.
+    /// seed). The server plans through a [`dts_core::Planner`] built from
+    /// it, exactly like [`dts_core::PnScheduler`], which is what makes
+    /// the two pipelines comparable placement-for-placement.
     pub pn: PnConfig,
     /// Number of tenants; submissions must name a tenant in
     /// `0..tenants`.
@@ -179,12 +176,16 @@ impl ServerConfig {
         if self.procs.is_empty() {
             return Err("need at least one processor".into());
         }
-        if self
-            .procs
-            .iter()
-            .any(|p| p.rate <= 0.0 || !p.rate.is_finite())
-        {
-            return Err("processor rates must be positive and finite".into());
+        for (j, p) in self.procs.iter().enumerate() {
+            if p.rate <= 0.0 || !p.rate.is_finite() {
+                return Err("processor rates must be positive and finite".into());
+            }
+            if p.comm_cost < 0.0 || !p.comm_cost.is_finite() {
+                return Err(format!(
+                    "processor {j}: comm_cost {} must be non-negative and finite",
+                    p.comm_cost
+                ));
+            }
         }
         if self.tenants == 0 || self.tenants > u16::MAX as usize {
             return Err(format!("tenants {} not in 1..=65535", self.tenants));
@@ -256,14 +257,9 @@ pub struct DtsServer {
     /// the `Lⱼ` term of the fitness function. [`DtsServer::dispatch`]
     /// pops from here as workers pull work.
     queues: TaskQueues,
-    /// The plan-call seed stream (same discipline as
-    /// [`dts_core::PnScheduler`]: one `next_u64` per plan call).
-    rng: Prng,
-    /// Previous batch's elites under [`SeedStrategy::CarryOver`], one
-    /// list per island (a monolithic plan carries a single list) —
-    /// mirroring [`dts_core::PnScheduler`] so the oracle equivalence
-    /// holds for sharded configurations too.
-    carried: Option<Vec<Vec<Chromosome>>>,
+    /// The plan-call seed stream and carried elites — the same pipeline
+    /// [`dts_core::PnScheduler`] plans through.
+    planner: Planner,
     /// `placed[id]` is true once `id` was committed by a completed plan
     /// call — the set dependency eligibility is checked against, so a
     /// dependent task is only batched strictly after the batch that
@@ -284,7 +280,7 @@ impl DtsServer {
     pub fn new(config: ServerConfig) -> Self {
         // dts-lint: allow(hot-unwrap, "construction-time config validation with a documented panic contract — not a submit/plan/replay path")
         config.validate().expect("invalid ServerConfig");
-        let rng = Prng::seed_from(config.pn.seed);
+        let planner = Planner::new(config.pn.clone());
         let n = config.procs.len();
         let tenants = config.tenants;
         Self {
@@ -293,8 +289,7 @@ impl DtsServer {
             pending_per_tenant: vec![0; tenants],
             next_id: 0,
             queues: TaskQueues::new(n),
-            rng,
-            carried: None,
+            planner,
             placed: Vec::new(),
             stats: ServerStats::default(),
         }
@@ -323,9 +318,20 @@ impl DtsServer {
             .unwrap_or(0)
     }
 
-    /// Tasks placed on `p` and not yet pulled by [`DtsServer::dispatch`].
+    /// Tasks placed on `p` and not yet pulled by [`DtsServer::dispatch`]
+    /// (0 for unknown processors).
     pub fn placed_len(&self, p: ProcessorId) -> usize {
-        self.queues.queued_len(p)
+        if self.knows(p) {
+            self.queues.queued_len(p)
+        } else {
+            0
+        }
+    }
+
+    /// Whether `p` names one of the configured processors; [`TaskQueues`]
+    /// indexes by it unchecked.
+    fn knows(&self, p: ProcessorId) -> bool {
+        p.index() < self.config.procs.len()
     }
 
     /// True once enough submissions are pending to fill a batch — the
@@ -451,17 +457,16 @@ impl DtsServer {
     }
 
     /// Plans one batch: takes the FCFS prefix of the pending queue (at
-    /// most `batch_size` tasks), runs the warm-started GA under the
-    /// configured budget, commits the winning assignment to the
-    /// per-processor queues, and returns one [`PlacementEvent`] per task
-    /// (processors in ascending order, queue order within a processor).
+    /// most `batch_size` tasks), runs the GA under the configured budget,
+    /// commits the winning assignment to the per-processor queues, and
+    /// returns one [`PlacementEvent`] per task (processors in ascending
+    /// order, queue order within a processor).
     ///
-    /// Returns an empty vector when nothing is pending. The plan-call
-    /// discipline — one seed drawn per call, elites remapped and carried
-    /// under [`SeedStrategy::CarryOver`], load accumulated through
-    /// [`TaskQueues`] — is deliberately identical to
-    /// [`dts_core::PnScheduler`]'s `plan`, which the oracle equivalence
-    /// test verifies placement-for-placement.
+    /// Returns an empty vector when nothing is pending. The GA run is the
+    /// [`Planner`]'s, shared with [`dts_core::PnScheduler`]; what the two
+    /// still write separately — processor states, load accumulated
+    /// through [`TaskQueues`], the commit — the oracle equivalence test
+    /// verifies placement-for-placement.
     pub fn plan(&mut self) -> Vec<PlacementEvent> {
         if self.pending.is_empty() {
             return Vec::new();
@@ -492,38 +497,7 @@ impl DtsServer {
         let batch: Vec<Task> = drained.iter().map(|p| p.task).collect();
 
         let states = self.processor_states();
-        let seed = self.rng.next_u64();
-        let warm_islands: Vec<Vec<Chromosome>> = match (self.config.pn.seed_strategy, &self.carried)
-        {
-            (SeedStrategy::CarryOver { elites }, Some(prev)) => {
-                remap_islands(prev, elites, &batch, &states)
-            }
-            _ => Vec::new(),
-        };
-        let mut outcome = plan_batch(
-            &PlanRequest::new(&batch, &states, seed)
-                .with_island_seeds(&warm_islands)
-                .with_budget(self.config.budget),
-            &self.config.pn,
-        );
-        if let SeedStrategy::CarryOver { elites } = self.config.pn.seed_strategy {
-            let carried: Vec<Vec<Chromosome>> = if outcome.islands.is_empty() {
-                let mut pop = std::mem::take(&mut outcome.ga.final_population);
-                pop.truncate(elites);
-                vec![pop]
-            } else {
-                outcome
-                    .islands
-                    .iter_mut()
-                    .map(|island| {
-                        let mut pop = std::mem::take(&mut island.final_population);
-                        pop.truncate(elites);
-                        pop
-                    })
-                    .collect()
-            };
-            self.carried = Some(carried);
-        }
+        let outcome = self.planner.plan(&batch, &states, self.config.budget);
 
         let batch_no = self.stats.batches;
         let mut events = Vec::with_capacity(h);
@@ -561,15 +535,21 @@ impl DtsServer {
     }
 
     /// Pops the next placed task for worker `p` (the pull protocol's
-    /// work-request reply), releasing its load from `Lⱼ`.
+    /// work-request reply), releasing its load from `Lⱼ`. `None` for
+    /// unknown processors.
     pub fn dispatch(&mut self, p: ProcessorId) -> Option<Task> {
-        self.queues.pop(p)
+        if self.knows(p) {
+            self.queues.pop(p)
+        } else {
+            None
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dts_core::SeedStrategy;
 
     fn quick_pn(max_gens: u32) -> PnConfig {
         let mut c = PnConfig::default();
@@ -754,7 +734,7 @@ mod tests {
                 .unwrap();
         }
         s.plan();
-        let carried = s.carried.as_ref().expect("elites carried");
+        let carried = s.planner.carried();
         assert_eq!(carried.len(), 1, "monolithic plan carries one list");
         assert_eq!(carried[0].len(), 4);
         assert!(carried[0].iter().all(|c| c.validate().is_ok()));
@@ -778,7 +758,7 @@ mod tests {
                 .unwrap();
         }
         s.plan();
-        let carried = s.carried.as_ref().expect("elites carried");
+        let carried = s.planner.carried();
         assert_eq!(carried.len(), 2, "one carried list per island");
         assert!(carried.iter().all(|isl| isl.len() == 4));
         assert!(carried.iter().flatten().all(|c| c.validate().is_ok()));
@@ -869,6 +849,86 @@ mod tests {
             assert_eq!(e.batch, i as u64);
         }
         assert_eq!(s.stats().batches, 4);
+    }
+
+    #[test]
+    fn unknown_processors_hold_nothing_and_never_panic() {
+        let mut s = DtsServer::new(small_config());
+        let unknown = [ProcessorId(3), ProcessorId(u16::MAX)];
+        for p in unknown {
+            assert_eq!(s.placed_len(p), 0);
+            assert_eq!(s.dispatch(p), None);
+        }
+        for i in 0..6 {
+            s.submit(TenantId(0), 100.0, i as f64).unwrap();
+        }
+        s.plan();
+        for p in unknown {
+            assert_eq!(s.placed_len(p), 0);
+            assert_eq!(s.dispatch(p), None);
+        }
+        let placed: usize = (0..3).map(|j| s.placed_len(ProcessorId(j))).sum();
+        assert_eq!(placed, 6, "known processors are unaffected");
+    }
+
+    #[test]
+    fn bad_comm_costs_are_rejected_by_name() {
+        for bad in [f64::NAN, -0.5, f64::INFINITY] {
+            let mut cfg = small_config();
+            cfg.procs[1].comm_cost = bad;
+            let err = cfg.validate().unwrap_err();
+            assert!(
+                err.contains("comm_cost") && err.contains("processor 1"),
+                "{bad}: {err}"
+            );
+        }
+        let mut cfg = small_config();
+        cfg.procs[1].comm_cost = 0.0;
+        assert!(cfg.validate().is_ok(), "free communication is valid");
+    }
+
+    #[test]
+    fn time_limited_warm_plans_respect_dependencies_and_terminate() {
+        let mut cfg = small_config();
+        cfg.pn.ga.max_generations = u32::MAX;
+        cfg.pn.seed_strategy = SeedStrategy::CarryOver { elites: 4 };
+        cfg.budget = PlanBudget::TimeLimit(std::time::Duration::from_millis(2));
+        cfg.tenant_capacity = 64;
+        let mut s = DtsServer::new(cfg);
+        // Three interleaved chains (0 ← 3 ← 6 …) plus free tasks.
+        let mut deps_of: Vec<Vec<TaskId>> = Vec::new();
+        for i in 0..24u32 {
+            let deps = if i >= 3 && i % 4 != 0 {
+                vec![TaskId(i - 3)]
+            } else {
+                Vec::new()
+            };
+            let id = s
+                .submit_with_deps(TenantId((i % 2) as u16), 50.0 + 37.0 * i as f64, 0.0, &deps)
+                .unwrap();
+            assert_eq!(id, TaskId(i));
+            deps_of.push(deps);
+        }
+        let events = s.drain();
+        assert_eq!(s.pending_len(), 0);
+
+        let mut batch_of = vec![None; 24];
+        for e in &events {
+            let slot = &mut batch_of[e.task.id.0 as usize];
+            assert!(slot.is_none(), "task {} placed twice", e.task.id.0);
+            *slot = Some(e.batch);
+        }
+        for (i, deps) in deps_of.iter().enumerate() {
+            let own = batch_of[i].expect("every admitted task is placed");
+            for d in deps {
+                let pred = batch_of[d.0 as usize].expect("predecessor placed");
+                assert!(pred < own, "task {i} batched with or before task {}", d.0);
+            }
+        }
+        let carried = s.planner.carried();
+        assert_eq!(carried.len(), 1);
+        assert_eq!(carried[0].len(), 4);
+        assert!(carried[0].iter().all(|c| c.validate().is_ok()));
     }
 
     #[test]

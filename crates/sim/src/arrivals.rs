@@ -185,13 +185,14 @@ impl ArrivalTrace {
             tasks: Vec::new(),
             deps: vec![Vec::new(); tasks.len()],
         };
+        let mut seen = vec![false; tasks.len()];
         for (i, t) in tasks.iter().enumerate() {
             trace.append_validated(
                 i + 1,
                 t.id.0,
                 t.mflops,
                 t.arrival.seconds(),
-                tasks.len(),
+                &mut seen,
                 Vec::new(),
             )?;
         }
@@ -256,14 +257,17 @@ impl ArrivalTrace {
         Ok(())
     }
 
-    /// Validates and appends one record. `line` is only for diagnostics.
+    /// Validates and appends one record. `line` is only for diagnostics;
+    /// `seen[id]` marks the ids already recorded (its length is the
+    /// declared task count), so the duplicate check is one lookup and
+    /// building a trace stays linear in its length.
     fn append_validated(
         &mut self,
         line: usize,
         id: u32,
         mflops: f64,
         arrival: f64,
-        count: usize,
+        seen: &mut [bool],
         deps: Vec<u32>,
     ) -> Result<(), TraceError> {
         if !(mflops.is_finite() && mflops > 0.0) {
@@ -278,10 +282,11 @@ impl ArrivalTrace {
                 message: format!("arrival time {arrival} s must be non-negative and finite"),
             });
         }
-        if id as usize >= count {
+        let Some(recorded) = seen.get_mut(id as usize) else {
+            let count = seen.len();
             return Err(TraceError::UnknownTaskId { line, id, count });
-        }
-        if self.tasks.iter().any(|t| t.id.0 == id) {
+        };
+        if std::mem::replace(recorded, true) {
             return Err(TraceError::DuplicateTaskId { line, id });
         }
         if let Some(prev) = self.tasks.last() {
@@ -348,6 +353,7 @@ impl ArrivalTrace {
             tasks: Vec::with_capacity(count),
             deps: vec![Vec::new(); count],
         };
+        let mut seen = vec![false; count];
         for (line, l) in lines {
             let mut fields = l.split_ascii_whitespace();
             let (id, mflops, arrival, deps_field) =
@@ -422,7 +428,7 @@ impl ArrivalTrace {
                         .collect::<Result<Vec<u32>, TraceError>>()?
                 }
             };
-            trace.append_validated(line, id, mflops, arrival, count, deps)?;
+            trace.append_validated(line, id, mflops, arrival, &mut seen, deps)?;
         }
 
         if trace.tasks.len() != count {

@@ -7,7 +7,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use dts::core::{batch_run::schedule_batch, fitness::ProcessorState, PnConfig};
+use dts::core::{fitness::ProcessorState, plan_batch, PlanRequest, PnConfig};
 use dts::model::{SimTime, Task, TaskId};
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
     ];
 
     let config = PnConfig::default();
-    let outcome = schedule_batch(&batch, &procs, &config, 0xD15C0);
+    let outcome = plan_batch(&PlanRequest::new(&batch, &procs, 0xD15C0), &config);
 
     println!("PN schedule after {} generations", outcome.generations);
     println!("estimated makespan: {:.2} s", outcome.best_makespan);

@@ -20,7 +20,7 @@
 
 use dts::core::fitness::{BatchProblem, ProcessorState};
 use dts::core::init::initial_population;
-use dts::core::{schedule_batch, schedule_batch_warm, PnConfig};
+use dts::core::{plan_batch, PlanRequest, PnConfig};
 use dts::distributions::{Prng, Rng};
 use dts::ga::{
     island_sizes, Chromosome, CycleCrossover, GaEngine, IslandConfig, IslandEngine, RouletteWheel,
@@ -94,7 +94,7 @@ fn one_island_is_bitwise_identical_to_the_monolithic_engine() {
     let island_engine =
         IslandEngine::new(&sel, &cx, &mu, config.ga.clone(), island_cfg(1)).expect("valid config");
     let mut island_rng = Prng::seed_from(0xFEED);
-    let sharded = island_engine.run(&problem, &[initial], None, &mut island_rng);
+    let sharded = island_engine.run(&problem, vec![initial], None, &mut island_rng);
 
     assert_eq!(sharded.best, mono.best, "best chromosome diverged");
     assert_eq!(
@@ -120,17 +120,17 @@ fn one_island_is_bitwise_identical_to_the_monolithic_engine() {
     assert_eq!(mono_rng.next_u64(), island_rng.next_u64());
 }
 
-/// Same identity one layer up: `schedule_batch` with `islands = 1` takes
+/// Same identity one layer up: `plan_batch` with `islands = 1` takes
 /// the monolithic code path whatever the (unused) migration knobs say.
 #[test]
 fn one_island_schedule_batch_matches_the_default_pipeline() {
     let (b, p) = paper_batch();
-    let plain = schedule_batch(&b, &p, &pn_config(40, 1), 0xBEEF);
+    let plain = plan_batch(&PlanRequest::new(&b, &p, 0xBEEF), &pn_config(40, 1));
     let mut knobs = pn_config(40, 1);
     knobs.islands.migration_interval = 1;
     knobs.islands.migrants = 7;
     knobs.islands.topology = Topology::FullyConnected;
-    let with_knobs = schedule_batch(&b, &p, &knobs, 0xBEEF);
+    let with_knobs = plan_batch(&PlanRequest::new(&b, &p, 0xBEEF), &knobs);
 
     assert_eq!(plain.queues, with_knobs.queues);
     assert_eq!(plain.best, with_knobs.best);
@@ -210,11 +210,16 @@ fn island_runs_are_bit_identical_across_worker_counts_fresh_and_warm() {
     for islands in [2, 4] {
         for warm_on in [false, true] {
             let seeds: &[Chromosome] = if warm_on { &warm } else { &[] };
-            let reference =
-                schedule_batch_warm(&b, &p, &pn_config(40, islands), seeds, None, 0x151A4D);
+            let reference = plan_batch(
+                &PlanRequest::new(&b, &p, 0x151A4D).with_warm_seeds(seeds),
+                &pn_config(40, islands),
+            );
             for workers in [2, 8] {
                 let cfg = pn_config(40, islands).with_eval_workers(workers);
-                let run = schedule_batch_warm(&b, &p, &cfg, seeds, None, 0x151A4D);
+                let run = plan_batch(
+                    &PlanRequest::new(&b, &p, 0x151A4D).with_warm_seeds(seeds),
+                    &cfg,
+                );
                 assert_outcomes_identical(
                     &format!("islands={islands}/warm={warm_on}/workers={workers}"),
                     &reference,
@@ -237,7 +242,7 @@ fn island_runs_schedule_every_task_exactly_once() {
             let mut cfg = pn_config(30, islands);
             cfg.islands.topology = topology;
             cfg.islands.migration_interval = 2; // migrate often
-            let out = schedule_batch(&b, &p, &cfg, 0xC0DE + islands as u64);
+            let out = plan_batch(&PlanRequest::new(&b, &p, 0xC0DE + islands as u64), &cfg);
             let mut seen: Vec<u32> = out.queues.iter().flatten().copied().collect();
             seen.sort_unstable();
             assert_eq!(
@@ -253,7 +258,7 @@ fn island_runs_schedule_every_task_exactly_once() {
 fn island_populations_keep_their_exact_sizes_and_stay_valid() {
     let (b, p) = paper_batch();
     let cfg = pn_config(30, 3);
-    let out = schedule_batch(&b, &p, &cfg, 0xACC7);
+    let out = plan_batch(&PlanRequest::new(&b, &p, 0xACC7), &cfg);
     let sizes = island_sizes(cfg.ga.population_size, 3);
     assert_eq!(out.islands.len(), 3);
     for (k, island) in out.islands.iter().enumerate() {
@@ -288,8 +293,8 @@ fn equal_budget_islands_stay_within_tolerance_of_monolithic() {
     let (b, p) = paper_batch();
     const TOLERANCE: f64 = 1.10;
     for seed in [11u64, 29, 47, 83] {
-        let mono = schedule_batch(&b, &p, &pn_config(60, 1), seed);
-        let isl = schedule_batch(&b, &p, &pn_config(60, 4), seed);
+        let mono = plan_batch(&PlanRequest::new(&b, &p, seed), &pn_config(60, 1));
+        let isl = plan_batch(&PlanRequest::new(&b, &p, seed), &pn_config(60, 4));
         assert!(
             isl.best_makespan <= mono.best_makespan * TOLERANCE,
             "seed {seed}: islands {} vs monolithic {} exceeds tolerance",
@@ -310,7 +315,7 @@ fn island_target_makespan_stops_the_ensemble() {
     let total: f64 = b.iter().map(|t| t.mflops).sum();
     let rates: f64 = p.iter().map(|s| s.rate).sum();
     cfg.ga.target_makespan = Some(total / rates * 3.0);
-    let out = schedule_batch(&b, &p, &cfg, 0x7A26E7);
+    let out = plan_batch(&PlanRequest::new(&b, &p, 0x7A26E7), &cfg);
     assert_eq!(out.ga.stop_reason, dts::ga::StopReason::TargetReached);
     assert!(out.generations < 200, "early stop never fired");
 }

@@ -5,9 +5,8 @@
 //! a few replications). The full-scale regenerations live in
 //! `crates/bench` and EXPERIMENTS.md.
 
-use dts::core::batch_run::{schedule_batch, schedule_batch_capped};
 use dts::core::fitness::ProcessorState;
-use dts::core::{GaTimeModel, PnConfig};
+use dts::core::{plan_batch, GaTimeModel, PlanBudget, PlanRequest, PnConfig};
 use dts::distributions::OnlineStats;
 use dts::model::{ClusterSpec, SimTime, SizeDistribution, Task, TaskId, WorkloadSpec};
 use dts::sim::{run_replicated, SimConfig};
@@ -47,7 +46,7 @@ fn rebalancing_improves_convergence() {
             cfg.ga.max_generations = 250;
             cfg.rebalances_per_generation = rebalances;
             cfg.init_random_fraction = (1.0, 1.0); // isolate the GA, as in Fig. 3
-            let out = schedule_batch(&tasks, &procs, &cfg, 7000 + seed);
+            let out = plan_batch(&PlanRequest::new(&tasks, &procs, 7000 + seed), &cfg);
             stats.push(out.best_makespan);
         }
         finals.push(stats.mean());
@@ -89,7 +88,10 @@ fn generation_budget_respected() {
     let tasks = batch(60, 3);
     let procs = hetero_procs(6);
     let cfg = PnConfig::default();
-    let out = schedule_batch_capped(&tasks, &procs, &cfg, Some(7), 9);
+    let out = plan_batch(
+        &PlanRequest::new(&tasks, &procs, 9).with_budget(PlanBudget::Generations(7)),
+        &cfg,
+    );
     assert_eq!(out.generations, 7);
 }
 
@@ -186,7 +188,7 @@ fn ga_schedule_quality_near_bound() {
 
     let mut cfg = PnConfig::default();
     cfg.ga.max_generations = 400;
-    let out = schedule_batch(&tasks, &procs, &cfg, 0xBEEF);
+    let out = plan_batch(&PlanRequest::new(&tasks, &procs, 0xBEEF), &cfg);
     assert!(
         out.best_makespan < bound * 1.25,
         "makespan {} vs bound {bound}",
