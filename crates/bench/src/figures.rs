@@ -62,7 +62,8 @@ pub fn convergence_series(
             cfg.ga.record_history = true;
             cfg.rebalances_per_generation = r;
             // Fig. 3 isolates the GA: a fully random initial population
-            // makes the improvement visible (DESIGN.md §5.3).
+            // makes the improvement visible (ARCHITECTURE.md, "Deviations
+            // from the paper").
             cfg.init_random_fraction = (1.0, 1.0);
             let out = plan_batch(&PlanRequest::new(&tasks, &procs, sub.next_seed()), &cfg);
             let initial = out.ga.history[0].best_makespan.max(1e-12);

@@ -1,5 +1,5 @@
 //! Experiment harness: regenerates every figure of Page & Naughton
-//! (IPPS 2005) plus the ablation studies listed in DESIGN.md.
+//! (IPPS 2005) plus the `ablate_*` studies beyond it.
 //!
 //! Each `fig*` binary in `src/bin/` prints the same series/rows the paper
 //! plots and writes a CSV under `results/`. Environment knobs (all
@@ -12,10 +12,10 @@
 //! | `DTS_PROCS`   | worker processors                  | 50             |
 //! | `DTS_THREADS` | worker threads for replication     | all cores      |
 //! | `DTS_SEED`    | master seed                        | 20050404       |
-//! | `DTS_FULL`    | set to run paper-scale workloads   | unset          |
+//! | `DTS_FULL`    | `fig4` only: paper-scale run       | unset          |
 //!
-//! The recorded paper-vs-measured comparison for every figure lives in
-//! `EXPERIMENTS.md` at the workspace root.
+//! Where the reproduction departs from the paper's setup is recorded in
+//! ARCHITECTURE.md, "Deviations from the paper".
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,6 +25,6 @@ pub mod report;
 pub mod roster;
 pub mod scenarios;
 
-pub use report::{host_json, write_csv, HostMeta, Table};
+pub use report::{write_csv, Table};
 pub use roster::{BuildOptions, SchedulerKind, ALL_SCHEDULERS};
 pub use scenarios::{env_flag, env_or, Scenario};

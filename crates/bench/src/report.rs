@@ -98,40 +98,6 @@ impl Table {
     }
 }
 
-/// The measuring host's parallelism metadata, as the `"host"` member every
-/// `BENCH_*.json` carries: wall-clock numbers (latencies, speedups) are
-/// only interpretable relative to how many cores the host could offer, so
-/// each bench bin embeds this via [`host_json`] rather than hand-rolling
-/// its own.
-#[derive(Debug, Clone, Copy)]
-pub struct HostMeta {
-    /// `std::thread::available_parallelism()`, 1 when unknown.
-    pub available_parallelism: usize,
-}
-
-impl HostMeta {
-    /// Probes the current host.
-    pub fn probe() -> Self {
-        Self {
-            available_parallelism: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        }
-    }
-}
-
-/// Renders [`HostMeta`] as the `"host": { ... },` line (two-space indent,
-/// trailing comma + newline) that every `BENCH_*.json` writer embeds.
-pub fn host_json() -> String {
-    let host = HostMeta::probe();
-    format!(
-        "  \"host\": {{ \"available_parallelism\": {}, \"os\": \"{}\", \"arch\": \"{}\" }},\n",
-        host.available_parallelism,
-        std::env::consts::OS,
-        std::env::consts::ARCH
-    )
-}
-
 /// Resolves the `results/` directory at the workspace root (creating it),
 /// falling back to the current directory.
 pub fn results_dir() -> PathBuf {

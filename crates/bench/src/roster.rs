@@ -1,6 +1,6 @@
 //! The roster of all seven schedulers, buildable by name.
 
-use dts_core::{PnConfig, PnScheduler, SeedStrategy};
+use dts_core::{PnConfig, PnScheduler};
 use dts_ga::Evaluator;
 use dts_model::Scheduler;
 use dts_schedulers::{
@@ -94,9 +94,7 @@ impl SchedulerKind {
                     ..ZoConfig::default()
                 };
                 cfg.ga.max_generations = opts.max_generations;
-                cfg.ga.plateau_generations = opts.plateau_generations;
                 cfg.ga.evaluator = opts.evaluator;
-                cfg.seed_strategy = opts.seed_strategy;
                 cfg.seed = seed;
                 Box::new(Zomaya::new(n_procs, cfg))
             }
@@ -108,9 +106,7 @@ impl SchedulerKind {
                 // through `BuildOptions::pn` instead.
                 cfg.max_batch = cfg.max_batch.min(opts.batch_size);
                 cfg.ga.max_generations = opts.max_generations;
-                cfg.ga.plateau_generations = opts.plateau_generations;
                 cfg.ga.evaluator = opts.evaluator;
-                cfg.seed_strategy = opts.seed_strategy;
                 cfg.seed = seed;
                 Box::new(PnScheduler::new(n_procs, cfg))
             }
@@ -129,14 +125,6 @@ pub struct BuildOptions {
     /// Fitness-evaluation strategy for the GA schedulers (ZO and PN).
     /// Serial by default; `DTS_EVAL_WORKERS` overrides it in scenarios.
     pub evaluator: Evaluator,
-    /// Population seeding per plan invocation for the GA schedulers:
-    /// fresh (paper default) or elite carry-over across batches.
-    /// `DTS_WARM_ELITES` overrides it in scenarios.
-    pub seed_strategy: SeedStrategy,
-    /// Plateau early-stop for the GA schedulers (stop after this many
-    /// generations without improvement); `None` keeps the paper's
-    /// fixed-budget behaviour.
-    pub plateau_generations: Option<u32>,
     /// Base PN configuration (rebalances, init fraction, …).
     pub pn: PnConfig,
 }
@@ -147,8 +135,6 @@ impl Default for BuildOptions {
             batch_size: 200,
             max_generations: 1000,
             evaluator: Evaluator::Serial,
-            seed_strategy: SeedStrategy::Fresh,
-            plateau_generations: None,
             pn: PnConfig::default(),
         }
     }
@@ -179,8 +165,6 @@ mod tests {
     fn build_options_propagate() {
         let opts = BuildOptions {
             batch_size: 32,
-            seed_strategy: SeedStrategy::CarryOver { elites: 5 },
-            plateau_generations: Some(20),
             ..BuildOptions::default()
         };
         for kind in [SchedulerKind::Mm, SchedulerKind::Zo, SchedulerKind::Pn] {

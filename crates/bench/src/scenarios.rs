@@ -7,12 +7,33 @@ use dts_sim::{run_replicated, SimConfig, SimReport};
 
 use crate::roster::{BuildOptions, SchedulerKind};
 
-/// Reads an integer/float environment knob with a default.
-pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Reads an integer/float environment knob with a default. Unset means
+/// the default; a variable that is set but does not parse is a typo, not a
+/// request for the full-scale default, so it is reported and the process
+/// exits non-zero.
+pub fn env_or<T>(name: &str, default: T) -> T
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_knob(name, raw.as_deref(), default).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
+}
+
+/// The decision behind [`env_or`]: `None` (unset) yields the default, a
+/// value that parses yields itself, anything else is `NAME=value: <error>`.
+fn parse_knob<T>(name: &str, raw: Option<&str>, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    match raw {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|e| format!("{name}={v}: {e}")),
+    }
 }
 
 /// True when the environment flag is set to a non-empty, non-"0" value.
@@ -49,7 +70,8 @@ impl Scenario {
     /// The rating band is chosen so that the mean task of the Fig. 5
     /// workload (1000 MFLOPs) computes for ~35 s — comparable to the
     /// round-trip communication cost at the sweep's right edge, which is
-    /// the regime the paper's efficiency plots cover (see EXPERIMENTS.md).
+    /// the regime the paper's efficiency plots cover (see ARCHITECTURE.md,
+    /// "Deviations from the paper").
     pub fn paper_base(sizes: SizeDistribution, default_tasks: usize, default_reps: usize) -> Self {
         let procs: usize = env_or("DTS_PROCS", 50);
         let tasks: usize = env_or("DTS_TASKS", default_tasks);
@@ -62,19 +84,11 @@ impl Scenario {
         );
         let seed: u64 = env_or("DTS_SEED", 20_050_404);
         // GA fitness-evaluation workers per run (1 = serial). Replication
-        // threads are the better lever for many small runs; this knob wins
-        // when individual runs are large (see BENCH_parallel_eval.json).
-        let mut build = BuildOptions {
+        // threads are the better lever for many small runs.
+        let build = BuildOptions {
             evaluator: dts_ga::Evaluator::threads(env_or("DTS_EVAL_WORKERS", 1)),
             ..BuildOptions::default()
         };
-        // Warm-start carry-over for the GA schedulers: DTS_WARM_ELITES=k
-        // carries the k best schedules of each batch into the next batch's
-        // initial population (0 or unset = fresh §3.3 seeding).
-        let elites: usize = env_or("DTS_WARM_ELITES", 0);
-        if elites > 0 {
-            build.seed_strategy = dts_core::SeedStrategy::CarryOver { elites };
-        }
         Self {
             cluster: ClusterSpec {
                 processors: procs,
@@ -182,9 +196,27 @@ mod tests {
         assert_eq!(env_or::<usize>("DTS_TEST_KNOB", 7), 7);
         std::env::set_var("DTS_TEST_KNOB", "13");
         assert_eq!(env_or::<usize>("DTS_TEST_KNOB", 7), 13);
-        std::env::set_var("DTS_TEST_KNOB", "not-a-number");
-        assert_eq!(env_or::<usize>("DTS_TEST_KNOB", 7), 7);
         std::env::remove_var("DTS_TEST_KNOB");
+    }
+
+    #[test]
+    fn parse_knob_defaults_only_when_unset() {
+        assert_eq!(parse_knob::<usize>("DTS_REPS", None, 7), Ok(7));
+        assert_eq!(parse_knob::<usize>("DTS_REPS", Some("13"), 7), Ok(13));
+        assert_eq!(parse_knob::<f64>("DTS_COMM", Some("2e3"), 0.0), Ok(2e3));
+    }
+
+    #[test]
+    fn parse_knob_reports_a_set_value_that_does_not_parse() {
+        // Empty, a letter O for a zero, float syntax for a usize, and a
+        // negative value for an unsigned type: none falls back to 7.
+        for raw in ["", "1O", "2e3", "-5"] {
+            let err = parse_knob::<usize>("DTS_TASKS", Some(raw), 7).unwrap_err();
+            let reason = err.strip_prefix(&format!("DTS_TASKS={raw}: "));
+            assert!(reason.is_some_and(|r| !r.is_empty()), "{err}");
+        }
+        assert!(parse_knob::<u64>("DTS_SEED", Some("-1"), 7).is_err());
+        assert!(parse_knob::<f64>("DTS_COMM", Some("fast"), 0.0).is_err());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! batch quadruples scheduling latency while the shortest queue only grows
 //! linearly. Taking the square root of the (smoothed) idle horizon keeps
 //! the two in step. We add a configurable linear `scale` on top of the
-//! paper's rule (see DESIGN.md §5.4) because the raw `⌊√(Γs+1)⌋` produces
-//! single-digit batches for second-scale horizons.
+//! paper's rule (ARCHITECTURE.md, "Deviations from the paper") because the
+//! raw `⌊√(Γs+1)⌋` produces single-digit batches for second-scale horizons.
 
 use dts_model::Smoother;
 

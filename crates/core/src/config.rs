@@ -15,7 +15,7 @@ use crate::time_model::GaTimeModel;
 /// the remainder of the population is filled with fresh list-scheduled
 /// individuals. Warm-starting transfers the evolved load-balance structure
 /// across invocations, so the GA needs fewer generations to re-converge in
-/// dynamic-arrival scenarios (see `perf_warmstart` / BENCH_warm_start.json).
+/// dynamic-arrival scenarios.
 ///
 /// Either strategy is deterministic: the carried population is itself a
 /// pure function of the seeds, and the remap draws no randomness.
@@ -79,7 +79,7 @@ pub struct PnConfig {
     /// yields impractically small batches for second-scale `s`; the
     /// multiplier preserves the rule's *shape* (monotone in the smoothed
     /// idle horizon) while letting experiments hit the paper's H ≈ 200
-    /// regime. Documented in DESIGN.md §5.
+    /// regime. Documented in ARCHITECTURE.md, "Deviations from the paper".
     pub batch_scale: f64,
     /// Hard upper bound on a batch.
     pub max_batch: usize,

@@ -7,9 +7,9 @@
 //! > randomised initial population."
 //!
 //! The percentage is drawn per individual from a configurable range
-//! (DESIGN.md §5.3): low fractions give near-greedy seeds, high fractions
-//! give diverse random seeds; mixing both makes the initial population
-//! "well balanced \[and\] randomised".
+//! (ARCHITECTURE.md, "Deviations from the paper"): low fractions give
+//! near-greedy seeds, high fractions give diverse random seeds; mixing both
+//! makes the initial population "well balanced \[and\] randomised".
 
 use dts_distributions::{Prng, Rng};
 use dts_ga::Chromosome;

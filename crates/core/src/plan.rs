@@ -8,7 +8,7 @@
 //!   (batch, processor states, operators, warm seeds, precedence, budget,
 //!   seed) in, a [`BatchOutcome`] out. It builds the initial population,
 //!   constructs the GA engine — the only place in this crate that does —
-//!   and runs it. Figures, ablations, benches and tests call it directly.
+//!   and runs it. Figures, ablations and tests call it directly.
 //! * [`Planner`] is the **one stateful owner** of what persists across
 //!   plan calls: the plan-call seed stream and, under
 //!   [`SeedStrategy::CarryOver`], the carried elites. Both
@@ -420,6 +420,33 @@ mod tests {
         assert_places_every_task_once(&out, 12);
         assert!(out.best.validate().is_ok());
         assert!(out.generations > 0);
+    }
+
+    /// The real PN `BatchProblem` (its `epoch_key`, the Zobrist digest)
+    /// must serve memo hits through `plan_batch` at the micro-GA shape —
+    /// an epoch key that never matches or a digest that never repeats
+    /// would leave every other test green — and serving them must not
+    /// change the plan.
+    #[test]
+    fn converged_micro_ga_serves_memo_hits_without_changing_the_plan() {
+        let b = varied(30);
+        let p = procs(&[
+            100.0, 150.0, 80.0, 120.0, 60.0, 200.0, 90.0, 110.0, 170.0, 75.0,
+        ]);
+        let mut cfg = quick_config(200);
+        cfg.ga.population_size = 20;
+        let memoised = plan_batch(&PlanRequest::new(&b, &p, 11), &cfg);
+        assert!(memoised.ga.memo_hits > 0, "the memo served nothing");
+
+        cfg.ga.memo_capacity = 0;
+        let plain = plan_batch(&PlanRequest::new(&b, &p, 11), &cfg);
+        assert_eq!(plain.ga.memo_hits, 0);
+        assert_eq!(plain.queues, memoised.queues);
+        assert_eq!(
+            plain.best_makespan.to_bits(),
+            memoised.best_makespan.to_bits()
+        );
+        assert_eq!(plain.generations, memoised.generations);
     }
 
     /// `CarryOver { elites: 3 }` on a monolithic or two-island population.

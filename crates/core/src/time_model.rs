@@ -3,8 +3,8 @@
 //! The paper dedicates a processor to the scheduler; while the GA evolves,
 //! simulated time passes on that host and clients keep draining their
 //! queues. To keep simulations deterministic and host-independent we charge
-//! a *modelled* cost per generation instead of wall-clock time (DESIGN.md
-//! §5.7): one generation costs
+//! a *modelled* cost per generation instead of wall-clock time
+//! (ARCHITECTURE.md, "Deviations from the paper"): one generation costs
 //!
 //! ```text
 //! seconds = per_gene · ρ · (H + M − 1) · (passes + rebalance_passes · R)

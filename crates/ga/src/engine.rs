@@ -219,7 +219,7 @@ pub struct GaConfig {
     /// How fitness batches are executed ([`Evaluator::Serial`] or a scoped
     /// thread pool). Both produce bit-identical runs; the pool is worth it
     /// once `population_size × batch` work dwarfs per-generation
-    /// synchronisation (see `perf_eval` / BENCH_parallel_eval.json).
+    /// synchronisation.
     pub evaluator: Evaluator,
     /// Capacity (entries) of the per-run fitness memo: duplicate genomes —
     /// common late in convergence — are evaluated once and then served

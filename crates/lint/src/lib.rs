@@ -7,8 +7,8 @@
 //! or `HashMap` iteration added to a hot path survives silently until a
 //! determinism test happens to cover it. This crate rejects the known
 //! nondeterminism *sources* at build time instead, with a hand-rolled
-//! line/token scanner (same offline discipline as the `proptest` and
-//! `criterion` shims: no dependencies, no crates.io).
+//! line/token scanner (same offline discipline as the `proptest` shim:
+//! no dependencies, no crates.io).
 //!
 //! # Rules
 //!
@@ -23,11 +23,11 @@
 //! "Deterministic crates" are the ones inside the replay/oracle
 //! contract: `core`, `ga`, `model`, `schedulers`, `sim`, `server`,
 //! `distributions`, and the umbrella crate (root `src/`, `tests/`,
-//! `examples/`). The harness crates (`bench`, `criterion`, `linpack`,
-//! `proptest`, `lint` itself) measure wall-clock time and aggregate
-//! reports by design, so `wall-clock`/`unordered-iter`/`float-eq` do
-//! not apply there; `ambient-rng` still does — even a bench must seed
-//! its RNG explicitly so committed `BENCH_*.json` numbers reproduce.
+//! `examples/`). The harness crates (`bench`, `linpack`, `proptest`,
+//! `lint` itself) measure wall-clock time and aggregate reports by
+//! design, so `wall-clock`/`unordered-iter`/`float-eq` do not apply
+//! there; `ambient-rng` still does — even a harness must seed its RNG
+//! explicitly so the figures it writes reproduce.
 //!
 //! # Suppressions
 //!

@@ -80,6 +80,6 @@ fn main() {
     println!(
         "\nCarry-over seeds each batch's GA with the previous batch's best \
          schedules\n(remapped onto the new batch), so the plateau stop fires \
-         sooner.\nSweep this properly with: cargo run --release --bin perf_warmstart"
+         sooner."
     );
 }

@@ -3,7 +3,8 @@
 //! These are the *shapes* the evaluation section reports — who wins, in
 //! which regime — at test-suite scale (small clusters, reduced GA budgets,
 //! a few replications). The full-scale regenerations live in
-//! `crates/bench` and EXPERIMENTS.md.
+//! `crates/bench`; where they depart from the paper's setup is recorded in
+//! ARCHITECTURE.md, "Deviations from the paper".
 
 use dts::core::fitness::ProcessorState;
 use dts::core::{plan_batch, GaTimeModel, PlanBudget, PlanRequest, PnConfig};
