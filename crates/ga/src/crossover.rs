@@ -14,18 +14,37 @@ use crate::encoding::{substitution_delta, Chromosome, Gene};
 
 /// Produces two children from two parents of the same symbol set.
 pub trait CrossoverOp: Send + Sync {
-    /// Recombines `a` and `b`. Implementations must preserve the symbol
+    /// Recombines `a` and `b`, overwriting `out_a` and `out_b` with the two
+    /// children — whatever they held before, of any shape. The engine
+    /// breeds straight into its spare population this way, reusing each
+    /// slot's gene buffer. Implementations must preserve the symbol
     /// multiset (each task slot and delimiter appears exactly once in each
     /// child).
-    fn cross(&self, a: &Chromosome, b: &Chromosome, rng: &mut Prng) -> (Chromosome, Chromosome);
+    fn cross_into(
+        &self,
+        a: &Chromosome,
+        b: &Chromosome,
+        out_a: &mut Chromosome,
+        out_b: &mut Chromosome,
+        rng: &mut Prng,
+    );
+
+    /// Recombines `a` and `b` into two new chromosomes: clones of the
+    /// parents overwritten by [`CrossoverOp::cross_into`], drawing the same
+    /// RNG stream.
+    fn cross(&self, a: &Chromosome, b: &Chromosome, rng: &mut Prng) -> (Chromosome, Chromosome) {
+        let (mut out_a, mut out_b) = (a.clone(), b.clone());
+        self.cross_into(a, b, &mut out_a, &mut out_b, rng);
+        (out_a, out_b)
+    }
 
     /// Short label for experiment tables.
     fn label(&self) -> &'static str;
 }
 
-/// The two tables of one [`CycleCrossover::cross`] call. The operators stay
-/// `&self` for easy sharing, so the tables live per thread instead of in the
-/// operator: breeding a generation then allocates nothing but the children.
+/// The two tables of one [`CycleCrossover`] call. The operators stay `&self`
+/// for easy sharing, so the tables live per thread instead of in the
+/// operator: breeding a generation into reused children allocates nothing.
 /// Both are resized and overwritten at the start of every call, so no call
 /// reads anything an earlier call (or another chromosome shape) left behind.
 struct CxScratch {
@@ -67,9 +86,10 @@ fn not_a_permutation(parent: char, pos: usize, g: Gene) -> ! {
 /// the proof that they are permutations:
 ///
 /// * Child A is parent A with parent B's genes at the positions of the odd
-///   cycles and child B is the mirror image, so both digests are the parents'
-///   digests XOR **one shared delta** — the Zobrist terms of every swapped
-///   position where the parents differ. Nothing is re-hashed.
+///   cycles and child B is the mirror image, so both children start as
+///   copies of their parents and both digests move by **one shared delta** —
+///   the Zobrist terms of every swapped position where the parents differ,
+///   XOR-ed in place. Nothing is re-hashed.
 /// * Building the position table checks that every symbol occurs once in
 ///   `a`; the walk checks that it never steps onto a position another cycle
 ///   already owns, which holds iff `b` is a permutation of the same symbols.
@@ -78,16 +98,20 @@ fn not_a_permutation(parent: char, pos: usize, g: Gene) -> ! {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CycleCrossover;
 
-impl CrossoverOp for CycleCrossover {
-    fn cross(&self, a: &Chromosome, b: &Chromosome, _rng: &mut Prng) -> (Chromosome, Chromosome) {
-        assert!(a.same_symbol_set(b), "parents must share a symbol set");
-        let (genes_a, genes_b) = (a.genes(), b.genes());
+impl CycleCrossover {
+    /// The fused pass over the cycles: writes `genes_b` into `child_a` and
+    /// `genes_a` into `child_b` at the positions of the odd cycles — the
+    /// children must start as copies of their parents — and returns the
+    /// digest delta the two children share.
+    fn swap_odd_cycles(
+        genes_a: &[Gene],
+        genes_b: &[Gene],
+        h: usize,
+        child_a: &mut [Gene],
+        child_b: &mut [Gene],
+    ) -> [u64; 2] {
         let n = genes_a.len();
-        let h = a.n_tasks() as usize;
-        let mut child_a: Vec<Gene> = genes_a.to_vec();
-        let mut child_b: Vec<Gene> = genes_b.to_vec();
         let mut delta = [0u64; 2];
-
         CX_SCRATCH.with_borrow_mut(|scratch| {
             let CxScratch { pos_in_a, next } = scratch;
             pos_in_a.clear();
@@ -140,11 +164,31 @@ impl CrossoverOp for CycleCrossover {
                 swap = !swap;
             }
         });
+        delta
+    }
+}
 
-        (
-            Chromosome::with_digest_delta(a, child_a, delta),
-            Chromosome::with_digest_delta(b, child_b, delta),
-        )
+impl CrossoverOp for CycleCrossover {
+    fn cross_into(
+        &self,
+        a: &Chromosome,
+        b: &Chromosome,
+        out_a: &mut Chromosome,
+        out_b: &mut Chromosome,
+        _rng: &mut Prng,
+    ) {
+        assert!(a.same_symbol_set(b), "parents must share a symbol set");
+        let h = a.n_tasks() as usize;
+        out_a.clone_from(a);
+        out_b.clone_from(b);
+        out_a.rewrite_genes(|child_a| {
+            let mut delta = [0u64; 2];
+            out_b.rewrite_genes(|child_b| {
+                delta = Self::swap_odd_cycles(a.genes(), b.genes(), h, child_a, child_b);
+                delta
+            });
+            delta
+        });
     }
 
     fn label(&self) -> &'static str {
@@ -183,16 +227,26 @@ impl OrderCrossover {
 }
 
 impl CrossoverOp for OrderCrossover {
-    fn cross(&self, a: &Chromosome, b: &Chromosome, rng: &mut Prng) -> (Chromosome, Chromosome) {
+    fn cross_into(
+        &self,
+        a: &Chromosome,
+        b: &Chromosome,
+        out_a: &mut Chromosome,
+        out_b: &mut Chromosome,
+        rng: &mut Prng,
+    ) {
         assert!(a.same_symbol_set(b), "parents must share a symbol set");
         let n = a.genes().len();
         if n < 2 {
-            return (a.clone(), b.clone());
+            out_a.clone_from(a);
+            out_b.clone_from(b);
+            return;
         }
         let i = rng.below(n);
         let j = rng.below(n);
         let (lo, hi) = if i <= j { (i, j + 1) } else { (j, i + 1) };
-        (Self::one_child(a, b, lo, hi), Self::one_child(b, a, lo, hi))
+        *out_a = Self::one_child(a, b, lo, hi);
+        *out_b = Self::one_child(b, a, lo, hi);
     }
 
     fn label(&self) -> &'static str {
@@ -208,11 +262,20 @@ impl CrossoverOp for OrderCrossover {
 pub struct OnePointOrder;
 
 impl CrossoverOp for OnePointOrder {
-    fn cross(&self, a: &Chromosome, b: &Chromosome, rng: &mut Prng) -> (Chromosome, Chromosome) {
+    fn cross_into(
+        &self,
+        a: &Chromosome,
+        b: &Chromosome,
+        out_a: &mut Chromosome,
+        out_b: &mut Chromosome,
+        rng: &mut Prng,
+    ) {
         assert!(a.same_symbol_set(b), "parents must share a symbol set");
         let n = a.genes().len();
         if n < 2 {
-            return (a.clone(), b.clone());
+            out_a.clone_from(a);
+            out_b.clone_from(b);
+            return;
         }
         let cut = rng.range_usize(1, n);
         let h = a.n_tasks() as usize;
@@ -231,7 +294,8 @@ impl CrossoverOp for OnePointOrder {
             );
             Chromosome::from_genes(child, head.n_tasks(), head.n_procs())
         };
-        (make(a, b), make(b, a))
+        *out_a = make(a, b);
+        *out_b = make(b, a);
     }
 
     fn label(&self) -> &'static str {
@@ -273,16 +337,26 @@ impl PartiallyMapped {
 }
 
 impl CrossoverOp for PartiallyMapped {
-    fn cross(&self, a: &Chromosome, b: &Chromosome, rng: &mut Prng) -> (Chromosome, Chromosome) {
+    fn cross_into(
+        &self,
+        a: &Chromosome,
+        b: &Chromosome,
+        out_a: &mut Chromosome,
+        out_b: &mut Chromosome,
+        rng: &mut Prng,
+    ) {
         assert!(a.same_symbol_set(b), "parents must share a symbol set");
         let n = a.genes().len();
         if n < 2 {
-            return (a.clone(), b.clone());
+            out_a.clone_from(a);
+            out_b.clone_from(b);
+            return;
         }
         let i = rng.below(n);
         let j = rng.below(n);
         let (lo, hi) = if i <= j { (i, j + 1) } else { (j, i + 1) };
-        (Self::one_child(a, b, lo, hi), Self::one_child(b, a, lo, hi))
+        *out_a = Self::one_child(a, b, lo, hi);
+        *out_b = Self::one_child(b, a, lo, hi);
     }
 
     fn label(&self) -> &'static str {
@@ -489,13 +563,57 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every operator's in-place form gives the children its
+        /// allocating form gives, and draws the same RNG stream, whatever
+        /// shape `out_a` / `out_b` held before; the children's digests are
+        /// the from-scratch digests of their genes.
+        #[test]
+        fn cross_into_matches_cross(
+            h in 1u32..40,
+            m in 1u16..8,
+            stale_h in 1u32..40,
+            stale_m in 1u16..8,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = Prng::seed_from(seed);
+            let (a, b) = (shuffled(h, m, &mut rng), shuffled(h, m, &mut rng));
+            for op in [
+                &CycleCrossover as &dyn CrossoverOp,
+                &OrderCrossover,
+                &OnePointOrder,
+                &PartiallyMapped,
+            ] {
+                let mut want_rng = rng.clone();
+                let (want_a, want_b) = op.cross(&a, &b, &mut want_rng);
+                let mut out_a = shuffled(stale_h, stale_m, &mut rng.clone());
+                let mut out_b = shuffled(stale_m as u32, stale_h as u16, &mut rng.clone());
+                let mut got_rng = rng.clone();
+                op.cross_into(&a, &b, &mut out_a, &mut out_b, &mut got_rng);
+                prop_assert_eq!(&out_a, &want_a, "{}", op.label());
+                prop_assert_eq!(&out_b, &want_b, "{}", op.label());
+                prop_assert_eq!(got_rng.next_u64(), want_rng.next_u64(), "{}", op.label());
+                for child in [&out_a, &out_b] {
+                    let rebuilt = Chromosome::from_genes(child.genes().to_vec(), h, m);
+                    prop_assert_eq!(child.content_hash(), rebuilt.content_hash(), "{}", op.label());
+                }
+                rng.next_u64();
+            }
+        }
+    }
+
     /// Parents of one shape that are not permutations of one symbol set can
     /// only be built by bypassing the constructors; the fused checks must
     /// still turn them into a diagnostic, not a loop or an invalid child.
+    /// They run on the in-place form, into children of a different shape.
     fn cross_unchecked(a: Vec<Gene>, b: Vec<Gene>, h: u32, m: u16) {
         let a = Chromosome::unchecked(a, h, m);
         let b = Chromosome::unchecked(b, h, m);
-        let _ = CycleCrossover.cross(&a, &b, &mut Prng::seed_from(11));
+        let mut out_a = Chromosome::from_queues(&[vec![0]]);
+        let mut out_b = out_a.clone();
+        CycleCrossover.cross_into(&a, &b, &mut out_a, &mut out_b, &mut Prng::seed_from(11));
     }
 
     #[test]

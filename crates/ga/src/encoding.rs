@@ -106,7 +106,7 @@ fn position_term(pos: usize, g: Gene, salt: u64) -> u64 {
 /// the digest of the same string holding `new`. Deltas of distinct
 /// positions XOR together, so an operator that rewrites a known set of
 /// positions pays for those positions only (cycle crossover; see
-/// [`Chromosome::with_digest_delta`]).
+/// [`Chromosome::rewrite_genes`]).
 #[inline]
 pub(crate) fn substitution_delta(pos: usize, old: Gene, new: Gene) -> [u64; 2] {
     HASH_SALTS.map(|salt| position_term(pos, old, salt) ^ position_term(pos, new, salt))
@@ -123,7 +123,7 @@ pub(crate) fn substitution_delta(pos: usize, old: Gene, new: Gene) -> [u64; 2] {
 /// assert_eq!(c.n_procs(), 3);
 /// assert_eq!(c.to_queues(), vec![vec![2], vec![0, 3], vec![1]]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Chromosome {
     genes: Vec<Gene>,
     n_tasks: u32,
@@ -147,6 +147,27 @@ fn compute_content_hash(genes: &[Gene], n_tasks: u32, n_procs: u16) -> [u64; 2] 
         *half = acc;
     }
     h
+}
+
+/// `clone_from` reuses the destination's gene buffer, so the engine can
+/// overwrite a population slot without allocating once the buffer is large
+/// enough.
+impl Clone for Chromosome {
+    fn clone(&self) -> Self {
+        Self {
+            genes: self.genes.clone(),
+            n_tasks: self.n_tasks,
+            n_procs: self.n_procs,
+            content_hash: self.content_hash,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.genes.clone_from(&source.genes);
+        self.n_tasks = source.n_tasks;
+        self.n_procs = source.n_procs;
+        self.content_hash = source.content_hash;
+    }
 }
 
 /// `Hash` feeds the cached content digest, so hashing a chromosome is O(1)
@@ -201,34 +222,37 @@ impl Chromosome {
         c
     }
 
-    /// Builds the chromosome that has `parent`'s shape, the gene string
-    /// `genes`, and `parent`'s digest XOR `delta` — for operators that
-    /// know which positions they rewrote and that the result is still a
-    /// permutation, so neither the O(H + M) re-hash nor the re-validation
-    /// of [`Chromosome::from_genes`] is repeated. `delta` must be the XOR
-    /// of [`substitution_delta`] over every position where `genes` differs
-    /// from `parent`; both obligations are checked in debug builds.
-    pub(crate) fn with_digest_delta(
-        parent: &Chromosome,
-        genes: Vec<Gene>,
-        delta: [u64; 2],
-    ) -> Self {
-        let c = Self {
-            genes,
-            n_tasks: parent.n_tasks,
-            n_procs: parent.n_procs,
-            content_hash: [
-                parent.content_hash[0] ^ delta[0],
-                parent.content_hash[1] ^ delta[1],
-            ],
-        };
-        debug_assert!(c.validate().is_ok(), "{:?}", c.validate());
+    /// The empty schedule: no tasks on one processor. Valid and
+    /// allocation-free, so it can stand in for a chromosome whose buffer is
+    /// moved out of a population slot for a moment.
+    pub(crate) fn vacant() -> Self {
+        Self {
+            genes: Vec::new(),
+            n_tasks: 0,
+            n_procs: 1,
+            content_hash: compute_content_hash(&[], 0, 1),
+        }
+    }
+
+    /// Rewrites the gene string in place for an operator that knows which
+    /// positions it changes and that the result is still a permutation:
+    /// `f` returns the XOR of [`substitution_delta`] over every position it
+    /// rewrote, and that delta is folded into the digest, so neither the
+    /// O(H + M) re-hash nor the re-validation of
+    /// [`Chromosome::from_genes`] is repeated. Both obligations are checked
+    /// in debug builds.
+    pub(crate) fn rewrite_genes(&mut self, f: impl FnOnce(&mut [Gene]) -> [u64; 2]) {
+        let delta = f(&mut self.genes);
+        self.content_hash = [
+            self.content_hash[0] ^ delta[0],
+            self.content_hash[1] ^ delta[1],
+        ];
+        debug_assert!(self.validate().is_ok(), "{:?}", self.validate());
         debug_assert_eq!(
-            c.content_hash,
-            compute_content_hash(&c.genes, c.n_tasks, c.n_procs),
+            self.content_hash,
+            compute_content_hash(&self.genes, self.n_tasks, self.n_procs),
             "digest delta diverged from the from-scratch digest"
         );
-        c
     }
 
     /// Builds a (possibly invalid) chromosome without any validation, for
@@ -474,7 +498,11 @@ mod tests {
             let d = substitution_delta(pos, old, new);
             delta = [delta[0] ^ d[0], delta[1] ^ d[1]];
         }
-        let rebuilt = Chromosome::with_digest_delta(&a, b.genes().to_vec(), delta);
+        let mut rebuilt = a.clone();
+        rebuilt.rewrite_genes(|genes| {
+            genes.copy_from_slice(b.genes());
+            delta
+        });
         assert_eq!(rebuilt, b);
         assert_eq!(rebuilt.content_hash(), b.content_hash());
     }

@@ -20,14 +20,22 @@
 //!
 //! Each generation is organised into phases so that fitness evaluation —
 //! the GA's hot spot — is batched, memoised, and delta-evaluated without
-//! touching the RNG stream (see [`crate::evaluate`] and [`crate::memo`]):
+//! touching the RNG stream (see [`crate::evaluate`] and [`crate::memo`]).
+//! A run owns two populations of the configured size, allocated once in
+//! [`GaEngine::start`]: the current one and a spare one the next
+//! generation is bred into.
 //!
-//! 1. **breed** (serial, draws RNG): elitism, selection, crossover. Clones
-//!    carry their cached fitness; fresh offspring are queued by index.
-//! 2. **evaluate** (parallel-safe, no RNG): queued offspring are looked up
-//!    in the fitness memo first — duplicate genomes, common late in
-//!    convergence, are served from cache — and only the misses are
-//!    evaluated as one batch, written back by index.
+//! 1. **breed into the spare buffer** (serial, draws RNG): elitism,
+//!    selection, crossover. Every spare slot is overwritten in place:
+//!    elites and clones are copied into the slot's own buffers with their
+//!    cached fitness, crossover writes its children straight into the next
+//!    two slots, and fresh offspring are queued by slot. A second child
+//!    with no slot left goes to a scratch chromosome and is dropped.
+//! 2. **evaluate in place** (parallel-safe, no RNG): queued offspring are
+//!    looked up in the fitness memo first — duplicate genomes, common late
+//!    in convergence, are served from cache into the slot's completions
+//!    buffer — and only the misses are evaluated as one batch, each in its
+//!    own slot's buffers. Then the two populations are **swapped**.
 //! 3. **mutate** (serial, draws RNG): mutations are applied in place.
 //!    A transposition ([`GeneEdit::Swap`]) is delta-evaluated on the spot
 //!    against the individual's cached per-processor completion times;
@@ -44,6 +52,11 @@
 //! ordering and every subsequent RNG draw are bit-identical whichever
 //! [`crate::Evaluator`] executes them — memo on or off, delta or full
 //! path. `tests/determinism.rs` and the engine tests lock this in.
+//!
+//! Once every buffer has grown to its working size — the first generations
+//! and the first memo fill — a generation allocates nothing: chromosomes
+//! and completion times only ever move between a slot and an evaluation
+//! record, or are copied into buffers that already exist.
 
 use dts_distributions::{Prng, Rng};
 
@@ -85,10 +98,12 @@ pub trait Problem {
     /// delta-evaluated ([`Problem::evaluate_swap_delta`]) instead of
     /// re-walking the whole chromosome.
     ///
-    /// Must return exactly what [`Problem::evaluate`] returns. On return,
-    /// `completions` holds either one entry per processor or nothing: the
-    /// default clears it, which is correct for problems without an
-    /// incremental path — they simply never delta-evaluate.
+    /// Must return exactly what [`Problem::evaluate`] returns. On entry,
+    /// `completions` may still hold an earlier evaluation's values (the
+    /// engine reuses each slot's buffer); on return it holds either one
+    /// entry per processor or nothing: the default clears it, which is
+    /// correct for problems without an incremental path — they simply
+    /// never delta-evaluate.
     fn evaluate_into(&self, c: &Chromosome, completions: &mut Vec<f64>) -> (f64, f64) {
         completions.clear();
         self.evaluate(c)
@@ -322,47 +337,69 @@ struct Individual {
     completions: Vec<f64>,
 }
 
-impl Individual {
-    fn from_eval(e: Evaluated) -> Self {
+/// `clone_from` copies into the slot's own gene and completions buffers, so
+/// breeding an elite or a clone into the spare population allocates nothing
+/// once the buffers have grown to size.
+impl Clone for Individual {
+    fn clone(&self) -> Self {
         Self {
+            chrom: self.chrom.clone(),
+            fitness: self.fitness,
+            makespan: self.makespan,
+            completions: self.completions.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.chrom.clone_from(&source.chrom);
+        self.fitness = source.fitness;
+        self.makespan = source.makespan;
+        self.completions.clone_from(&source.completions);
+    }
+}
+
+/// Evaluates the slots of `pop` named by `queue`, writing every result into
+/// the slot's own buffers. The memo is consulted on the calling
+/// (coordinator) thread in queue order — so hit/miss decisions are a pure
+/// function of the job sequence, independent of the evaluator. A hit is
+/// copied into the slot's completions buffer. A miss moves the slot's
+/// chromosome and completions buffer into a record in `misses`; the
+/// records are evaluated in place as one batch, cached in queue order, and
+/// moved back. `misses` is empty on entry and on return; only its capacity
+/// carries over.
+fn evaluate_slots(
+    eval: &dyn BatchEval,
+    memo: &mut FitnessMemo,
+    pop: &mut [Individual],
+    queue: &[usize],
+    misses: &mut Vec<Evaluated>,
+) {
+    debug_assert!(misses.is_empty());
+    for &index in queue {
+        let ind = &mut pop[index];
+        match memo.lookup(&ind.chrom, &mut ind.completions) {
+            Some((fitness, makespan)) => {
+                ind.fitness = fitness;
+                ind.makespan = makespan;
+            }
+            None => misses.push(Evaluated {
+                index,
+                chrom: std::mem::replace(&mut ind.chrom, Chromosome::vacant()),
+                completions: std::mem::take(&mut ind.completions),
+                ..Evaluated::vacant()
+            }),
+        }
+    }
+    eval.eval_in_place(misses);
+    for e in misses.drain(..) {
+        memo.insert(&e.chrom, e.fitness, e.makespan, &e.completions);
+        pop[e.index] = Individual {
             chrom: e.chrom,
             fitness: e.fitness,
             makespan: e.makespan,
             completions: e.completions,
-        }
+        };
     }
-}
-
-/// Memoised batch evaluation: consults the fitness memo on the calling
-/// (coordinator) thread in submission order — so hit/miss decisions are a
-/// pure function of the job sequence, independent of the evaluator — then
-/// dispatches only the misses to the evaluation context and caches their
-/// results. Returns one result per job, not necessarily in index order;
-/// callers write back by index.
-fn eval_indexed(
-    eval: &dyn BatchEval,
-    memo: &mut FitnessMemo,
-    jobs: Vec<(usize, Chromosome)>,
-) -> Vec<Evaluated> {
-    let mut ready: Vec<Evaluated> = Vec::with_capacity(jobs.len());
-    let mut misses: Vec<(usize, Chromosome)> = Vec::new();
-    for (index, chrom) in jobs {
-        match memo.lookup(&chrom) {
-            Some((fitness, makespan, completions)) => ready.push(Evaluated {
-                index,
-                chrom,
-                fitness,
-                makespan,
-                completions,
-            }),
-            None => misses.push((index, chrom)),
-        }
-    }
-    for e in eval.eval_batch(misses) {
-        memo.insert(&e.chrom, e.fitness, e.makespan, &e.completions);
-        ready.push(e);
-    }
-    ready
 }
 
 /// The genetic-algorithm engine: operators + configuration.
@@ -528,22 +565,22 @@ impl<'a> GaEngine<'a> {
         // every seed is repaired into the feasible region (a no-op for
         // problems without constraints) and the whole initial batch is
         // evaluated through the context.
-        let init_jobs: Vec<(usize, Chromosome)> = (0..pop_size)
+        let mut pop: Vec<Individual> = (0..pop_size)
             .map(|i| {
-                let mut c = initial[i % initial.len()].clone();
-                problem.repair(&mut c);
-                (i, c)
+                let mut chrom = initial[i % initial.len()].clone();
+                problem.repair(&mut chrom);
+                Individual {
+                    chrom,
+                    fitness: 0.0,
+                    makespan: 0.0,
+                    completions: Vec::new(),
+                }
             })
             .collect();
-        let mut init_slots: Vec<Option<Individual>> = (0..pop_size).map(|_| None).collect();
-        for e in eval_indexed(eval, &mut memo, init_jobs) {
-            let i = e.index;
-            init_slots[i] = Some(Individual::from_eval(e));
-        }
-        let pop: Vec<Individual> = init_slots
-            .into_iter()
-            .map(|slot| slot.expect("every initial slot evaluated"))
-            .collect();
+        let mut queue: Vec<usize> = (0..pop_size).collect();
+        let mut misses = Vec::with_capacity(pop_size);
+        evaluate_slots(eval, &mut memo, &mut pop, &queue, &mut misses);
+        queue.clear();
 
         let (best_idx, _) = Self::best_of(&pop);
         let best = pop[best_idx].chrom.clone();
@@ -554,7 +591,13 @@ impl<'a> GaEngine<'a> {
             engine: self,
             problem,
             memo,
+            spare: pop.clone(),
+            scratch: pop[0].chrom.clone(),
             pop,
+            order: Vec::with_capacity(pop_size),
+            queue,
+            misses,
+            dirty: Vec::new(),
             history: Vec::new(),
             best,
             best_makespan,
@@ -638,7 +681,22 @@ pub struct GaRun<'r, P: Problem> {
     engine: &'r GaEngine<'r>,
     problem: &'r P,
     memo: FitnessMemo,
+    /// The current generation.
     pop: Vec<Individual>,
+    /// The next generation is bred here, slot by slot over the previous
+    /// occupants' buffers, then swapped with `pop`.
+    spare: Vec<Individual>,
+    /// Where the second crossover child goes when only one slot is left; it
+    /// is never repaired or evaluated.
+    scratch: Chromosome,
+    /// Elitism ranking of `pop`.
+    order: Vec<usize>,
+    /// Slots of the generation being bred that await evaluation.
+    queue: Vec<usize>,
+    /// Evaluation records of memo misses; empty between evaluations.
+    misses: Vec<Evaluated>,
+    /// Mutants whose cached evaluation is stale.
+    dirty: Vec<usize>,
     history: Vec<GenStats>,
     best: Chromosome,
     best_makespan: f64,
@@ -715,15 +773,27 @@ impl<'r, P: Problem> GaRun<'r, P> {
 
         self.fitness_buf.clear();
         self.fitness_buf.extend(self.pop.iter().map(|i| i.fitness));
-        let pop = &mut self.pop;
+        let Self {
+            pop,
+            spare,
+            scratch,
+            order,
+            queue,
+            misses,
+            dirty,
+            memo,
+            fitness_buf,
+            ..
+        } = self;
 
-        // --- breed: elitism + selection + crossover (draws RNG) --------
-        // Clones keep their cached evaluation; fresh offspring are queued
-        // with their population index for batch evaluation.
-        let mut next: Vec<Option<Individual>> = Vec::with_capacity(pop_size);
-        let mut offspring: Vec<(usize, Chromosome)> = Vec::new();
+        // --- breed into the spare buffer: elitism + selection + crossover
+        // (draws RNG). Every slot is overwritten in place. Clones keep their
+        // cached evaluation; fresh offspring are queued by slot.
+        queue.clear();
+        let mut next = 0;
         if config.elitism > 0 {
-            let mut order: Vec<usize> = (0..pop.len()).collect();
+            order.clear();
+            order.extend(0..pop.len());
             order.sort_by(|&a, &b| {
                 // Fitness descending, then makespan ascending: the
                 // deterministic tie-break keeps elitism meaningful even
@@ -741,49 +811,44 @@ impl<'r, P: Problem> GaRun<'r, P> {
                     })
             });
             for &i in order.iter().take(config.elitism) {
-                next.push(Some(Individual {
-                    chrom: pop[i].chrom.clone(),
-                    fitness: pop[i].fitness,
-                    makespan: pop[i].makespan,
-                    completions: pop[i].completions.clone(),
-                }));
+                spare[next].clone_from(&pop[i]);
+                next += 1;
             }
         }
-        while next.len() < pop_size {
-            let pa = engine.selection.select(&self.fitness_buf, rng);
-            let pb = engine.selection.select(&self.fitness_buf, rng);
+        while next < pop_size {
+            let pa = engine.selection.select(fitness_buf, rng);
+            let pb = engine.selection.select(fitness_buf, rng);
             if rng.chance(config.crossover_rate) {
                 // Offspring are repaired into the feasible region before
                 // evaluation (identity for unconstrained problems); clones
                 // need no repair because their parents already live there.
-                let (mut ca, mut cb) = engine.crossover.cross(&pop[pa].chrom, &pop[pb].chrom, rng);
-                problem.repair(&mut ca);
-                problem.repair(&mut cb);
-                offspring.push((next.len(), ca));
-                next.push(None);
-                if next.len() < pop_size {
-                    offspring.push((next.len(), cb));
-                    next.push(None);
+                // A second child with no slot left lands in the scratch
+                // chromosome and is dropped unrepaired: repair draws no
+                // RNG, so skipping it changes nothing.
+                let (a, b) = (&pop[pa].chrom, &pop[pb].chrom);
+                if let [first, second, ..] = &mut spare[next..] {
+                    let (ca, cb) = (&mut first.chrom, &mut second.chrom);
+                    engine.crossover.cross_into(a, b, ca, cb, rng);
+                    problem.repair(ca);
+                    problem.repair(cb);
+                    queue.extend([next, next + 1]);
+                    next += 2;
+                } else {
+                    let ca = &mut spare[next].chrom;
+                    engine.crossover.cross_into(a, b, ca, scratch, rng);
+                    problem.repair(ca);
+                    queue.push(next);
+                    next += 1;
                 }
             } else {
-                next.push(Some(Individual {
-                    chrom: pop[pa].chrom.clone(),
-                    fitness: pop[pa].fitness,
-                    makespan: pop[pa].makespan,
-                    completions: pop[pa].completions.clone(),
-                }));
+                spare[next].clone_from(&pop[pa]);
+                next += 1;
             }
         }
 
-        // --- evaluate the fresh offspring, write back by index ---------
-        for e in eval_indexed(eval, &mut self.memo, offspring) {
-            let i = e.index;
-            next[i] = Some(Individual::from_eval(e));
-        }
-        *pop = next
-            .into_iter()
-            .map(|slot| slot.expect("every slot bred or evaluated"))
-            .collect();
+        // --- evaluate the fresh offspring in their slots, then swap -----
+        evaluate_slots(eval, memo, spare, queue, misses);
+        std::mem::swap(pop, spare);
 
         // --- random mutation (draws RNG) -------------------------------
         // A transposition on an individual with valid completion times is
@@ -792,7 +857,7 @@ impl<'r, P: Problem> GaRun<'r, P> {
         // full batched re-evaluation. Once dirty, always dirty — the
         // cached completions no longer describe the chromosome, so later
         // swaps cannot delta off them.
-        let mut dirty: Vec<usize> = Vec::new();
+        dirty.clear();
         for _ in 0..config.mutations_per_generation {
             let idx = rng.below(pop.len());
             let edit = engine.mutation.mutate_tracked(&mut pop[idx].chrom, rng);
@@ -817,35 +882,16 @@ impl<'r, P: Problem> GaRun<'r, P> {
                     ind.makespan = makespan;
                     // The delta result is bit-identical to a full
                     // evaluation, so it is safe to cache.
-                    self.memo
-                        .insert(&ind.chrom, fitness, makespan, &ind.completions);
+                    memo.insert(&ind.chrom, fitness, makespan, &ind.completions);
                 }
                 None if !already_dirty => dirty.push(idx),
                 None => {}
             }
         }
-        if !dirty.is_empty() {
-            // Only dirty individuals are re-evaluated; the rest keep
-            // their incrementally maintained values. The dirty
-            // chromosomes are moved out (a trivial placeholder takes
-            // their slot) and moved back with their evaluation — no clone
-            // in the hot loop.
-            dirty.sort_unstable();
-            let jobs: Vec<(usize, Chromosome)> = dirty
-                .iter()
-                .map(|&i| {
-                    let chrom = std::mem::replace(
-                        &mut pop[i].chrom,
-                        Chromosome::from_queues(&[Vec::new()]),
-                    );
-                    (i, chrom)
-                })
-                .collect();
-            for e in eval_indexed(eval, &mut self.memo, jobs) {
-                let i = e.index;
-                pop[i] = Individual::from_eval(e);
-            }
-        }
+        // Only dirty individuals are re-evaluated, in slot order; the rest
+        // keep their incrementally maintained values.
+        dirty.sort_unstable();
+        evaluate_slots(eval, memo, pop, dirty, misses);
 
         // --- local improvement (rebalancing heuristic, §3.5) -----------
         for ind in pop.iter_mut() {
@@ -860,7 +906,7 @@ impl<'r, P: Problem> GaRun<'r, P> {
         // --- track the best schedule found so far ----------------------
         let (best_idx, _) = GaEngine::best_of(pop);
         if pop[best_idx].makespan < self.best_makespan {
-            self.best = pop[best_idx].chrom.clone();
+            self.best.clone_from(&pop[best_idx].chrom);
             self.best_makespan = pop[best_idx].makespan;
             self.best_fitness = pop[best_idx].fitness;
             self.stale_generations = 0;
@@ -918,7 +964,7 @@ impl<'r, P: Problem> GaRun<'r, P> {
     pub(crate) fn refresh_best(&mut self) {
         let (best_idx, _) = GaEngine::best_of(&self.pop);
         if self.pop[best_idx].makespan < self.best_makespan {
-            self.best = self.pop[best_idx].chrom.clone();
+            self.best.clone_from(&self.pop[best_idx].chrom);
             self.best_makespan = self.pop[best_idx].makespan;
             self.best_fitness = self.pop[best_idx].fitness;
             self.stale_generations = 0;
@@ -1584,5 +1630,548 @@ mod tests {
             run.stop_now(StopReason::TimeBudget);
             assert_eq!(run.stopped(), Some(StopReason::MaxGenerations));
         });
+    }
+}
+
+/// The allocation-free generation loop against the loop it replaced.
+#[cfg(test)]
+mod equivalence_tests {
+    use super::*;
+    use crate::crossover::{CycleCrossover, OnePointOrder, OrderCrossover, PartiallyMapped};
+    use crate::encoding::Gene;
+    use crate::evaluate::Evaluator;
+    use crate::mutation::{InsertMutation, InversionMutation, SwapMutation};
+    use crate::repair::{repair_topological, SlotPrecedence};
+    use crate::selection::RouletteWheel;
+    use proptest::prelude::*;
+
+    /// A heterogeneous cluster shaped like the PN batch problem: task sizes
+    /// over processor rates, exported completion times, swap deltas, and
+    /// optionally precedence repair and an RNG-drawing improve hook that
+    /// edits the chromosome and completions in place.
+    struct Cluster {
+        sizes: Vec<f64>,
+        rates: Vec<f64>,
+        prec: Option<SlotPrecedence>,
+        improve: bool,
+    }
+
+    impl Cluster {
+        fn new(h: u32, m: u16, seed: u64, constrained: bool, improve: bool) -> Self {
+            let mut rng = Prng::seed_from(seed);
+            let sizes = (0..h).map(|_| 1.0 + 99.0 * rng.next_f64()).collect();
+            let rates = (0..m).map(|_| 15.0 + 25.0 * rng.next_f64()).collect();
+            let prec = constrained.then(|| {
+                SlotPrecedence::new(
+                    (0..h as usize)
+                        .map(|t| {
+                            if t > 0 && rng.chance(0.4) {
+                                vec![rng.below(t) as u32]
+                            } else {
+                                Vec::new()
+                            }
+                        })
+                        .collect(),
+                )
+            });
+            Self {
+                sizes,
+                rates,
+                prec,
+                improve,
+            }
+        }
+
+        fn fill(&self, c: &Chromosome, out: &mut Vec<f64>) {
+            out.clear();
+            out.resize(self.rates.len(), 0.0);
+            for (p, t) in c.assignments() {
+                out[p] += self.sizes[t as usize] / self.rates[p];
+            }
+        }
+
+        fn score(completions: &[f64]) -> (f64, f64) {
+            let makespan = completions.iter().copied().fold(0.0, f64::max);
+            let idle: f64 = completions.iter().map(|&c| makespan - c).sum();
+            (1.0 / (1.0 + makespan + 0.01 * idle), makespan)
+        }
+    }
+
+    impl Problem for Cluster {
+        fn fitness(&self, c: &Chromosome) -> f64 {
+            self.evaluate(c).0
+        }
+        fn makespan(&self, c: &Chromosome) -> f64 {
+            self.evaluate(c).1
+        }
+        fn evaluate(&self, c: &Chromosome) -> (f64, f64) {
+            self.evaluate_into(c, &mut Vec::new())
+        }
+        fn evaluate_into(&self, c: &Chromosome, completions: &mut Vec<f64>) -> (f64, f64) {
+            self.fill(c, completions);
+            Self::score(completions)
+        }
+        fn evaluate_swap_delta(
+            &self,
+            c: &Chromosome,
+            i: usize,
+            j: usize,
+            completions: &mut [f64],
+        ) -> Option<(f64, f64)> {
+            let genes = c.genes();
+            if self.prec.is_some()
+                || completions.len() != self.rates.len()
+                || !matches!(genes[i], Gene::Task(_))
+                || !matches!(genes[j], Gene::Task(_))
+            {
+                return None;
+            }
+            let mut fresh = Vec::new();
+            self.fill(c, &mut fresh);
+            completions.copy_from_slice(&fresh);
+            Some(Self::score(completions))
+        }
+        fn repair(&self, c: &mut Chromosome) -> bool {
+            self.prec.as_ref().is_some_and(|p| repair_topological(c, p))
+        }
+        fn improve(
+            &self,
+            c: &mut Chromosome,
+            current_fitness: f64,
+            completions: &mut Vec<f64>,
+            rng: &mut Prng,
+        ) -> Option<(f64, f64)> {
+            let n = c.genes().len();
+            if !self.improve || self.prec.is_some() || n < 2 {
+                return None;
+            }
+            let (i, j) = (rng.below(n), rng.below(n));
+            c.genes_swap(i, j);
+            let mut candidate = Vec::new();
+            let (fitness, makespan) = self.evaluate_into(c, &mut candidate);
+            if fitness > current_fitness {
+                completions.clear();
+                completions.extend_from_slice(&candidate);
+                Some((fitness, makespan))
+            } else {
+                c.genes_swap(i, j);
+                None
+            }
+        }
+    }
+
+    /// The generation loop as it was before the double-buffered
+    /// population — a fresh population vector, offspring list and
+    /// evaluation batch every generation — kept verbatim but for the memo
+    /// lookup, which now fills a caller's buffer. History and stopping
+    /// rules are left out: the equivalence test never stops a run.
+    struct ReferenceRun<'r, P: Problem> {
+        engine: &'r GaEngine<'r>,
+        problem: &'r P,
+        memo: FitnessMemo,
+        pop: Vec<Individual>,
+        best: Chromosome,
+        best_makespan: f64,
+        best_fitness: f64,
+        fitness_buf: Vec<f64>,
+    }
+
+    fn reference_eval_indexed(
+        eval: &dyn BatchEval,
+        memo: &mut FitnessMemo,
+        jobs: Vec<(usize, Chromosome)>,
+    ) -> Vec<Evaluated> {
+        let mut ready: Vec<Evaluated> = Vec::with_capacity(jobs.len());
+        let mut misses: Vec<(usize, Chromosome)> = Vec::new();
+        for (index, chrom) in jobs {
+            let mut completions = Vec::new();
+            match memo.lookup(&chrom, &mut completions) {
+                Some((fitness, makespan)) => ready.push(Evaluated {
+                    index,
+                    chrom,
+                    fitness,
+                    makespan,
+                    completions,
+                }),
+                None => misses.push((index, chrom)),
+            }
+        }
+        for e in eval.eval_batch(misses) {
+            memo.insert(&e.chrom, e.fitness, e.makespan, &e.completions);
+            ready.push(e);
+        }
+        ready
+    }
+
+    fn from_eval(e: Evaluated) -> Individual {
+        Individual {
+            chrom: e.chrom,
+            fitness: e.fitness,
+            makespan: e.makespan,
+            completions: e.completions,
+        }
+    }
+
+    impl<'r, P: Problem> ReferenceRun<'r, P> {
+        fn start(
+            engine: &'r GaEngine<'r>,
+            problem: &'r P,
+            eval: &dyn BatchEval,
+            initial: &[Chromosome],
+        ) -> Self {
+            let pop_size = engine.config.population_size;
+            let mut memo = FitnessMemo::new(engine.config.memo_capacity);
+            memo.begin_epoch(problem.epoch_key());
+            let init_jobs: Vec<(usize, Chromosome)> = (0..pop_size)
+                .map(|i| {
+                    let mut c = initial[i % initial.len()].clone();
+                    problem.repair(&mut c);
+                    (i, c)
+                })
+                .collect();
+            let mut init_slots: Vec<Option<Individual>> = (0..pop_size).map(|_| None).collect();
+            for e in reference_eval_indexed(eval, &mut memo, init_jobs) {
+                let i = e.index;
+                init_slots[i] = Some(from_eval(e));
+            }
+            let pop: Vec<Individual> = init_slots
+                .into_iter()
+                .map(|slot| slot.expect("every initial slot evaluated"))
+                .collect();
+            let (best_idx, _) = GaEngine::best_of(&pop);
+            Self {
+                engine,
+                problem,
+                memo,
+                best: pop[best_idx].chrom.clone(),
+                best_makespan: pop[best_idx].makespan,
+                best_fitness: pop[best_idx].fitness,
+                pop,
+                fitness_buf: Vec::with_capacity(pop_size),
+            }
+        }
+
+        fn step(&mut self, eval: &dyn BatchEval, rng: &mut Prng) {
+            let engine = self.engine;
+            let config = &engine.config;
+            let problem = self.problem;
+            let pop_size = config.population_size;
+
+            self.fitness_buf.clear();
+            self.fitness_buf.extend(self.pop.iter().map(|i| i.fitness));
+            let pop = &mut self.pop;
+
+            let mut next: Vec<Option<Individual>> = Vec::with_capacity(pop_size);
+            let mut offspring: Vec<(usize, Chromosome)> = Vec::new();
+            if config.elitism > 0 {
+                let mut order: Vec<usize> = (0..pop.len()).collect();
+                order.sort_by(|&a, &b| {
+                    pop[b]
+                        .fitness
+                        .partial_cmp(&pop[a].fitness)
+                        .expect("finite fitness")
+                        .then_with(|| {
+                            pop[a]
+                                .makespan
+                                .partial_cmp(&pop[b].makespan)
+                                .expect("finite makespan")
+                        })
+                });
+                for &i in order.iter().take(config.elitism) {
+                    next.push(Some(Individual {
+                        chrom: pop[i].chrom.clone(),
+                        fitness: pop[i].fitness,
+                        makespan: pop[i].makespan,
+                        completions: pop[i].completions.clone(),
+                    }));
+                }
+            }
+            while next.len() < pop_size {
+                let pa = engine.selection.select(&self.fitness_buf, rng);
+                let pb = engine.selection.select(&self.fitness_buf, rng);
+                if rng.chance(config.crossover_rate) {
+                    let (mut ca, mut cb) =
+                        engine.crossover.cross(&pop[pa].chrom, &pop[pb].chrom, rng);
+                    problem.repair(&mut ca);
+                    problem.repair(&mut cb);
+                    offspring.push((next.len(), ca));
+                    next.push(None);
+                    if next.len() < pop_size {
+                        offspring.push((next.len(), cb));
+                        next.push(None);
+                    }
+                } else {
+                    next.push(Some(Individual {
+                        chrom: pop[pa].chrom.clone(),
+                        fitness: pop[pa].fitness,
+                        makespan: pop[pa].makespan,
+                        completions: pop[pa].completions.clone(),
+                    }));
+                }
+            }
+
+            for e in reference_eval_indexed(eval, &mut self.memo, offspring) {
+                let i = e.index;
+                next[i] = Some(from_eval(e));
+            }
+            *pop = next
+                .into_iter()
+                .map(|slot| slot.expect("every slot bred or evaluated"))
+                .collect();
+
+            let mut dirty: Vec<usize> = Vec::new();
+            for _ in 0..config.mutations_per_generation {
+                let idx = rng.below(pop.len());
+                let edit = engine.mutation.mutate_tracked(&mut pop[idx].chrom, rng);
+                let repaired = problem.repair(&mut pop[idx].chrom);
+                let already_dirty = dirty.contains(&idx);
+                let delta = match edit {
+                    GeneEdit::Unchanged if !repaired => continue,
+                    GeneEdit::Swap { i, j } if !already_dirty && !repaired => {
+                        let ind = &mut pop[idx];
+                        problem.evaluate_swap_delta(&ind.chrom, i, j, &mut ind.completions)
+                    }
+                    _ => None,
+                };
+                match delta {
+                    Some((fitness, makespan)) => {
+                        let ind = &mut pop[idx];
+                        ind.fitness = fitness;
+                        ind.makespan = makespan;
+                        self.memo
+                            .insert(&ind.chrom, fitness, makespan, &ind.completions);
+                    }
+                    None if !already_dirty => dirty.push(idx),
+                    None => {}
+                }
+            }
+            if !dirty.is_empty() {
+                dirty.sort_unstable();
+                let jobs: Vec<(usize, Chromosome)> = dirty
+                    .iter()
+                    .map(|&i| {
+                        let chrom = std::mem::replace(
+                            &mut pop[i].chrom,
+                            Chromosome::from_queues(&[Vec::new()]),
+                        );
+                        (i, chrom)
+                    })
+                    .collect();
+                for e in reference_eval_indexed(eval, &mut self.memo, jobs) {
+                    let i = e.index;
+                    pop[i] = from_eval(e);
+                }
+            }
+
+            for ind in pop.iter_mut() {
+                if let Some((fitness, makespan)) =
+                    problem.improve(&mut ind.chrom, ind.fitness, &mut ind.completions, rng)
+                {
+                    ind.fitness = fitness;
+                    ind.makespan = makespan;
+                }
+            }
+
+            let (best_idx, _) = GaEngine::best_of(pop);
+            if pop[best_idx].makespan < self.best_makespan {
+                self.best = pop[best_idx].chrom.clone();
+                self.best_makespan = pop[best_idx].makespan;
+                self.best_fitness = pop[best_idx].fitness;
+            }
+        }
+    }
+
+    /// Bit-level equality of the two loops' observable state.
+    fn assert_same<P: Problem>(
+        gen: u32,
+        run: &GaRun<'_, P>,
+        reference: &ReferenceRun<'_, P>,
+        rng: &Prng,
+        reference_rng: &Prng,
+    ) -> Result<(), TestCaseError> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(run.pop.len(), reference.pop.len());
+        for (k, (a, b)) in run.pop.iter().zip(&reference.pop).enumerate() {
+            prop_assert_eq!(&a.chrom, &b.chrom, "generation {} slot {}", gen, k);
+            prop_assert_eq!(
+                a.fitness.to_bits(),
+                b.fitness.to_bits(),
+                "gen {} slot {}",
+                gen,
+                k
+            );
+            prop_assert_eq!(
+                a.makespan.to_bits(),
+                b.makespan.to_bits(),
+                "gen {} slot {}",
+                gen,
+                k
+            );
+            prop_assert_eq!(
+                bits(&a.completions),
+                bits(&b.completions),
+                "gen {} slot {}",
+                gen,
+                k
+            );
+        }
+        prop_assert_eq!(&run.best, &reference.best, "generation {}", gen);
+        prop_assert_eq!(
+            run.best_makespan.to_bits(),
+            reference.best_makespan.to_bits()
+        );
+        prop_assert_eq!(run.best_fitness.to_bits(), reference.best_fitness.to_bits());
+        prop_assert_eq!(run.memo.hits(), reference.memo.hits(), "generation {}", gen);
+        prop_assert_eq!(
+            run.memo.misses(),
+            reference.memo.misses(),
+            "generation {}",
+            gen
+        );
+        prop_assert_eq!(
+            rng.clone().next_u64(),
+            reference_rng.clone().next_u64(),
+            "generation {}",
+            gen
+        );
+        Ok(())
+    }
+
+    /// A uniformly shuffled chromosome of `h` tasks over `m` processors.
+    fn shuffled(h: u32, m: u16, rng: &mut Prng) -> Chromosome {
+        let mut genes: Vec<Gene> = (0..h)
+            .map(Gene::Task)
+            .chain((0..m - 1).map(Gene::Delim))
+            .collect();
+        for i in (1..genes.len()).rev() {
+            genes.swap(i, rng.below(i + 1));
+        }
+        Chromosome::from_genes(genes, h, m)
+    }
+
+    const GENERATIONS: u32 = 12;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// Same seed, same operators: after every generation the
+        /// allocation-free loop and the reference loop hold the same
+        /// individuals, the same best-so-far, the same memo counters and
+        /// the same RNG position. Memo capacity 2 forces the clear-on-full
+        /// path; the two-worker pool covers in-place pool evaluation.
+        #[test]
+        fn generation_loop_matches_the_reference_loop(
+            h in 1u32..40,
+            m in 1u16..8,
+            population_size in 2usize..24,
+            elitism in 0usize..3,
+            crossover_pick in 0usize..3,
+            operator_pick in 0usize..12,
+            memo_pick in 0usize..3,
+            mutations_per_generation in 0usize..4,
+            constrained in prop::bool::ANY,
+            improve in prop::bool::ANY,
+            pool in prop::bool::ANY,
+            seed in 0u64..u64::MAX,
+        ) {
+            static SEL: RouletteWheel = RouletteWheel;
+            let crossovers: [&'static dyn CrossoverOp; 4] =
+                [&CycleCrossover, &OrderCrossover, &PartiallyMapped, &OnePointOrder];
+            let mutations: [&'static dyn MutationOp; 3] =
+                [&SwapMutation, &InsertMutation, &InversionMutation];
+            let config = GaConfig {
+                population_size,
+                elitism: elitism.min(population_size - 1),
+                crossover_rate: [0.0, 0.5, 1.0][crossover_pick],
+                mutations_per_generation,
+                max_generations: u32::MAX,
+                memo_capacity: [0, 2, DEFAULT_MEMO_CAPACITY][memo_pick],
+                evaluator: if pool { Evaluator::ThreadPool { workers: 2 } } else { Evaluator::Serial },
+                ..GaConfig::default()
+            };
+            let engine = GaEngine::new(
+                &SEL,
+                crossovers[operator_pick % 4],
+                mutations[operator_pick / 4],
+                config,
+            );
+            let problem = Cluster::new(h, m, seed, constrained, improve);
+            let mut seeds = Prng::seed_from(seed ^ 0x5EED);
+            let initial: Vec<Chromosome> = (0..3).map(|_| shuffled(h, m, &mut seeds)).collect();
+
+            engine.config().evaluator.with_context(&problem, |eval| {
+                let mut rng = Prng::seed_from(seed);
+                let mut reference_rng = Prng::seed_from(seed);
+                let mut reference = ReferenceRun::start(&engine, &problem, eval, &initial);
+                let mut run = engine.start(&problem, eval, &initial, None);
+                assert_same(0, &run, &reference, &rng, &reference_rng)?;
+                for gen in 1..=GENERATIONS {
+                    reference.step(eval, &mut reference_rng);
+                    run.step(eval, &mut rng);
+                    assert_same(gen, &run, &reference, &rng, &reference_rng)?;
+                }
+                Ok(())
+            })?;
+        }
+    }
+
+    /// The sorted addresses of every gene and completions buffer the run's
+    /// two populations own.
+    fn buffer_addresses<P: Problem>(run: &GaRun<'_, P>) -> Vec<usize> {
+        let mut addresses: Vec<usize> = run
+            .pop
+            .iter()
+            .chain(&run.spare)
+            .flat_map(|ind| {
+                [
+                    ind.chrom.genes().as_ptr() as usize,
+                    ind.completions.as_ptr() as usize,
+                ]
+            })
+            .collect();
+        addresses.sort_unstable();
+        addresses
+    }
+
+    /// Past warm-up a generation allocates no population buffer: at the PN
+    /// defaults on a 30-task × 10-processor batch, the set of buffers the
+    /// two populations own is the same after 200 more generations, with the
+    /// memo off and on.
+    #[test]
+    fn steady_state_generations_recycle_every_buffer() {
+        let problem = Cluster::new(30, 10, 11, false, true);
+        let mut seeds = Prng::seed_from(12);
+        let initial: Vec<Chromosome> = (0..20).map(|_| shuffled(30, 10, &mut seeds)).collect();
+        for memo_capacity in [0, DEFAULT_MEMO_CAPACITY] {
+            let engine = GaEngine::new(
+                &RouletteWheel,
+                &CycleCrossover,
+                &SwapMutation,
+                GaConfig {
+                    max_generations: u32::MAX,
+                    memo_capacity,
+                    ..GaConfig::default()
+                },
+            );
+            let mut rng = Prng::seed_from(13);
+            engine.config().evaluator.with_context(&problem, |eval| {
+                let mut run = engine.start(&problem, eval, &initial, None);
+                for _ in 0..20 {
+                    run.step(eval, &mut rng);
+                }
+                let before = buffer_addresses(&run);
+                for _ in 0..200 {
+                    run.step(eval, &mut rng);
+                }
+                assert_eq!(
+                    buffer_addresses(&run),
+                    before,
+                    "memo capacity {memo_capacity}"
+                );
+                if memo_capacity > 0 {
+                    assert!(run.memo.hits() > 0, "the memo hit path was not exercised");
+                }
+            });
+        }
     }
 }

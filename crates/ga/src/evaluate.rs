@@ -15,18 +15,21 @@
 //!    every downstream RNG draw — is independent of thread scheduling.
 //!
 //! The engine never calls [`Problem::fitness`] directly during a
-//! generation. Instead it collects the chromosomes that need (re)evaluation
-//! into an indexed batch, hands the batch to a [`BatchEval`] context, and
-//! writes the results back by index. [`Evaluator`] selects the context:
+//! generation. Instead it moves the chromosomes that need (re)evaluation,
+//! each with its population slot's own completions buffer, into a batch of
+//! [`Evaluated`] records, has a [`BatchEval`] context evaluate the records
+//! **in place**, and moves each record back into the slot its index names.
+//! Nothing is copied and, once the buffers have grown to size, nothing is
+//! allocated. [`Evaluator`] selects the context:
 //!
-//! * [`Evaluator::Serial`] evaluates in index order on the calling thread —
-//!   the reference implementation.
+//! * [`Evaluator::Serial`] walks the records in order on the calling
+//!   thread — the reference implementation.
 //! * [`Evaluator::ThreadPool`] spawns `workers` scoped threads
 //!   ([`std::thread::scope`]) that live for the duration of one GA run, so
 //!   the spawn cost is amortised over every generation. Each batch is
-//!   split into contiguous index chunks that flow to the workers over a
-//!   shared channel; finished chunks flow back and are sorted by index
-//!   before the caller sees them.
+//!   split into contiguous chunks of records that flow to the workers over
+//!   a shared channel; every worker writes into the records' own buffers
+//!   and sends the chunk back, and the records return to their positions.
 //!
 //! ```
 //! use dts_ga::{Chromosome, Evaluator, Problem};
@@ -127,19 +130,20 @@ impl Evaluator {
                     // Holding the lock across the blocking `recv` is the
                     // standard shared-channel hand-off: exactly one worker
                     // waits on the channel, the rest wait on the mutex.
-                    let chunk = match job_rx.lock().expect("job queue poisoned").recv() {
-                        Ok(chunk) => chunk,
+                    let (start, mut chunk) = match job_rx.lock().expect("job queue poisoned").recv()
+                    {
+                        Ok(job) => job,
                         Err(_) => break, // coordinator hung up: run is over
                     };
                     // A panicking `evaluate` must not strand the
                     // coordinator in `recv` (the other workers keep the
                     // result channel open); ship the panic back instead so
-                    // `eval_batch` can resurface it on the calling thread.
+                    // `eval_in_place` can resurface it on the calling thread.
                     let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        chunk
-                            .into_iter()
-                            .map(|(index, chrom)| Evaluated::of(problem, index, chrom))
-                            .collect()
+                        for record in &mut chunk {
+                            record.evaluate(problem);
+                        }
+                        (start, chunk)
                     }));
                     let stop = done.is_err();
                     if res_tx.send(done.map_err(panic_message)).is_err() || stop {
@@ -159,12 +163,14 @@ impl Evaluator {
     }
 }
 
-/// One chromosome with its population index, queued for evaluation.
-type Chunk = Vec<(usize, Chromosome)>;
+/// A run of records moved out of a batch, with the position of its first
+/// record in that batch.
+type Chunk = (usize, Vec<Evaluated>);
 
-/// What a worker sends back per chunk: results, or the message of a panic
-/// caught inside `Problem::evaluate` (resurfaced on the calling thread).
-type ChunkResult = Result<Vec<Evaluated>, String>;
+/// What a worker sends back per chunk: the evaluated records, or the message
+/// of a panic caught inside `Problem::evaluate` (resurfaced on the calling
+/// thread).
+type ChunkResult = Result<Chunk, String>;
 
 /// Best-effort extraction of a panic payload's message.
 ///
@@ -194,7 +200,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     )
 }
 
-/// The result of evaluating one chromosome.
+/// One chromosome queued for evaluation, and its result.
+///
+/// A record is evaluated in place: [`BatchEval::eval_in_place`] reads
+/// `chrom` and overwrites `fitness`, `makespan` and `completions`, reusing
+/// the buffer the record arrived with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Evaluated {
     /// The population index the result must be written back to.
@@ -213,32 +223,51 @@ pub struct Evaluated {
 }
 
 impl Evaluated {
-    fn of<P: Problem + ?Sized>(problem: &P, index: usize, chrom: Chromosome) -> Self {
-        let mut completions = Vec::new();
-        let (fitness, makespan) = problem.evaluate_into(&chrom, &mut completions);
+    /// A record holding no chromosome; allocation-free, so a record can be
+    /// moved out of a batch and back.
+    pub(crate) fn vacant() -> Self {
         Self {
-            index,
-            chrom,
-            fitness,
-            makespan,
-            completions,
+            index: 0,
+            chrom: Chromosome::vacant(),
+            fitness: 0.0,
+            makespan: 0.0,
+            completions: Vec::new(),
         }
+    }
+
+    fn evaluate<P: Problem + ?Sized>(&mut self, problem: &P) {
+        (self.fitness, self.makespan) = problem.evaluate_into(&self.chrom, &mut self.completions);
     }
 }
 
-/// An active evaluation context: evaluates indexed batches of chromosomes.
+/// An active evaluation context: evaluates batches of records in place.
 ///
-/// Obtained through [`Evaluator::with_context`]. Implementations must
-/// return results for exactly the submitted jobs, sorted by index, with
-/// `fitness`/`makespan` equal to what [`Problem::evaluate`] returns on the
-/// calling thread — the determinism suite compares the two bitwise.
+/// Obtained through [`Evaluator::with_context`]. Implementations must set
+/// every record's `fitness`/`makespan`/`completions` to exactly what
+/// [`Problem::evaluate_into`] returns for its `chrom` on the calling
+/// thread — the determinism suite compares the two bitwise — and leave
+/// each record at its position in the batch.
 pub trait BatchEval {
-    /// Evaluates every `(index, chromosome)` job and returns the results
-    /// sorted by ascending index.
-    fn eval_batch(&self, jobs: Chunk) -> Vec<Evaluated>;
+    /// Evaluates every record in place.
+    fn eval_in_place(&self, records: &mut [Evaluated]);
+
+    /// Evaluates every `(index, chromosome)` job and returns the results in
+    /// submission order: [`BatchEval::eval_in_place`] over fresh records.
+    fn eval_batch(&self, jobs: Vec<(usize, Chromosome)>) -> Vec<Evaluated> {
+        let mut records: Vec<Evaluated> = jobs
+            .into_iter()
+            .map(|(index, chrom)| Evaluated {
+                index,
+                chrom,
+                ..Evaluated::vacant()
+            })
+            .collect();
+        self.eval_in_place(&mut records);
+        records
+    }
 }
 
-/// Serial evaluation context: evaluates in index order on the calling
+/// Serial evaluation context: walks the records in order on the calling
 /// thread. Crate-visible so the island engine can hand each island its own
 /// serial context while islands themselves run on separate threads — the
 /// per-island evaluation order (and therefore every result bit) is then
@@ -248,10 +277,10 @@ pub(crate) struct SerialCtx<'a, P: ?Sized> {
 }
 
 impl<P: Problem + ?Sized> BatchEval for SerialCtx<'_, P> {
-    fn eval_batch(&self, jobs: Chunk) -> Vec<Evaluated> {
-        jobs.into_iter()
-            .map(|(index, chrom)| Evaluated::of(self.problem, index, chrom))
-            .collect()
+    fn eval_in_place(&self, records: &mut [Evaluated]) {
+        for record in records {
+            record.evaluate(self.problem);
+        }
     }
 }
 
@@ -262,35 +291,36 @@ struct PoolCtx {
 }
 
 impl BatchEval for PoolCtx {
-    fn eval_batch(&self, jobs: Chunk) -> Vec<Evaluated> {
-        let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        // Contiguous index chunks, ~2 per worker: coarse enough to keep
-        // channel traffic negligible, fine enough to absorb stragglers.
-        let chunk_len = n.div_ceil(self.workers * 2).max(1);
-        let mut remaining = jobs;
+    fn eval_in_place(&self, records: &mut [Evaluated]) {
+        // Contiguous chunks, ~2 per worker: coarse enough to keep channel
+        // traffic negligible, fine enough to absorb stragglers. Records are
+        // moved out (a vacant record holds their place) and moved back; the
+        // workers evaluate them in their own buffers.
+        let chunk_len = records.len().div_ceil(self.workers * 2).max(1);
         let mut sent = 0usize;
-        while !remaining.is_empty() {
-            let tail = remaining.split_off(chunk_len.min(remaining.len()));
+        for (k, chunk) in records.chunks_mut(chunk_len).enumerate() {
+            let owned = chunk
+                .iter_mut()
+                .map(|r| std::mem::replace(r, Evaluated::vacant()))
+                .collect();
             self.job_tx
-                .send(std::mem::replace(&mut remaining, tail))
+                .send((k * chunk_len, owned))
                 .expect("evaluation workers alive");
             sent += 1;
         }
-        let mut out = Vec::with_capacity(n);
         for _ in 0..sent {
             match self.res_rx.recv().expect("evaluation workers alive") {
-                Ok(done) => out.extend(done),
+                Ok((start, done)) => {
+                    for (slot, record) in records[start..].iter_mut().zip(done) {
+                        *slot = record;
+                    }
+                }
                 // Re-raise a worker-side panic here: unwinding drops the
                 // job channel, the idle workers exit, and `thread::scope`
                 // joins them before the panic propagates further.
                 Err(msg) => panic!("evaluation worker panicked: {msg}"),
             }
         }
-        out.sort_unstable_by_key(|e| e.index);
-        out
     }
 }
 
@@ -320,7 +350,7 @@ mod tests {
             .collect()
     }
 
-    fn jobs(pop: &[Chromosome]) -> Chunk {
+    fn jobs(pop: &[Chromosome]) -> Vec<(usize, Chromosome)> {
         pop.iter().cloned().enumerate().collect()
     }
 

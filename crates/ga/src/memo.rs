@@ -8,6 +8,12 @@
 //! [content digest](crate::Chromosome::content_hash), so a duplicate costs
 //! one table probe instead of a full evaluation.
 //!
+//! The completion times of every entry sit back to back in one flat arena
+//! that is cleared together with the table. A hit copies them into the
+//! caller's buffer and a miss insert appends them to the arena, so once the
+//! table and arena have grown to their working size the memo allocates
+//! nothing, and eviction frees nothing.
+//!
 //! # Epochs and invalidation
 //!
 //! A cached value is only valid while the evaluation context — ψ, the
@@ -71,11 +77,14 @@ impl BuildHasher for DigestHashBuilder {
     }
 }
 
+/// One cached evaluation. Its completion times live in the memo's flat
+/// arena at `start..start + len`.
 #[derive(Debug, Clone)]
 struct MemoEntry {
     fitness: f64,
     makespan: f64,
-    completions: Vec<f64>,
+    start: usize,
+    len: usize,
 }
 
 /// A capacity-bounded, epoch-guarded cache of evaluation results keyed by
@@ -85,6 +94,10 @@ struct MemoEntry {
 pub struct FitnessMemo {
     // dts-lint: allow(unordered-iter, "lookup-only: get/insert by digest key; no code path iterates the map, so bucket order never leaks")
     map: HashMap<u128, MemoEntry, DigestHashBuilder>,
+    /// Every entry's completion times, back to back. Cleared together with
+    /// the table, so it keeps its capacity and a warmed-up memo never
+    /// allocates.
+    arena: Vec<f64>,
     capacity: usize,
     epoch: Option<u64>,
     hits: u64,
@@ -103,6 +116,7 @@ impl FitnessMemo {
                 capacity.min(DEFAULT_MEMO_CAPACITY),
                 DigestHashBuilder,
             ),
+            arena: Vec::new(),
             capacity,
             epoch: None,
             hits: 0,
@@ -116,20 +130,28 @@ impl FitnessMemo {
     /// in. Hit/miss counters persist across epochs.
     pub fn begin_epoch(&mut self, key: u64) {
         if self.epoch != Some(key) {
-            self.map.clear();
+            self.clear();
             self.epoch = Some(key);
         }
     }
 
-    /// Looks up a chromosome's cached evaluation. On a hit returns
-    /// `(fitness, makespan, completion_times)` — exactly the values a
-    /// fresh `Problem::evaluate_into` call produced earlier this epoch.
-    /// Counts a hit or a miss.
-    pub fn lookup(&mut self, c: &Chromosome) -> Option<(f64, f64, Vec<f64>)> {
+    fn clear(&mut self) {
+        self.map.clear();
+        self.arena.clear();
+    }
+
+    /// Looks up a chromosome's cached evaluation. On a hit, copies the
+    /// cached completion times into `completions` (reusing its buffer) and
+    /// returns `(fitness, makespan)` — exactly the values a fresh
+    /// `Problem::evaluate_into` call produced earlier this epoch. On a miss
+    /// `completions` is left untouched. Counts a hit or a miss.
+    pub fn lookup(&mut self, c: &Chromosome, completions: &mut Vec<f64>) -> Option<(f64, f64)> {
         match self.map.get(&c.content_hash()) {
             Some(e) => {
                 self.hits += 1;
-                Some((e.fitness, e.makespan, e.completions.clone()))
+                completions.clear();
+                completions.extend_from_slice(&self.arena[e.start..e.start + e.len]);
+                Some((e.fitness, e.makespan))
             }
             None => {
                 self.misses += 1;
@@ -139,20 +161,33 @@ impl FitnessMemo {
     }
 
     /// Caches one evaluation result. Only the digest is stored, not the
-    /// chromosome, so an insert is O(M) (the completions clone), not O(H).
+    /// chromosome, so an insert is O(M) (the completions copy into the
+    /// arena), not O(H). A genome already cached this epoch is left as it
+    /// is: evaluation is pure, so the cached value already equals this one.
     pub fn insert(&mut self, c: &Chromosome, fitness: f64, makespan: f64, completions: &[f64]) {
-        if self.capacity == 0 {
+        let key = c.content_hash();
+        if self.capacity == 0 || self.map.contains_key(&key) {
             return;
         }
-        if self.map.len() >= self.capacity && !self.map.contains_key(&c.content_hash()) {
-            self.map.clear();
+        if self.map.len() >= self.capacity {
+            self.clear();
         }
+        let start = self.arena.len();
+        if start == 0 {
+            // Size the arena for a full table at once. Grown by doubling, it
+            // left each outgrown buffer behind as a heap fragment, which
+            // raised peak RSS with two evaluation threads by half.
+            let entries = self.capacity.min(DEFAULT_MEMO_CAPACITY);
+            self.arena.reserve_exact(entries * completions.len());
+        }
+        self.arena.extend_from_slice(completions);
         self.map.insert(
-            c.content_hash(),
+            key,
             MemoEntry {
                 fitness,
                 makespan,
-                completions: completions.to_vec(),
+                start,
+                len: completions.len(),
             },
         );
     }
@@ -194,9 +229,11 @@ mod tests {
         let mut memo = FitnessMemo::new(16);
         memo.begin_epoch(7);
         let c = chrom(0);
-        assert!(memo.lookup(&c).is_none());
+        let mut comps = vec![9.0];
+        assert!(memo.lookup(&c, &mut comps).is_none());
+        assert_eq!(comps, vec![9.0], "a miss leaves the buffer untouched");
         memo.insert(&c, 0.25, 4.0, &[1.0, 2.0, 4.0]);
-        let (f, ms, comps) = memo.lookup(&c).expect("hit");
+        let (f, ms) = memo.lookup(&c, &mut comps).expect("hit");
         assert_eq!(f.to_bits(), 0.25f64.to_bits());
         assert_eq!(ms.to_bits(), 4.0f64.to_bits());
         assert_eq!(comps, vec![1.0, 2.0, 4.0]);
@@ -212,22 +249,25 @@ mod tests {
         assert_eq!(memo.len(), 1, "re-opening the same epoch must keep values");
         memo.begin_epoch(2);
         assert!(memo.is_empty(), "new epoch must clear the table");
-        assert!(memo.lookup(&chrom(0)).is_none());
+        assert!(memo.lookup(&chrom(0), &mut Vec::new()).is_none());
     }
 
     #[test]
     fn capacity_overflow_clears_everything() {
         let mut memo = FitnessMemo::new(2);
         memo.begin_epoch(0);
-        memo.insert(&chrom(0), 0.1, 1.0, &[]);
-        memo.insert(&chrom(1), 0.2, 2.0, &[]);
+        memo.insert(&chrom(0), 0.1, 1.0, &[1.0, 1.5]);
+        memo.insert(&chrom(1), 0.2, 2.0, &[2.0, 2.5]);
         assert_eq!(memo.len(), 2);
-        memo.insert(&chrom(2), 0.3, 3.0, &[]);
+        memo.insert(&chrom(2), 0.3, 3.0, &[3.0, 3.5]);
         // Deterministic all-or-nothing eviction: old entries gone, the new
-        // one present.
+        // one present — with its own completions, not a stale arena slot.
         assert_eq!(memo.len(), 1);
-        assert!(memo.lookup(&chrom(2)).is_some());
-        assert!(memo.lookup(&chrom(0)).is_none());
+        assert_eq!(memo.arena.len(), 2, "the arena is cleared with the table");
+        let mut comps = Vec::new();
+        assert!(memo.lookup(&chrom(2), &mut comps).is_some());
+        assert_eq!(comps, vec![3.0, 3.5]);
+        assert!(memo.lookup(&chrom(0), &mut Vec::new()).is_none());
     }
 
     #[test]
@@ -235,7 +275,7 @@ mod tests {
         let mut memo = FitnessMemo::new(0);
         memo.begin_epoch(0);
         memo.insert(&chrom(0), 0.1, 1.0, &[]);
-        assert!(memo.lookup(&chrom(0)).is_none());
+        assert!(memo.lookup(&chrom(0), &mut Vec::new()).is_none());
         assert_eq!(memo.misses(), 1);
     }
 
@@ -245,8 +285,8 @@ mod tests {
         memo.begin_epoch(0);
         memo.insert(&chrom(0), 0.1, 1.0, &[]);
         memo.insert(&chrom(1), 0.2, 2.0, &[]);
-        let (f0, _, _) = memo.lookup(&chrom(0)).unwrap();
-        let (f1, _, _) = memo.lookup(&chrom(1)).unwrap();
+        let (f0, _) = memo.lookup(&chrom(0), &mut Vec::new()).unwrap();
+        let (f1, _) = memo.lookup(&chrom(1), &mut Vec::new()).unwrap();
         assert_ne!(f0.to_bits(), f1.to_bits());
     }
 }
