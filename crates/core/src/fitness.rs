@@ -55,6 +55,8 @@
 //!
 //! [`fill_completions`]: BatchProblem::completion_times
 
+use std::cell::RefCell;
+
 use dts_ga::{repair_topological, Chromosome, Gene, Problem, SlotPrecedence};
 use dts_model::{Task, TaskGraph};
 
@@ -124,6 +126,11 @@ pub struct BatchProblem<'a> {
     /// evaluation through the original code path, so precedence support
     /// is structurally invisible to edge-free workloads.
     precedence: Option<&'a SlotPrecedence>,
+}
+
+thread_local! {
+    /// Per-task finish times of [`BatchProblem::fill_completions_dag`].
+    static DAG_FINISH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Stack buffer size for per-processor completion times: clusters up to
@@ -295,32 +302,37 @@ impl<'a> BatchProblem<'a> {
     /// queue-sum lower bounds. The repaired gene string is globally
     /// topological (every predecessor appears earlier), which is what
     /// makes one left-to-right pass sufficient. Per-task finish times live
-    /// in a per-call buffer, keeping the walk `Sync` for the parallel
-    /// evaluator.
+    /// in a per-thread scratch buffer, zeroed on every call: the walk
+    /// allocates nothing once the buffer has grown to the batch size, and
+    /// the problem stays `Sync` for the parallel evaluator, whose workers
+    /// each get their own buffer.
     fn fill_completions_dag(&self, c: &Chromosome, out: &mut [f64], prec: &SlotPrecedence) {
         debug_assert_eq!(out.len(), self.rate.len());
-        let mut finish = vec![0.0f64; self.mflops.len()];
-        let mut q = 0usize;
-        let mut acc = self.delta[0];
-        for &g in c.genes() {
-            match g {
-                Gene::Task(t) => {
-                    let mut start = acc;
-                    for &p in prec.preds_of(t) {
-                        start = start.max(finish[p as usize]);
+        DAG_FINISH.with_borrow_mut(|finish| {
+            finish.clear();
+            finish.resize(self.mflops.len(), 0.0);
+            let mut q = 0usize;
+            let mut acc = self.delta[0];
+            for &g in c.genes() {
+                match g {
+                    Gene::Task(t) => {
+                        let mut start = acc;
+                        for &p in prec.preds_of(t) {
+                            start = start.max(finish[p as usize]);
+                        }
+                        let fin = start + (self.mflops[t as usize] / self.rate[q] + self.comm[q]);
+                        finish[t as usize] = fin;
+                        acc = fin;
                     }
-                    let fin = start + (self.mflops[t as usize] / self.rate[q] + self.comm[q]);
-                    finish[t as usize] = fin;
-                    acc = fin;
-                }
-                Gene::Delim(_) => {
-                    out[q] = acc;
-                    q += 1;
-                    acc = self.delta[q];
+                    Gene::Delim(_) => {
+                        out[q] = acc;
+                        q += 1;
+                        acc = self.delta[q];
+                    }
                 }
             }
-        }
-        out[q] = acc;
+            out[q] = acc;
+        });
     }
 
     /// `Cⱼ` for the queue `q` whose task genes start at `start`:
@@ -659,17 +671,16 @@ pub fn slot_precedence(batch: &[Task], graph: &TaskGraph) -> SlotPrecedence {
     for (k, t) in batch.iter().enumerate() {
         slot_of[t.id.0 as usize] = k as u32;
     }
-    let preds = batch
+    let slot_of = &slot_of;
+    batch
         .iter()
         .map(|t| {
             graph
                 .preds(t.id.0)
                 .iter()
-                .filter_map(|&p| slot_of.get(p as usize).copied().filter(|&s| s != NO_SLOT))
-                .collect()
+                .filter_map(move |&p| slot_of.get(p as usize).copied().filter(|&s| s != NO_SLOT))
         })
-        .collect();
-    SlotPrecedence::new(preds)
+        .collect()
 }
 
 #[cfg(test)]

@@ -861,6 +861,11 @@ impl<'r, P: Problem> GaRun<'r, P> {
         for _ in 0..config.mutations_per_generation {
             let idx = rng.below(pop.len());
             let edit = engine.mutation.mutate_tracked(&mut pop[idx].chrom, rng);
+            // An unchanged individual is still feasible, and repair draws
+            // no RNG, so there is nothing to repair or re-evaluate.
+            if edit == GeneEdit::Unchanged {
+                continue;
+            }
             // A mutation can push the chromosome out of the feasible
             // region; repair pulls it back (no-op for unconstrained
             // problems). A repaired chromosome differs from the tracked
@@ -868,7 +873,6 @@ impl<'r, P: Problem> GaRun<'r, P> {
             let repaired = problem.repair(&mut pop[idx].chrom);
             let already_dirty = dirty.contains(&idx);
             let delta = match edit {
-                GeneEdit::Unchanged if !repaired => continue,
                 GeneEdit::Swap { i, j } if !already_dirty && !repaired => {
                     let ind = &mut pop[idx];
                     problem.evaluate_swap_delta(&ind.chrom, i, j, &mut ind.completions)

@@ -12,12 +12,23 @@
 //! * **Delimiter positions are fixed** — every queue keeps its length, so
 //!   repair never changes the task→processor *counts* an operator chose,
 //!   only the order in which task genes appear.
-//! * The task genes are reordered by a greedy stable pass: walk the
-//!   original gene order left to right, repeatedly emitting the first
-//!   not-yet-emitted task whose (batch-local) predecessors have all been
-//!   emitted. The walk keeps the blocked tasks it passed over in a deferred
-//!   list, so the cost is O(H × |deferred| + pairs): O(H + pairs) when
-//!   already feasible, O(H²) only when most of the string is blocked.
+//! * The task genes are reordered by a greedy stable pass: repeatedly emit
+//!   the earliest not-yet-emitted task whose (batch-local) predecessors
+//!   have all been emitted.
+//! * The pass is a successor-count (Kahn) kernel. Each slot carries a count
+//!   of its unemitted predecessors; emitting a slot decrements its
+//!   successors' counts. A cursor walks the gene string, emitting ready
+//!   slots and *parking* blocked ones at their gene positions. When a
+//!   parked slot's last predecessor is emitted, its position is set in a
+//!   `u64` bitset, and the next slot to emit is the lowest set bit, found by
+//!   scanning forward from a low-water word; only when no bit is set does
+//!   the cursor advance. Cost: O(H + M + pairs) plus the bitset scan, which
+//!   is one word per 64 genes except where a newly ready slot rewinds the
+//!   low-water word. Emissions never outrun the cursor, so the gene string
+//!   is rewritten in place and the content digest moves by the
+//!   substitution delta of the positions that changed — nothing is
+//!   re-hashed. The kernel's buffers are per-thread scratch: repair
+//!   allocates nothing once they have grown to the batch size.
 //! * The result is the *identity* on already-feasible chromosomes and is a
 //!   pure function of the input — no RNG, so repairing preserves the
 //!   engine's bit-determinism contract verbatim.
@@ -31,7 +42,9 @@
 //! a feasible schedule, and per-processor completion times can be computed
 //! in one left-to-right pass.
 
-use crate::encoding::{Chromosome, Gene};
+use std::cell::RefCell;
+
+use crate::encoding::{substitution_delta, Chromosome, Gene};
 
 /// Batch-local precedence constraints over the `H` task slots of a
 /// chromosome: `preds_of(s)` lists the slots that must complete before
@@ -41,12 +54,22 @@ use crate::encoding::{Chromosome, Gene};
 /// the scheduler that owns the batch maps global task ids down to slot
 /// indices (predecessors outside the batch are already complete by
 /// construction and simply don't appear).
+///
+/// Predecessors and successors are stored as flat CSR arrays: slot `s`'s
+/// predecessors are `preds[pred_start[s]..pred_start[s + 1]]`, and likewise
+/// for successors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlotPrecedence {
-    /// Predecessor slots of each slot, ascending.
-    preds: Vec<Vec<u32>>,
-    /// Total number of precedence pairs.
-    pairs: usize,
+    /// Offsets of each slot's predecessor run in `preds` (length `H + 1`).
+    pred_start: Vec<usize>,
+    /// Predecessor slots, slot by slot, each run ascending.
+    preds: Vec<u32>,
+    /// Offsets of each slot's successor run in `succs` (length `H + 1`).
+    succ_start: Vec<usize>,
+    /// Successor slots, slot by slot, each run ascending.
+    succs: Vec<u32>,
+    /// Number of predecessors of each slot.
+    in_degree: Vec<u32>,
     /// Content digest, folded into the problem's fitness-memo epoch key.
     digest: u64,
 }
@@ -63,69 +86,68 @@ fn mix(mut x: u64) -> u64 {
 impl SlotPrecedence {
     /// Builds the table from per-slot predecessor lists (`preds[s]` =
     /// slots that must finish before slot `s`). Lists are sorted and
-    /// deduplicated.
+    /// deduplicated. Collecting per-slot iterators into a table
+    /// ([`FromIterator`]) does the same without the list allocations.
     ///
     /// # Panics
     ///
     /// Panics if a predecessor index is out of range, a slot depends on
     /// itself, or the constraints contain a cycle — a precedence table
     /// must come from a validated DAG.
-    pub fn new(mut preds: Vec<Vec<u32>>) -> Self {
-        let h = preds.len();
-        for (s, list) in preds.iter_mut().enumerate() {
-            list.sort_unstable();
-            list.dedup();
-            for &p in list.iter() {
-                assert!(
-                    (p as usize) < h,
-                    "slot {s} has out-of-range predecessor {p} (H = {h})"
-                );
-                assert!(p as usize != s, "slot {s} cannot depend on itself");
+    pub fn new(preds: Vec<Vec<u32>>) -> Self {
+        preds.into_iter().collect()
+    }
+
+    /// Kahn's algorithm, counting only: the constraints are acyclic iff
+    /// every slot is emitted.
+    fn is_acyclic(&self) -> bool {
+        if self.preds.is_empty() {
+            return true;
+        }
+        let mut remaining = self.in_degree.clone();
+        let mut ready: Vec<u32> = (0..self.n_slots() as u32)
+            .filter(|&s| remaining[s as usize] == 0)
+            .collect();
+        let mut emitted = 0;
+        while let Some(slot) = ready.pop() {
+            emitted += 1;
+            for &t in self.succs_of(slot) {
+                remaining[t as usize] -= 1;
+                if remaining[t as usize] == 0 {
+                    ready.push(t);
+                }
             }
         }
-        let pairs = preds.iter().map(Vec::len).sum();
-        let mut digest = mix(0x534C_4F54_5052_4543 ^ h as u64);
-        for (s, list) in preds.iter().enumerate() {
-            for &p in list {
-                digest = mix(digest ^ ((s as u64) << 32 | p as u64));
-            }
-        }
-        let table = Self {
-            preds,
-            pairs,
-            digest,
-        };
-        // Cycle check: the greedy emission must be able to emit all slots.
-        if table.pairs > 0 {
-            let order: Vec<u32> = (0..h as u32).collect();
-            let mut sorted = order;
-            assert!(
-                topological_reorder(&mut sorted, &table),
-                "precedence table contains a cycle"
-            );
-        }
-        table
+        emitted == self.n_slots()
     }
 
     /// The empty table over `h` slots (no constraints): repair is a no-op.
     pub fn unconstrained(h: usize) -> Self {
-        Self::new(vec![Vec::new(); h])
+        (0..h).map(|_| []).collect()
     }
 
     /// Number of slots the table spans.
     pub fn n_slots(&self) -> usize {
-        self.preds.len()
+        self.in_degree.len()
     }
 
     /// True when no slot has a predecessor — repair is the identity.
     pub fn is_unconstrained(&self) -> bool {
-        self.pairs == 0
+        self.preds.is_empty()
     }
 
     /// The predecessor slots of `slot`, ascending.
     #[inline]
     pub fn preds_of(&self, slot: u32) -> &[u32] {
-        &self.preds[slot as usize]
+        let s = slot as usize;
+        &self.preds[self.pred_start[s]..self.pred_start[s + 1]]
+    }
+
+    /// The slots that list `slot` as a predecessor, ascending.
+    #[inline]
+    fn succs_of(&self, slot: u32) -> &[u32] {
+        let s = slot as usize;
+        &self.succs[self.succ_start[s]..self.succ_start[s + 1]]
     }
 
     /// A digest of the constraint set, for fitness-memo epoch keys.
@@ -134,46 +156,190 @@ impl SlotPrecedence {
     }
 }
 
-/// Reorders `order` in place into the greedy stable topological order:
-/// repeatedly emit the earliest remaining slot whose predecessors are all
-/// emitted. Returns `false` (leaving a partial prefix) only on a cycle.
-///
-/// The remaining slots are the ones the cursor has not reached plus the
-/// `deferred` ones it passed over while they were blocked, and every
-/// deferred slot sits earlier in `order` than the cursor. So the earliest
-/// ready slot is the first ready entry of `deferred` (kept in position
-/// order) or, when none is ready, the first ready slot at or after the
-/// cursor — every blocked slot met on the way joins `deferred`. Emissions
-/// never outrun the cursor, so `order` is rewritten in place.
-fn topological_reorder(order: &mut [u32], prec: &SlotPrecedence) -> bool {
-    let mut emitted = vec![false; prec.n_slots()];
-    let mut deferred: Vec<u32> = Vec::new();
-    let mut cursor = 0usize;
-    for write in 0..order.len() {
-        let ready = |slot: u32| prec.preds_of(slot).iter().all(|&p| emitted[p as usize]);
-        let slot = if let Some(k) = deferred.iter().position(|&slot| ready(slot)) {
-            deferred.remove(k)
-        } else {
-            loop {
-                let Some(&slot) = order.get(cursor) else {
-                    return false;
-                };
-                cursor += 1;
-                if ready(slot) {
-                    break slot;
-                }
-                deferred.push(slot);
+/// Collects one predecessor iterator per slot (item `s` yields the slots
+/// that must finish before slot `s`) straight into the flat tables; see
+/// [`SlotPrecedence::new`] for the rules and panics.
+impl<P: IntoIterator<Item = u32>> FromIterator<P> for SlotPrecedence {
+    fn from_iter<I: IntoIterator<Item = P>>(lists: I) -> Self {
+        let mut pred_start = vec![0];
+        let mut preds: Vec<u32> = Vec::new();
+        let mut in_degree = Vec::new();
+        let mut run: Vec<u32> = Vec::new();
+        for list in lists {
+            run.clear();
+            run.extend(list);
+            run.sort_unstable();
+            run.dedup();
+            preds.extend_from_slice(&run);
+            in_degree.push(run.len() as u32);
+            pred_start.push(preds.len());
+        }
+
+        let h = in_degree.len();
+        let mut digest = mix(0x534C_4F54_5052_4543 ^ h as u64);
+        // Out-degree of slot `p` is counted at `succ_start[p + 1]`.
+        let mut succ_start = vec![0usize; h + 1];
+        for s in 0..h {
+            for &p in &preds[pred_start[s]..pred_start[s + 1]] {
+                assert!(
+                    (p as usize) < h,
+                    "slot {s} has out-of-range predecessor {p} (H = {h})"
+                );
+                assert!(p as usize != s, "slot {s} cannot depend on itself");
+                digest = mix(digest ^ ((s as u64) << 32 | p as u64));
+                succ_start[p as usize + 1] += 1;
             }
+        }
+        for p in 0..h {
+            succ_start[p + 1] += succ_start[p];
+        }
+        // Fill each successor run using its start offset as the write
+        // cursor; afterwards `succ_start[p]` holds the end of run `p`, so
+        // shifting by one restores the offsets.
+        let mut succs = vec![0u32; preds.len()];
+        for s in 0..h {
+            for &p in &preds[pred_start[s]..pred_start[s + 1]] {
+                succs[succ_start[p as usize]] = s as u32;
+                succ_start[p as usize] += 1;
+            }
+        }
+        succ_start.copy_within(0..h, 1);
+        succ_start[0] = 0;
+        let table = Self {
+            pred_start,
+            preds,
+            succ_start,
+            succs,
+            in_degree,
+            digest,
         };
-        order[write] = slot;
-        emitted[slot as usize] = true;
+        assert!(table.is_acyclic(), "precedence table contains a cycle");
+        table
     }
-    true
 }
 
-/// The task slots of `c` in gene order, delimiters skipped.
-fn task_slots(c: &Chromosome) -> impl Iterator<Item = u32> + '_ {
-    c.assignments().map(|(_, slot)| slot)
+/// Set in a slot's [`RepairScratch::remaining`] count, above any real
+/// count, once the cursor has parked it: the count then reads exactly
+/// `PARKED` when the parked slot becomes ready.
+const PARKED: u32 = 1 << 31;
+
+/// The buffers of one [`topological_reorder`] call. They live per thread,
+/// like cycle crossover's tables, so repairing a generation's children
+/// allocates nothing. Every call resets what it reads.
+struct RepairScratch {
+    /// Unemitted predecessors of each slot, `| PARKED` once parked.
+    remaining: Vec<u32>,
+    /// Gene position of each parked slot; read only for parked slots.
+    parked_at: Vec<u32>,
+    /// Slot parked at each gene position; read only where `ready` is set.
+    parked: Vec<u32>,
+    /// Bit `k` set: the slot parked at gene position `k` is ready.
+    ready: Vec<u64>,
+}
+
+thread_local! {
+    static REPAIR_SCRATCH: RefCell<RepairScratch> = const {
+        RefCell::new(RepairScratch {
+            remaining: Vec::new(),
+            parked_at: Vec::new(),
+            parked: Vec::new(),
+            ready: Vec::new(),
+        })
+    };
+}
+
+/// Rewrites the task genes of `genes` in place into the greedy stable
+/// topological order: repeatedly emit the earliest remaining slot whose
+/// predecessors are all emitted. Delimiters stay where they are. Returns
+/// the content-digest delta of the rewrite, or `None` when every gene is
+/// already in place.
+///
+/// The remaining slots are the ones at or after the cursor plus the parked
+/// ones before it, so the earliest ready slot is the lowest ready parked
+/// position or, when none is ready, the first ready slot at or after the
+/// cursor — every blocked slot met on the way is parked. Emissions never
+/// outrun the cursor, so the genes the cursor reads are still the input's.
+///
+/// # Panics
+///
+/// Panics if the cursor runs off the end with slots left, which only a
+/// cyclic table can cause; [`SlotPrecedence::new`] rejects those.
+fn topological_reorder(
+    genes: &mut [Gene],
+    prec: &SlotPrecedence,
+    scratch: &mut RepairScratch,
+) -> Option<[u64; 2]> {
+    let RepairScratch {
+        remaining,
+        parked_at,
+        parked,
+        ready,
+    } = scratch;
+    remaining.clear();
+    remaining.extend_from_slice(&prec.in_degree);
+    parked_at.resize(prec.n_slots(), 0);
+    parked.resize(genes.len(), 0);
+    ready.clear();
+    ready.resize(genes.len().div_ceil(64), 0);
+
+    let mut delta = [0u64; 2];
+    let mut changed = false;
+    let mut cursor = 0usize;
+    let mut write = 0usize;
+    // Every word below `low` is zero; set bits all sit before `cursor`.
+    let mut low = 0usize;
+    for _ in 0..prec.n_slots() {
+        let mut next = None;
+        while low * 64 < cursor {
+            let word = ready[low];
+            if word != 0 {
+                ready[low] = word & (word - 1);
+                next = Some(parked[low * 64 + word.trailing_zeros() as usize]);
+                break;
+            }
+            low += 1;
+        }
+        let slot = match next {
+            Some(slot) => slot,
+            None => loop {
+                let Some(&gene) = genes.get(cursor) else {
+                    panic!("validated precedence table cannot cycle");
+                };
+                cursor += 1;
+                if let Gene::Task(t) = gene {
+                    if remaining[t as usize] == 0 {
+                        break t;
+                    }
+                    remaining[t as usize] |= PARKED;
+                    parked_at[t as usize] = (cursor - 1) as u32;
+                    parked[cursor - 1] = t;
+                }
+            },
+        };
+
+        while !genes[write].is_task() {
+            write += 1;
+        }
+        let new = Gene::Task(slot);
+        if genes[write] != new {
+            let d = substitution_delta(write, genes[write], new);
+            delta = [delta[0] ^ d[0], delta[1] ^ d[1]];
+            genes[write] = new;
+            changed = true;
+        }
+        write += 1;
+
+        for &t in prec.succs_of(slot) {
+            let left = remaining[t as usize] - 1;
+            remaining[t as usize] = left;
+            if left == PARKED {
+                let k = parked_at[t as usize] as usize;
+                ready[k / 64] |= 1 << (k % 64);
+                low = low.min(k / 64);
+            }
+        }
+    }
+    changed.then_some(delta)
 }
 
 /// Repairs `c` into a topologically valid gene order under `prec`:
@@ -207,21 +373,15 @@ pub fn repair_topological(c: &mut Chromosome, prec: &SlotPrecedence) -> bool {
     if prec.is_unconstrained() {
         return false;
     }
-    let mut order: Vec<u32> = task_slots(c).collect();
-    let ok = topological_reorder(&mut order, prec);
-    assert!(ok, "validated precedence table cannot cycle");
-    if task_slots(c).eq(order.iter().copied()) {
-        return false;
-    }
-    c.with_genes_mut(|genes| {
-        let mut next = order.iter();
-        for g in genes.iter_mut() {
-            if let Gene::Task(t) = g {
-                *t = *next.next().expect("one reordered task per task gene");
-            }
-        }
+    let mut changed = false;
+    REPAIR_SCRATCH.with_borrow_mut(|scratch| {
+        c.rewrite_genes(|genes| {
+            let delta = topological_reorder(genes, prec, scratch);
+            changed = delta.is_some();
+            delta.unwrap_or([0, 0])
+        });
     });
-    true
+    changed
 }
 
 #[cfg(test)]
@@ -314,7 +474,7 @@ mod tests {
     }
 
     /// The rescan-from-the-blocked-prefix reorder this module shipped
-    /// before the cursor + deferred-list form; the oracle for it.
+    /// before the cursor-based forms; the oracle for the kernel.
     fn topological_reorder_reference(order: &mut [u32], prec: &SlotPrecedence) -> bool {
         let h = prec.n_slots();
         let mut emitted = vec![false; h];
@@ -350,39 +510,71 @@ mod tests {
         true
     }
 
-    /// A random layered DAG over `h` slots: slot `s` is in layer
-    /// `s / width` and takes each slot of the previous layer as a
-    /// predecessor with probability `edge_pct`%.
-    fn layered(h: usize, width: usize, edge_pct: usize, rng: &mut Prng) -> SlotPrecedence {
-        let preds = (0..h)
+    /// The task slots of `c` in gene order, delimiters skipped.
+    fn task_slots(c: &Chromosome) -> Vec<u32> {
+        c.assignments().map(|(_, slot)| slot).collect()
+    }
+
+    /// Predecessor lists of a random layered DAG over `h` slots: slot `s`
+    /// is in layer `s / width` and takes each slot of the previous layer as
+    /// a predecessor with probability `edge_pct`%. Each list comes out
+    /// descending with its first entry repeated, so building a table from
+    /// it exercises the sort and the dedup.
+    fn layered(h: usize, width: usize, edge_pct: usize, rng: &mut Prng) -> Vec<Vec<u32>> {
+        (0..h)
             .map(|s| {
                 let layer = s / width;
                 let prev = layer.saturating_sub(1) * width..layer * width;
-                prev.filter(|_| rng.below(100) < edge_pct)
+                let mut list: Vec<u32> = prev
+                    .filter(|_| rng.below(100) < edge_pct)
                     .map(|p| p as u32)
-                    .collect()
+                    .rev()
+                    .collect();
+                if let Some(&p) = list.first() {
+                    list.push(p);
+                }
+                list
             })
-            .collect();
-        SlotPrecedence::new(preds)
+            .collect()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Cursor + deferred list against the reference over random layered
-        /// DAGs × random permutations, through both the slot-order kernel
-        /// and `repair_topological`; the output is feasible, and feasible
-        /// input comes back untouched.
+        /// The successor-count kernel against the reference over random
+        /// DAGs × random permutations × random queue splits. `shape` picks
+        /// a random layered DAG, a chain, one wide layer feeding the next,
+        /// or a dense layered DAG (every edge between adjacent layers);
+        /// `h` runs past 64 so the ready bitset spans several words and
+        /// the low-water word rewinds. The repaired genes, the `changed`
+        /// flag and the incrementally kept digest all match, queue lengths
+        /// survive, the output is feasible, feasible input comes back
+        /// untouched, and `preds_of` is the sorted, deduplicated input.
         #[test]
         fn reorder_matches_reference(
-            h in 1usize..60,
-            width in 1usize..8,
+            h in 1usize..300,
+            shape in 0usize..4,
+            width in 1usize..40,
             edge_pct in 0usize..101,
             m in 1usize..6,
             seed in 0u64..u64::MAX,
         ) {
             let mut rng = Prng::seed_from(seed);
-            let prec = layered(h, width, edge_pct, &mut rng);
+            let (width, edge_pct) = match shape {
+                0 => (width, edge_pct),
+                1 => (1, 100),
+                2 => (h.div_ceil(2), edge_pct),
+                _ => (width, 100),
+            };
+            let lists = layered(h, width, edge_pct, &mut rng);
+            let prec = SlotPrecedence::new(lists.clone());
+            for (s, list) in lists.iter().enumerate() {
+                let mut want = list.clone();
+                want.sort_unstable();
+                want.dedup();
+                prop_assert_eq!(prec.preds_of(s as u32), &want[..]);
+            }
+
             let mut order: Vec<u32> = (0..h as u32).collect();
             for i in (1..h).rev() {
                 order.swap(i, rng.below(i + 1));
@@ -392,17 +584,13 @@ mod tests {
                 queues[rng.below(m)].push(slot);
             }
             let mut c = Chromosome::from_queues(&queues);
-            let mut order: Vec<u32> = task_slots(&c).collect();
-
-            let mut want = order.clone();
+            let before = task_slots(&c);
+            let mut want = before.clone();
             prop_assert!(topological_reorder_reference(&mut want, &prec));
-            let before = order.clone();
-            prop_assert!(topological_reorder(&mut order, &prec));
-            prop_assert_eq!(&order, &want);
 
             let lengths = c.queue_lengths();
             prop_assert_eq!(repair_topological(&mut c, &prec), want != before);
-            let repaired: Vec<u32> = task_slots(&c).collect();
+            let repaired = task_slots(&c);
             prop_assert_eq!(&repaired, &want);
             prop_assert_eq!(c.queue_lengths(), lengths);
             prop_assert_eq!(
