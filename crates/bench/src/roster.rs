@@ -3,9 +3,7 @@
 use dts_core::{PnConfig, PnScheduler};
 use dts_ga::Evaluator;
 use dts_model::Scheduler;
-use dts_schedulers::{
-    EarliestFinish, LightestLoaded, MaxMin, MinMin, RoundRobin, ZoConfig, Zomaya,
-};
+use dts_schedulers::{EarliestFinish, LightestLoaded, MaxMin, MinMin, RoundRobin};
 
 /// The seven schedulers of §4, identified as in the paper's figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,14 +87,13 @@ impl SchedulerKind {
             SchedulerKind::Mm => Box::new(MinMin::with_batch_size(n_procs, opts.batch_size)),
             SchedulerKind::Mx => Box::new(MaxMin::with_batch_size(n_procs, opts.batch_size)),
             SchedulerKind::Zo => {
-                let mut cfg = ZoConfig {
-                    batch_size: opts.batch_size,
-                    ..ZoConfig::default()
-                };
+                let mut cfg = PnConfig::zo_preset();
+                cfg.initial_batch = opts.batch_size;
+                cfg.max_batch = opts.batch_size;
                 cfg.ga.max_generations = opts.max_generations;
                 cfg.ga.evaluator = opts.evaluator;
                 cfg.seed = seed;
-                Box::new(Zomaya::new(n_procs, cfg))
+                Box::new(PnScheduler::new(n_procs, cfg))
             }
             SchedulerKind::Pn => {
                 let mut cfg = opts.pn.clone();

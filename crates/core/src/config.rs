@@ -2,6 +2,7 @@
 
 use dts_ga::{Evaluator, GaConfig, IslandConfig};
 
+use crate::fitness::Fitness;
 use crate::time_model::GaTimeModel;
 
 /// How the GA's initial population is seeded on each `plan` invocation.
@@ -80,6 +81,10 @@ pub struct PnConfig {
     /// multiplier preserves the rule's *shape* (monotone in the smoothed
     /// idle horizon) while letting experiments hit the paper's H ≈ 200
     /// regime. Documented in ARCHITECTURE.md, "Deviations from the paper".
+    ///
+    /// `f64::INFINITY` fixes the batch: `⌊∞ · √(Γ + 1)⌋` saturates to
+    /// `usize::MAX`, which the sizer clamps to `max_batch`, so every batch
+    /// after the first is `max_batch` (set `initial_batch` to match).
     pub batch_scale: f64,
     /// Hard upper bound on a batch.
     pub max_batch: usize,
@@ -92,6 +97,10 @@ pub struct PnConfig {
     /// Use smoothed communication estimates in the fitness (the paper's
     /// key differentiator). Disabling gives the `no-comm` ablation.
     pub use_comm_estimates: bool,
+    /// The objective the GA maximises: PN's relative error (the default)
+    /// or ZO's makespan ratio ([`PnConfig::zo_preset`]). It also names the
+    /// scheduler: `PnScheduler::name` is [`Fitness::label`].
+    pub fitness: Fitness,
     /// How each `plan` invocation seeds its GA population: fresh §3.3
     /// list-scheduling (the paper), or warm-started from the previous
     /// batch's elites.
@@ -120,6 +129,7 @@ impl Default for PnConfig {
             min_generations: 10,
             time_model: GaTimeModel::default(),
             use_comm_estimates: true,
+            fitness: Fitness::RelativeError,
             seed_strategy: SeedStrategy::Fresh,
             islands: IslandConfig::default(),
             seed: 0x9A6E_2005,
@@ -128,6 +138,47 @@ impl Default for PnConfig {
 }
 
 impl PnConfig {
+    /// ZO — Zomaya & Teh's dynamic GA load-balancer (TPDS 2001), the §4.1
+    /// baseline the paper calls "the basis for our scheduler" — as a
+    /// preset of the one planning pipeline. PN is ZO plus the paper's
+    /// contributions, so ZO is PN with each of them switched off:
+    ///
+    /// | Aspect             | ZO (this preset)                        | PN (default)                 |
+    /// |--------------------|-----------------------------------------|------------------------------|
+    /// | fitness            | makespan only (`MakespanRatio`)         | relative error incl. Γc      |
+    /// | communication      | ignored (`use_comm_estimates: false`)   | predicted via smoothing      |
+    /// | batch size         | fixed 200 (`batch_scale: ∞`)            | dynamic (§3.7)               |
+    /// | initial population | random (`init_random_fraction: (1, 1)`) | list-scheduling (§3.3)       |
+    /// | local improvement  | none (`rebalances_per_generation: 0`)   | rebalancing (§3.5)           |
+    ///
+    /// Everything else — the GA (micro-population of 20, up to 1000
+    /// generations, roulette / cycle crossover / swap), the idle-horizon
+    /// budget with its `min_generations` floor, fresh seeding — is shared.
+    /// ZO was made heterogeneous as the paper did it, by sizing tasks in
+    /// MFLOPs rather than time. It keeps its own seed.
+    ///
+    /// ```
+    /// use dts_core::{Fitness, PnConfig};
+    ///
+    /// let zo = PnConfig::zo_preset();
+    /// assert_eq!(zo.fitness, Fitness::MakespanRatio);
+    /// assert_eq!((zo.initial_batch, zo.max_batch), (200, 200));
+    /// assert!(zo.validate().is_ok());
+    /// ```
+    pub fn zo_preset() -> Self {
+        Self {
+            rebalances_per_generation: 0,
+            init_random_fraction: (1.0, 1.0),
+            initial_batch: 200,
+            batch_scale: f64::INFINITY,
+            max_batch: 200,
+            use_comm_estimates: false,
+            fitness: Fitness::MakespanRatio,
+            seed: 0x20_2001,
+            ..Self::default()
+        }
+    }
+
     /// Runs fitness evaluation on `workers` threads (1 = serial, 0 = all
     /// available cores). Purely a wall-clock knob: results are
     /// bit-identical at any worker count (`tests/determinism.rs`).

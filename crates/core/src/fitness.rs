@@ -26,6 +26,16 @@
 //! schedule outranks an `E = 0.9` one. The engine additionally tie-breaks
 //! elites by makespan.
 //!
+//! # ZO's objective
+//!
+//! [`Fitness::MakespanRatio`] swaps the relative error for the
+//! makespan-only fitness of the ZO baseline (§4.1):
+//! `F = min(1, (Σt/ΣP + max δⱼ) / makespan)`. The numerator is *not* a
+//! lower bound on the makespan (ARCHITECTURE.md, "Deviations from the
+//! paper"), so makespans just above the optimum can tie at 1.0. Both
+//! objectives score the same completion-time vector; only the final
+//! formula differs.
+//!
 //! # Incremental evaluation
 //!
 //! [`BatchProblem`] keeps flat per-task and per-processor arrays (task
@@ -93,6 +103,29 @@ impl ProcessorState {
     }
 }
 
+/// What the GA maximises — the one objective that tells PN and ZO apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Fitness {
+    /// PN's §3.2 relative error: `F = 1/(1 + E)`, which rewards every
+    /// processor finishing at ψ (comm costs included when enabled).
+    #[default]
+    RelativeError,
+    /// ZO's makespan-only fitness: `F = min(1, (Σt/ΣP + max δⱼ) /
+    /// makespan)`, which rewards only load balance.
+    MakespanRatio,
+}
+
+impl Fitness {
+    /// The label of the scheduler this objective defines (`"PN"` /
+    /// `"ZO"`), as it appears in figures and `SimReport.scheduler`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Fitness::RelativeError => "PN",
+            Fitness::MakespanRatio => "ZO",
+        }
+    }
+}
+
 /// The §3.2 optimisation problem for one batch: implements
 /// [`dts_ga::Problem`] so the generic engine can evolve it, and carries the
 /// §3.5 rebalancing heuristic as its `improve` hook.
@@ -104,6 +137,11 @@ pub struct BatchProblem<'a> {
     procs: &'a [ProcessorState],
     /// ψ: the theoretical optimal processing time for this batch.
     psi: f64,
+    /// The objective scored from the completion times.
+    fitness: Fitness,
+    /// ZO's normaliser `Σt/ΣP + max δⱼ`, read by
+    /// [`Fitness::MakespanRatio`] only.
+    makespan_norm: f64,
     /// Whether Γc enters the fitness (PN: yes; the `no-comm` ablation: no).
     use_comm: bool,
     /// Rebalance attempts per improve() call (R in Fig. 3/4; 0 disables).
@@ -189,10 +227,13 @@ impl<'a> BatchProblem<'a> {
             vec![0.0; procs.len()]
         };
         let delta: Vec<f64> = procs.iter().map(ProcessorState::delta).collect();
+        let max_delta = delta.iter().copied().fold(0.0, f64::max);
         Self {
             batch,
             procs,
             psi,
+            fitness: config.fitness,
+            makespan_norm: total_mflops / total_rate + max_delta,
             use_comm: config.use_comm_estimates,
             rebalances: config.rebalances_per_generation,
             rebalance_probes: config.rebalance_probes,
@@ -417,7 +458,7 @@ impl<'a> BatchProblem<'a> {
             sum_sq += d * d;
             max = max.max(cj);
         }
-        (Self::fitness_of_error(sum_sq.sqrt()), max)
+        (self.fitness_of(sum_sq, max), max)
     }
 
     /// Fitness of the schedule whose completion times equal `completions`
@@ -431,6 +472,7 @@ impl<'a> BatchProblem<'a> {
         b: (usize, f64),
     ) -> f64 {
         let mut sum_sq = 0.0f64;
+        let mut max = 0.0f64;
         for (j, &cj) in completions.iter().enumerate() {
             let v = if j == a.0 {
                 a.1
@@ -441,8 +483,9 @@ impl<'a> BatchProblem<'a> {
             };
             let d = self.psi - v;
             sum_sq += d * d;
+            max = max.max(v);
         }
-        Self::fitness_of_error(sum_sq.sqrt())
+        self.fitness_of(sum_sq, max)
     }
 
     /// Computes the completion times into a stack buffer (clusters of up
@@ -471,6 +514,19 @@ impl<'a> BatchProblem<'a> {
         1.0 / (1.0 + e)
     }
 
+    /// The configured objective from one scoring loop's two sums: the
+    /// squared error `Σ(ψ − Cⱼ)²` and the makespan `max Cⱼ`. One branch
+    /// per evaluation, after the loop, so the loop's arithmetic — and
+    /// every `RelativeError` fitness bit — does not depend on the
+    /// objective.
+    #[inline]
+    fn fitness_of(&self, sum_sq: f64, makespan: f64) -> f64 {
+        match self.fitness {
+            Fitness::RelativeError => Self::fitness_of_error(sum_sq.sqrt()),
+            Fitness::MakespanRatio => (self.makespan_norm / makespan).min(1.0),
+        }
+    }
+
     /// The relative error `E` of a schedule (§3.2). Zero means every
     /// processor finishes exactly at ψ.
     pub fn relative_error(&self, c: &Chromosome) -> f64 {
@@ -488,9 +544,10 @@ impl<'a> BatchProblem<'a> {
 }
 
 impl Problem for BatchProblem<'_> {
-    /// `F = 1/(1 + E)`; `E = 0` maps to the perfect score 1.
+    /// The configured [`Fitness`]: `F = 1/(1 + E)` (`E = 0` maps to the
+    /// perfect score 1), or ZO's makespan ratio.
     fn fitness(&self, c: &Chromosome) -> f64 {
-        Self::fitness_of_error(self.relative_error(c))
+        self.evaluate(c).0
     }
 
     /// Estimated makespan: the largest per-processor completion time.
@@ -573,8 +630,8 @@ impl Problem for BatchProblem<'_> {
     }
 
     /// Digest of everything evaluation depends on besides the chromosome:
-    /// ψ, the comm flag, every task size, and every processor's
-    /// rate/δ/comm estimate. Equal keys ⇒ identical evaluation context,
+    /// ψ, the comm flag, every task size, every processor's rate/δ/comm
+    /// estimate, and the objective. Equal keys ⇒ identical evaluation context,
     /// which is the fitness memo's invalidation rule.
     fn epoch_key(&self) -> u64 {
         fn mix(h: u64, v: u64) -> u64 {
@@ -600,6 +657,10 @@ impl Problem for BatchProblem<'_> {
         // folds nothing — bit-identical to the pre-DAG key.
         if let Some(prec) = self.precedence {
             h = mix(h, prec.digest());
+        }
+        // So is the objective; the default folds nothing, keeping PN's key.
+        if self.fitness == Fitness::MakespanRatio {
+            h = mix(h, self.makespan_norm.to_bits());
         }
         h
     }
@@ -796,6 +857,16 @@ mod tests {
         assert!(p.fitness(&cheap) > p.fitness(&expensive));
     }
 
+    /// Both objectives, for the equivalence tests below.
+    const OBJECTIVES: [Fitness; 2] = [Fitness::RelativeError, Fitness::MakespanRatio];
+
+    fn config_with(fitness: Fitness) -> PnConfig {
+        PnConfig {
+            fitness,
+            ..config()
+        }
+    }
+
     #[test]
     fn combined_evaluate_matches_separate_calls() {
         let batch: Vec<Task> = (0..30).map(|i| task(i, 50.0 + 37.0 * i as f64)).collect();
@@ -804,15 +875,53 @@ mod tests {
             proc(200.0, 0.0, 0.25),
             proc(55.0, 10.0, 1.5),
         ];
-        let p = BatchProblem::new(&batch, &procs, &config());
-        let c = Chromosome::from_queues(&[
-            (0..10).collect::<Vec<_>>(),
-            (10..25).collect(),
-            (25..30).collect(),
-        ]);
-        let (f, ms) = p.evaluate(&c);
-        assert_eq!(f.to_bits(), p.fitness(&c).to_bits());
-        assert_eq!(ms.to_bits(), p.makespan(&c).to_bits());
+        for fitness in OBJECTIVES {
+            let p = BatchProblem::new(&batch, &procs, &config_with(fitness));
+            let c = Chromosome::from_queues(&[
+                (0..10).collect::<Vec<_>>(),
+                (10..25).collect(),
+                (25..30).collect(),
+            ]);
+            let (f, ms) = p.evaluate(&c);
+            assert_eq!(f.to_bits(), p.fitness(&c).to_bits(), "{fitness:?}");
+            assert_eq!(ms.to_bits(), p.makespan(&c).to_bits(), "{fitness:?}");
+        }
+    }
+
+    #[test]
+    fn zo_problem_makespan_by_hand() {
+        let batch = [task(0, 100.0), task(1, 200.0)];
+        let procs = [proc(100.0, 0.0, 0.5), proc(50.0, 50.0, 0.5)];
+        let p = BatchProblem::new(&batch, &procs, &PnConfig::zo_preset());
+        // Everything on processor 1: 50/50 + 300/50 = 7 (comm is off).
+        let c = Chromosome::from_queues(&[vec![], vec![0, 1]]);
+        assert!((p.makespan(&c) - 7.0).abs() < 1e-12);
+        // Split: max(100/100, 50/50 + 200/50) = 5.
+        let c2 = Chromosome::from_queues(&[vec![0], vec![1]]);
+        assert!((p.makespan(&c2) - 5.0).abs() < 1e-12);
+        assert!(p.fitness(&c2) > p.fitness(&c));
+        // Normaliser 300/150 + 1 = 3: F = 3/5 and 3/7.
+        assert!((p.fitness(&c2) - 0.6).abs() < 1e-12);
+        assert!((p.fitness(&c) - 3.0 / 7.0).abs() < 1e-12);
+    }
+
+    /// ZO's normaliser `Σt/ΣP + max δⱼ` is not a lower bound (a recorded
+    /// deviation): two rate-1 processors with loads [100, 0] and Σt = 10
+    /// give 5 + 100 = 105, but the optimum makespan is 100, so every
+    /// makespan in [100, 105] ties at fitness 1.0.
+    #[test]
+    fn zo_normaliser_is_not_a_lower_bound() {
+        let batch = [task(0, 5.0), task(1, 5.0)];
+        let procs = [proc(1.0, 100.0, 0.0), proc(1.0, 0.0, 0.0)];
+        let p = BatchProblem::new(&batch, &procs, &PnConfig::zo_preset());
+        let optimal = Chromosome::from_queues(&[vec![], vec![0, 1]]);
+        let worse = Chromosome::from_queues(&[vec![0], vec![1]]);
+        assert_eq!(p.makespan(&optimal), 100.0);
+        assert_eq!(p.makespan(&worse), 105.0);
+        assert_eq!(p.fitness(&optimal), 1.0);
+        assert_eq!(p.fitness(&worse), 1.0, "105 s ties with the 100 s optimum");
+        let worst = Chromosome::from_queues(&[vec![0, 1], vec![]]);
+        assert!(p.fitness(&worst) < 1.0, "past the normaliser F drops");
     }
 
     #[test]
@@ -881,6 +990,12 @@ mod tests {
 
     #[test]
     fn swap_delta_matches_full_evaluation_bitwise() {
+        for fitness in OBJECTIVES {
+            swap_delta_matches_full_evaluation(fitness);
+        }
+    }
+
+    fn swap_delta_matches_full_evaluation(fitness: Fitness) {
         use dts_distributions::{Prng, Rng};
         let batch: Vec<Task> = (0..40).map(|i| task(i, 10.0 + 13.7 * i as f64)).collect();
         let procs = [
@@ -889,7 +1004,7 @@ mod tests {
             proc(55.0, 10.0, 1.5),
             proc(150.0, 40.0, 0.0),
         ];
-        let p = BatchProblem::new(&batch, &procs, &config());
+        let p = BatchProblem::new(&batch, &procs, &config_with(fitness));
         let mut c = Chromosome::from_queues(&[
             (0..10).collect::<Vec<_>>(),
             (10..25).collect(),
@@ -912,7 +1027,7 @@ mod tests {
             match p.evaluate_swap_delta(&c, i, j, &mut completions) {
                 Some((f, ms)) => {
                     deltas_taken += 1;
-                    assert_eq!(f.to_bits(), fresh.0.to_bits(), "fitness drifted");
+                    assert_eq!(f.to_bits(), fresh.0.to_bits(), "{fitness:?} drifted");
                     assert_eq!(ms.to_bits(), fresh.1.to_bits(), "makespan drifted");
                     for (a, b) in completions.iter().zip(&fresh.2) {
                         assert_eq!(a.to_bits(), b.to_bits(), "completions drifted");

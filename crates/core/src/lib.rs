@@ -32,11 +32,16 @@
 //!   [`dts_model::Scheduler`] implementation driven by the simulator.
 //! * [`plan`] — the one planning pipeline: [`plan::plan_batch`], the only
 //!   one-shot entry point (one request struct: operators, warm seeds,
-//!   precedence, an explicit latency budget), and [`plan::Planner`], the
+//!   precedence, an explicit latency budget), [`plan::Planner`], the
 //!   owner of the seed stream and carried elites that both
-//!   [`scheduler::PnScheduler`] and the online `dts-server` plan through.
-//! * [`batch_run`] — [`batch_run::BatchOutcome`], what a plan call
-//!   returns (read directly by the Fig. 3 / Fig. 4 experiments).
+//!   [`scheduler::PnScheduler`] and the online `dts-server` plan through,
+//!   and [`plan::BatchOutcome`], what a plan call returns (read directly
+//!   by the Fig. 3 / Fig. 4 experiments).
+//!
+//! The ZO baseline is not a second scheduler: [`PnConfig::zo_preset`]
+//! switches each of the four contributions off and selects ZO's
+//! makespan-only [`Fitness`], and the same [`scheduler::PnScheduler`]
+//! runs it.
 //!
 //! # Quickstart
 //!
@@ -64,7 +69,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod batch_run;
 pub mod batching;
 pub mod config;
 pub mod fitness;
@@ -74,10 +78,9 @@ pub mod rebalance;
 pub mod scheduler;
 pub mod time_model;
 
-pub use batch_run::BatchOutcome;
 pub use config::{PnConfig, SeedStrategy};
-pub use fitness::{slot_precedence, BatchProblem, ProcessorState};
+pub use fitness::{slot_precedence, BatchProblem, Fitness, ProcessorState};
 pub use init::{remap_elite, remap_islands};
-pub use plan::{plan_batch, PlanBudget, PlanRequest, Planner};
+pub use plan::{plan_batch, BatchOutcome, PlanBudget, PlanRequest, Planner};
 pub use scheduler::PnScheduler;
 pub use time_model::GaTimeModel;

@@ -163,7 +163,7 @@ pub fn rebalance_once(
 mod tests {
     use super::*;
     use crate::config::PnConfig;
-    use crate::fitness::ProcessorState;
+    use crate::fitness::{Fitness, ProcessorState};
     use dts_ga::Problem;
     use dts_model::{SimTime, Task, TaskId};
     use proptest::prelude::*;
@@ -376,7 +376,7 @@ mod tests {
         /// bits, the returned fitness bits and the next RNG word agree
         /// after each attempt. `place` puts the initially heaviest queue
         /// first / in the middle / last; `empty_pct` leaves queues empty;
-        /// `m` reaches 2.
+        /// `m` reaches 2; `objective` picks PN's or ZO's fitness.
         #[test]
         fn range_rebalance_matches_reference(
             h in 1usize..50,
@@ -384,6 +384,7 @@ mod tests {
             place in 0usize..3,
             empty_pct in 0usize..60,
             probes in 0u32..7,
+            objective in 0usize..2,
             seed in 0u64..u64::MAX,
         ) {
             let mut rng = Prng::seed_from(seed);
@@ -396,7 +397,10 @@ mod tests {
                     comm_cost: rng.below(10) as f64 * 0.05,
                 })
                 .collect();
-            let cfg = PnConfig::default();
+            let cfg = PnConfig {
+                fitness: [Fitness::RelativeError, Fitness::MakespanRatio][objective],
+                ..PnConfig::default()
+            };
             let problem = BatchProblem::new(&batch, &ps, &cfg);
 
             // Deal the slots over the non-empty queues, half of them onto

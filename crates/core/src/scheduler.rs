@@ -1,4 +1,5 @@
-//! [`PnScheduler`]: the paper's scheduler as a [`dts_model::Scheduler`].
+//! [`PnScheduler`]: the paper's scheduler as a [`dts_model::Scheduler`] —
+//! and, configured with [`PnConfig::zo_preset`], the ZO baseline.
 //!
 //! Operational behaviour (§3):
 //!
@@ -91,8 +92,10 @@ impl PnScheduler {
 }
 
 impl Scheduler for PnScheduler {
+    /// `"PN"`, or `"ZO"` under [`PnConfig::zo_preset`]: the objective is
+    /// what tells the two GA schedulers apart.
     fn name(&self) -> &'static str {
-        "PN"
+        self.config().fitness.label()
     }
 
     fn mode(&self) -> SchedulerMode {
@@ -308,6 +311,29 @@ mod tests {
         let s = PnScheduler::new(1, quick_config());
         assert_eq!(s.name(), "PN");
         assert_eq!(s.mode(), SchedulerMode::Batch);
+    }
+
+    #[test]
+    fn zo_preset_plans_fixed_batches_whatever_the_idle_horizon() {
+        let mut cfg = PnConfig::zo_preset();
+        cfg.ga.max_generations = 60;
+        let mut s = PnScheduler::new(2, cfg);
+        assert_eq!(s.name(), "ZO");
+        assert_eq!(s.mode(), SchedulerMode::Batch);
+        s.enqueue(&tasks(900, 10.0)); // four full batches, then 100
+        let mut v = view(&[300.0, 100.0]);
+        for horizon in [Some(1.0), Some(60.0), Some(1e6), None, Some(1.0)] {
+            v.seconds_until_first_idle = horizon;
+            let want = s.unscheduled_len().min(200);
+            assert_eq!(s.plan(&v).tasks_assigned, want, "horizon {horizon:?}");
+        }
+        assert_eq!(s.unscheduled_len(), 0);
+        // The makespan-only GA still balances the heterogeneous pair.
+        let (fast, slow) = (
+            s.queued_mflops(ProcessorId(0)),
+            s.queued_mflops(ProcessorId(1)),
+        );
+        assert!(fast > slow, "3× processor got {fast} vs {slow} MFLOPs");
     }
 
     /// Drains a scheduler's queues into per-processor task-id lists.

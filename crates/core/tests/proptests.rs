@@ -35,19 +35,30 @@ fn procs_strategy() -> impl Strategy<Value = Vec<ProcessorState>> {
     )
 }
 
+/// PN's configuration, or ZO's (`zo == 1`): the two objectives.
+fn objective(zo: usize) -> PnConfig {
+    if zo == 1 {
+        PnConfig::zo_preset()
+    } else {
+        PnConfig::default()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Fitness is always finite and in (0, 1]; makespan is at least δ_max
-    /// and at least the work lower bound of whichever processor hosts it.
+    /// Fitness is always finite and in (0, 1] under either objective;
+    /// makespan is at least δ_max and at least the work lower bound of
+    /// whichever processor hosts it.
     #[test]
     fn fitness_and_makespan_bounds(
         batch in tasks_strategy(),
         procs in procs_strategy(),
         frac in 0.0..=1.0f64,
+        zo in 0usize..2,
         seed in 0u64..u64::MAX,
     ) {
-        let cfg = PnConfig::default();
+        let cfg = objective(zo);
         let problem = BatchProblem::new(&batch, &procs, &cfg);
         let mut rng = Prng::seed_from(seed);
         let c = list_scheduled_individual(&batch, &procs, frac, &mut rng);
@@ -92,16 +103,18 @@ proptest! {
 
     /// Delta-evaluation of an arbitrary gene swap is bit-identical to a
     /// full `evaluate_into` walk — fitness, makespan, and every completion
-    /// time — whenever the delta path accepts the edit.
+    /// time — whenever the delta path accepts the edit, under either
+    /// objective.
     #[test]
     fn swap_delta_matches_full_walk(
         batch in tasks_strategy(),
         procs in procs_strategy(),
         frac in 0.0..=1.0f64,
+        zo in 0usize..2,
         seed in 0u64..u64::MAX,
         swaps in proptest::collection::vec((0usize..4096, 0usize..4096), 1..40),
     ) {
-        let cfg = PnConfig::default();
+        let cfg = objective(zo);
         let problem = BatchProblem::new(&batch, &procs, &cfg);
         let mut rng = Prng::seed_from(seed);
         let mut c = list_scheduled_individual(&batch, &procs, frac, &mut rng);

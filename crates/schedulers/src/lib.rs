@@ -1,4 +1,8 @@
-//! The six comparison schedulers of §4.1.
+//! The heuristic comparison schedulers of §4.1.
+//!
+//! The sixth baseline, ZO (Zomaya & Teh's GA), is not here: it is the PN
+//! pipeline with the paper's contributions switched off,
+//! `dts_core::PnConfig::zo_preset`.
 //!
 //! Three **immediate-mode** schedulers map one task at a time, FCFS:
 //!
@@ -8,19 +12,13 @@
 //!   current load in MFLOPs, ignoring the task's own size; Θ(M).
 //! * [`RoundRobin`] (RR) — cyclic assignment using no information; Θ(1).
 //!
-//! Three **batch-mode** schedulers map a batch at a time:
+//! Two **batch-mode** schedulers map a batch at a time:
 //!
 //! * [`MaxMin`] (MX) — sort the batch by size descending, allocate each
 //!   task EF-style: "the largest tasks scheduled as early as possible, with
 //!   smaller tasks at the end filling in the gaps";
 //!   Θ(max(M, n log n)).
 //! * [`MinMin`] (MM) — the same with ascending order.
-//! * [`Zomaya`] (ZO) — Zomaya & Teh's dynamic GA load-balancer (TPDS 2001),
-//!   the state of the art the paper builds on: same GA machinery as PN but
-//!   with a makespan-only fitness (no communication prediction), a fixed
-//!   batch size, a random initial population, and no rebalancing heuristic.
-//!   Converted to heterogeneous processors exactly as the paper did, by
-//!   expressing task sizes in MFLOPs rather than time.
 //!
 //! All of them implement [`dts_model::Scheduler`] and therefore run on the
 //! same simulator, see the same [`dts_model::SystemView`] estimates, and
@@ -44,9 +42,7 @@ pub mod cost;
 pub mod immediate;
 pub mod maheswaran;
 pub mod minmax;
-pub mod zomaya;
 
 pub use immediate::{EarliestFinish, LightestLoaded, RoundRobin};
 pub use maheswaran::{KPercentBest, Olb, Sufferage};
 pub use minmax::{MaxMin, MinMin};
-pub use zomaya::{ZoConfig, Zomaya};

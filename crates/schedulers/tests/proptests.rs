@@ -1,11 +1,10 @@
 //! Property tests for the baseline schedulers: conservation, FIFO
 //! dispatch, and mode contracts under arbitrary task streams.
 
+use dts_core::{PnConfig, PnScheduler};
 use dts_model::sched::{ProcessorView, SystemView};
 use dts_model::{ProcessorId, Scheduler, SimTime, Task, TaskId};
-use dts_schedulers::{
-    EarliestFinish, LightestLoaded, MaxMin, MinMin, RoundRobin, ZoConfig, Zomaya,
-};
+use dts_schedulers::{EarliestFinish, LightestLoaded, MaxMin, MinMin, RoundRobin};
 use proptest::prelude::*;
 
 fn view(rates: &[f64]) -> SystemView {
@@ -34,9 +33,10 @@ fn make_tasks(sizes: &[f64]) -> Vec<Task> {
 }
 
 fn schedulers(m: usize) -> Vec<Box<dyn Scheduler>> {
-    let mut zo = ZoConfig {
-        batch_size: 16,
-        ..ZoConfig::default()
+    let mut zo = PnConfig {
+        initial_batch: 16,
+        max_batch: 16,
+        ..PnConfig::zo_preset()
     };
     zo.ga.max_generations = 8;
     vec![
@@ -45,7 +45,7 @@ fn schedulers(m: usize) -> Vec<Box<dyn Scheduler>> {
         Box::new(RoundRobin::new(m)),
         Box::new(MinMin::with_batch_size(m, 16)),
         Box::new(MaxMin::with_batch_size(m, 16)),
-        Box::new(Zomaya::new(m, zo)),
+        Box::new(PnScheduler::new(m, zo)),
     ]
 }
 

@@ -9,9 +9,7 @@
 
 use dts::core::{PnConfig, PnScheduler};
 use dts::model::{ClusterSpec, Scheduler, SizeDistribution, WorkloadSpec};
-use dts::schedulers::{
-    EarliestFinish, LightestLoaded, MaxMin, MinMin, RoundRobin, ZoConfig, Zomaya,
-};
+use dts::schedulers::{EarliestFinish, LightestLoaded, MaxMin, MinMin, RoundRobin};
 use dts::sim::{SimConfig, Simulation};
 
 /// A named scheduler factory; each comparison run builds a fresh instance.
@@ -55,11 +53,12 @@ fn main() {
         (
             "ZO",
             Box::new(move || {
-                let cfg = ZoConfig {
-                    batch_size: 100,
-                    ..ZoConfig::default()
+                let cfg = PnConfig {
+                    initial_batch: 100,
+                    max_batch: 100,
+                    ..PnConfig::zo_preset()
                 };
-                Box::new(Zomaya::new(procs, cfg))
+                Box::new(PnScheduler::new(procs, cfg))
             }),
         ),
         (

@@ -10,8 +10,8 @@
 //!
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
-//! | [`core`] | `dts-core` | the PN scheduler: fitness, rebalancing, dynamic batching |
-//! | [`schedulers`] | `dts-schedulers` | EF, LL, RR, min-min, max-min, Zomaya-Teh GA |
+//! | [`core`] | `dts-core` | the PN scheduler: fitness, rebalancing, dynamic batching; the Zomaya-Teh GA as `PnConfig::zo_preset` |
+//! | [`schedulers`] | `dts-schedulers` | EF, LL, RR, min-min, max-min |
 //! | [`ga`] | `dts-ga` | generic GA engine over permutation encodings, with deterministic serial/parallel fitness evaluation |
 //! | [`server`] | `dts-server` | online scheduling service: bounded admission, batched warm-started replanning, trace replay |
 //! | [`sim`] | `dts-sim` | discrete-event distributed-system simulator |
@@ -64,7 +64,7 @@ pub mod core {
     pub use dts_core::*;
 }
 
-/// Baseline schedulers: EF, LL, RR, MM, MX, ZO. Re-export of
+/// Heuristic baseline schedulers: EF, LL, RR, MM, MX. Re-export of
 /// `dts-schedulers`.
 pub mod schedulers {
     pub use dts_schedulers::*;

@@ -9,18 +9,33 @@
 //! nondeterminism (e.g. a `HashMap` sneaking into a hot loop, thread
 //! scheduling leaking into results) fails here before it can poison the
 //! paper's figures.
+//!
+//! ZO is `PnConfig::zo_preset` on the same pipeline as PN, so the matrices
+//! below (workers, memo, islands, warm start, DAG) run on PN alone;
+//! `zomaya_is_deterministic` is ZO's end-to-end row.
 
 use dts::core::{PnConfig, PnScheduler, SeedStrategy};
 use dts::ga::{Evaluator, IslandConfig, Topology};
 use dts::model::{ClusterSpec, Scheduler, SizeDistribution, WorkloadSpec};
-use dts::schedulers::{
-    EarliestFinish, LightestLoaded, MaxMin, MinMin, RoundRobin, ZoConfig, Zomaya,
-};
+use dts::schedulers::{EarliestFinish, LightestLoaded, MaxMin, MinMin, RoundRobin};
 use dts::sim::{SimConfig, SimReport, Simulation};
 
 const PROCS: usize = 4;
 const TASKS: usize = 40;
 const SEED: u64 = 0xD15E_A5ED;
+
+/// The PN configuration every matrix below starts from: 8-task batches,
+/// 25 generations, the given evaluator.
+fn pn_config(evaluator: Evaluator) -> PnConfig {
+    let mut cfg = PnConfig {
+        initial_batch: 8,
+        max_batch: 8,
+        ..PnConfig::default()
+    };
+    cfg.ga.max_generations = 25;
+    cfg.ga.evaluator = evaluator;
+    cfg
+}
 
 fn scheduler(name: &str, evaluator: Evaluator) -> Box<dyn Scheduler> {
     match name {
@@ -30,43 +45,45 @@ fn scheduler(name: &str, evaluator: Evaluator) -> Box<dyn Scheduler> {
         "MM" => Box::new(MinMin::with_batch_size(PROCS, 8)),
         "MX" => Box::new(MaxMin::with_batch_size(PROCS, 8)),
         "ZO" => {
-            let mut cfg = ZoConfig::default();
-            cfg.ga.max_generations = 25;
-            cfg.ga.evaluator = evaluator;
-            Box::new(Zomaya::new(PROCS, cfg))
-        }
-        "PN" => {
-            let mut cfg = PnConfig {
-                initial_batch: 8,
-                max_batch: 8,
-                ..PnConfig::default()
-            };
+            let mut cfg = PnConfig::zo_preset();
             cfg.ga.max_generations = 25;
             cfg.ga.evaluator = evaluator;
             Box::new(PnScheduler::new(PROCS, cfg))
         }
+        "PN" => Box::new(PnScheduler::new(PROCS, pn_config(evaluator))),
         other => panic!("unknown scheduler {other}"),
     }
 }
 
-fn run_once_seeded(name: &str, evaluator: Evaluator, seed: u64) -> SimReport {
-    let cluster = ClusterSpec::paper_defaults(PROCS, 2.0).build(seed);
-    let workload = WorkloadSpec::batch(
+fn workload() -> WorkloadSpec {
+    WorkloadSpec::batch(
         TASKS,
         SizeDistribution::Normal {
             mean: 500.0,
             variance: 1.0e4,
         },
-    );
-    let tasks = workload.generate(seed);
-    let config = SimConfig {
+    )
+}
+
+fn sim_config(seed: u64) -> SimConfig {
+    SimConfig {
         record_trace: true,
         seed: seed ^ 0xFACE,
         ..SimConfig::default()
-    };
-    Simulation::new(cluster, tasks, scheduler(name, evaluator), config)
+    }
+}
+
+/// One traced simulation of the independent-task workload under `seed`.
+fn simulate(seed: u64, sched: Box<dyn Scheduler>) -> SimReport {
+    let name = sched.name();
+    let cluster = ClusterSpec::paper_defaults(PROCS, 2.0).build(seed);
+    Simulation::new(cluster, workload().generate(seed), sched, sim_config(seed))
         .run()
         .unwrap_or_else(|e| panic!("{name} run failed: {e:?}"))
+}
+
+fn run_once_seeded(name: &str, evaluator: Evaluator, seed: u64) -> SimReport {
+    simulate(seed, scheduler(name, evaluator))
 }
 
 fn run_once(name: &str) -> SimReport {
@@ -121,6 +138,7 @@ macro_rules! determinism_tests {
             let a = run_once($label);
             let b = run_once($label);
             assert_identical($label, &a, &b);
+            assert_eq!(a.scheduler, $label, "scheduler label");
         }
     )+};
 }
@@ -137,17 +155,17 @@ determinism_tests! {
 
 /// The evaluation pipeline's core guarantee: the *parallel* evaluator
 /// produces the same schedule, bit for bit, as the serial one — at every
-/// worker count, for both GA schedulers, across seeds. Fitness evaluation
-/// draws no randomness and results are written back by chromosome index,
-/// so thread scheduling cannot leak into the population ordering or any
-/// downstream RNG draw; these tests hold that line.
-fn assert_parallel_matches_serial(name: &str) {
+/// worker count, across seeds. Fitness evaluation draws no randomness and
+/// results are written back by chromosome index, so thread scheduling
+/// cannot leak into the population ordering or any downstream RNG draw.
+#[test]
+fn pn_parallel_evaluation_is_bit_identical() {
     for seed in [SEED, 0x5EED_CAFE] {
-        let serial = run_once_seeded(name, Evaluator::Serial, seed);
+        let serial = run_once_seeded("PN", Evaluator::Serial, seed);
         for workers in [2, 8] {
-            let par = run_once_seeded(name, Evaluator::ThreadPool { workers }, seed);
+            let par = run_once_seeded("PN", Evaluator::ThreadPool { workers }, seed);
             assert_identical(
-                &format!("{name}/seed={seed:#x}/workers={workers}"),
+                &format!("PN/seed={seed:#x}/workers={workers}"),
                 &serial,
                 &par,
             );
@@ -155,153 +173,66 @@ fn assert_parallel_matches_serial(name: &str) {
     }
 }
 
-#[test]
-fn pn_parallel_evaluation_is_bit_identical() {
-    assert_parallel_matches_serial("PN");
-}
-
-#[test]
-fn zomaya_parallel_evaluation_is_bit_identical() {
-    assert_parallel_matches_serial("ZO");
-}
-
 /// The fitness memo's core guarantee: enabling or disabling the cache is
 /// observationally invisible. A cached value is exactly the value a fresh
 /// evaluation would produce (evaluation is pure and the memo is epoch-
 /// guarded), so memo {on, off} × workers {1, 4} must all yield the same
-/// schedule bit for bit, for both GA schedulers.
-fn run_once_memo(name: &str, evaluator: Evaluator, memo_capacity: usize) -> SimReport {
-    let cluster = ClusterSpec::paper_defaults(PROCS, 2.0).build(SEED);
-    let workload = WorkloadSpec::batch(
-        TASKS,
-        SizeDistribution::Normal {
-            mean: 500.0,
-            variance: 1.0e4,
-        },
-    );
-    let tasks = workload.generate(SEED);
-    let config = SimConfig {
-        record_trace: true,
-        seed: SEED ^ 0xFACE,
-        ..SimConfig::default()
-    };
-    let sched: Box<dyn Scheduler> = match name {
-        "ZO" => {
-            let mut cfg = ZoConfig::default();
-            cfg.ga.max_generations = 25;
-            cfg.ga.evaluator = evaluator;
-            cfg.ga.memo_capacity = memo_capacity;
-            Box::new(Zomaya::new(PROCS, cfg))
-        }
-        "PN" => {
-            let mut cfg = PnConfig {
-                initial_batch: 8,
-                max_batch: 8,
-                ..PnConfig::default()
-            };
-            cfg.ga.max_generations = 25;
-            cfg.ga.evaluator = evaluator;
-            cfg.ga.memo_capacity = memo_capacity;
-            Box::new(PnScheduler::new(PROCS, cfg))
-        }
-        other => panic!("unknown scheduler {other}"),
-    };
-    Simulation::new(cluster, tasks, sched, config)
-        .run()
-        .unwrap_or_else(|e| panic!("{name} run failed: {e:?}"))
+/// schedule bit for bit.
+fn run_once_memo(evaluator: Evaluator, memo_capacity: usize) -> SimReport {
+    let mut cfg = pn_config(evaluator);
+    cfg.ga.memo_capacity = memo_capacity;
+    simulate(SEED, Box::new(PnScheduler::new(PROCS, cfg)))
 }
 
 #[test]
 fn memo_on_off_and_worker_counts_are_bit_identical() {
-    for name in ["PN", "ZO"] {
-        let reference = run_once_memo(name, Evaluator::Serial, 0);
-        for memo_capacity in [0usize, dts::ga::DEFAULT_MEMO_CAPACITY] {
-            for evaluator in [Evaluator::Serial, Evaluator::ThreadPool { workers: 4 }] {
-                let run = run_once_memo(name, evaluator, memo_capacity);
-                assert_identical(
-                    &format!("{name}/memo={memo_capacity}/{evaluator:?}"),
-                    &reference,
-                    &run,
-                );
-            }
+    let reference = run_once_memo(Evaluator::Serial, 0);
+    for memo_capacity in [0usize, dts::ga::DEFAULT_MEMO_CAPACITY] {
+        for evaluator in [Evaluator::Serial, Evaluator::ThreadPool { workers: 4 }] {
+            let run = run_once_memo(evaluator, memo_capacity);
+            assert_identical(
+                &format!("PN/memo={memo_capacity}/{evaluator:?}"),
+                &reference,
+                &run,
+            );
         }
+    }
+}
+
+fn island_config(islands: usize) -> IslandConfig {
+    IslandConfig {
+        islands,
+        migration_interval: 3,
+        migrants: 1,
+        topology: Topology::Ring,
     }
 }
 
 /// Island-model determinism: sharding the GA population must not open any
 /// nondeterminism hole. The matrix islands {1, 4} × memo {0, 4096} ×
-/// workers {1, 4} must collapse to one bitwise schedule per island count,
-/// for both GA schedulers — migration is driven by island-indexed RNG
-/// streams and rank snapshots, so neither the fitness memo nor thread
-/// scheduling may influence who migrates where.
-fn run_once_islands(
-    name: &str,
-    evaluator: Evaluator,
-    memo_capacity: usize,
-    islands: usize,
-) -> SimReport {
-    let island_cfg = IslandConfig {
-        islands,
-        migration_interval: 3,
-        migrants: 1,
-        topology: Topology::Ring,
-    };
-    let cluster = ClusterSpec::paper_defaults(PROCS, 2.0).build(SEED);
-    let workload = WorkloadSpec::batch(
-        TASKS,
-        SizeDistribution::Normal {
-            mean: 500.0,
-            variance: 1.0e4,
-        },
-    );
-    let tasks = workload.generate(SEED);
-    let config = SimConfig {
-        record_trace: true,
-        seed: SEED ^ 0xFACE,
-        ..SimConfig::default()
-    };
-    let sched: Box<dyn Scheduler> = match name {
-        "ZO" => {
-            let mut cfg = ZoConfig::default();
-            cfg.ga.max_generations = 25;
-            cfg.ga.evaluator = evaluator;
-            cfg.ga.memo_capacity = memo_capacity;
-            cfg.islands = island_cfg;
-            Box::new(Zomaya::new(PROCS, cfg))
-        }
-        "PN" => {
-            let mut cfg = PnConfig {
-                initial_batch: 8,
-                max_batch: 8,
-                ..PnConfig::default()
-            };
-            cfg.ga.max_generations = 25;
-            cfg.ga.evaluator = evaluator;
-            cfg.ga.memo_capacity = memo_capacity;
-            cfg.islands = island_cfg;
-            Box::new(PnScheduler::new(PROCS, cfg))
-        }
-        other => panic!("unknown scheduler {other}"),
-    };
-    Simulation::new(cluster, tasks, sched, config)
-        .run()
-        .unwrap_or_else(|e| panic!("{name} run failed: {e:?}"))
+/// workers {1, 4} must collapse to one bitwise schedule per island count —
+/// migration is driven by island-indexed RNG streams and rank snapshots,
+/// so neither the fitness memo nor thread scheduling may influence who
+/// migrates where.
+fn run_once_islands(evaluator: Evaluator, memo_capacity: usize, islands: usize) -> SimReport {
+    let mut cfg = pn_config(evaluator);
+    cfg.ga.memo_capacity = memo_capacity;
+    cfg.islands = island_config(islands);
+    simulate(SEED, Box::new(PnScheduler::new(PROCS, cfg)))
 }
 
 #[test]
 fn island_runs_are_bit_identical_across_memo_and_worker_counts() {
-    for name in ["PN", "ZO"] {
-        for islands in [1usize, 4] {
-            let reference = run_once_islands(name, Evaluator::Serial, 0, islands);
-            for memo_capacity in [0usize, 4096] {
-                for evaluator in [Evaluator::Serial, Evaluator::ThreadPool { workers: 4 }] {
-                    let run = run_once_islands(name, evaluator, memo_capacity, islands);
-                    assert_identical(
-                        &format!("{name}/islands={islands}/memo={memo_capacity}/{evaluator:?}"),
-                        &reference,
-                        &run,
-                    );
-                }
+    for islands in [1usize, 4] {
+        let reference = run_once_islands(Evaluator::Serial, 0, islands);
+        for memo_capacity in [0usize, 4096] {
+            for evaluator in [Evaluator::Serial, Evaluator::ThreadPool { workers: 4 }] {
+                let run = run_once_islands(evaluator, memo_capacity, islands);
+                assert_identical(
+                    &format!("PN/islands={islands}/memo={memo_capacity}/{evaluator:?}"),
+                    &reference,
+                    &run,
+                );
             }
         }
     }
@@ -312,42 +243,10 @@ fn island_runs_are_bit_identical_across_memo_and_worker_counts() {
 /// (observable as a different schedule), not a constant one.
 #[test]
 fn island_seed_changes_the_migration_outcome() {
-    let island_cfg = IslandConfig {
-        islands: 4,
-        migration_interval: 3,
-        migrants: 1,
-        topology: Topology::Ring,
-    };
     let run_with = |seed: u64| {
-        let cluster = ClusterSpec::paper_defaults(PROCS, 2.0).build(seed);
-        let workload = WorkloadSpec::batch(
-            TASKS,
-            SizeDistribution::Normal {
-                mean: 500.0,
-                variance: 1.0e4,
-            },
-        );
-        let tasks = workload.generate(seed);
-        let config = SimConfig {
-            record_trace: true,
-            seed: seed ^ 0xFACE,
-            ..SimConfig::default()
-        };
-        let mut cfg = PnConfig {
-            initial_batch: 8,
-            max_batch: 8,
-            ..PnConfig::default()
-        };
-        cfg.ga.max_generations = 25;
-        cfg.islands = island_cfg.clone();
-        Simulation::new(
-            cluster,
-            tasks,
-            Box::new(PnScheduler::new(PROCS, cfg)),
-            config,
-        )
-        .run()
-        .expect("island run completes")
+        let mut cfg = pn_config(Evaluator::Serial);
+        cfg.islands = island_config(4);
+        simulate(seed, Box::new(PnScheduler::new(PROCS, cfg)))
     };
     let a = run_with(SEED);
     let b = run_with(SEED ^ 0x5EED);
@@ -359,74 +258,26 @@ fn island_seed_changes_the_migration_outcome() {
 }
 
 /// Warm-start lifecycle determinism: with population carry-over the GA
-/// schedulers keep state across `plan` calls (the previous batch's final
+/// scheduler keeps state across `plan` calls (the previous batch's final
 /// population). That state is itself a pure function of the seeds, and the
 /// remap onto the next batch draws no randomness — so a warm-started run
 /// must be exactly as reproducible as a fresh one, and exactly as
 /// invariant to the evaluator's worker count. Small batches force several
 /// plan invocations so the carried population is actually exercised.
-fn warm_scheduler(name: &str, evaluator: Evaluator, strategy: SeedStrategy) -> Box<dyn Scheduler> {
-    match name {
-        "ZO" => {
-            let mut cfg = ZoConfig {
-                batch_size: 8,
-                ..ZoConfig::default()
-            };
-            cfg.ga.max_generations = 25;
-            cfg.ga.evaluator = evaluator;
-            cfg.seed_strategy = strategy;
-            Box::new(Zomaya::new(PROCS, cfg))
-        }
-        "PN" => {
-            let mut cfg = PnConfig {
-                initial_batch: 8,
-                max_batch: 8,
-                ..PnConfig::default()
-            };
-            cfg.ga.max_generations = 25;
-            cfg.ga.evaluator = evaluator;
-            cfg.seed_strategy = strategy;
-            Box::new(PnScheduler::new(PROCS, cfg))
-        }
-        other => panic!("unknown scheduler {other}"),
-    }
-}
-
-fn run_once_strategy(name: &str, evaluator: Evaluator, strategy: SeedStrategy) -> SimReport {
-    let cluster = ClusterSpec::paper_defaults(PROCS, 2.0).build(SEED);
-    let workload = WorkloadSpec::batch(
-        TASKS,
-        SizeDistribution::Normal {
-            mean: 500.0,
-            variance: 1.0e4,
-        },
-    );
-    let tasks = workload.generate(SEED);
-    let config = SimConfig {
-        record_trace: true,
-        seed: SEED ^ 0xFACE,
-        ..SimConfig::default()
-    };
-    Simulation::new(
-        cluster,
-        tasks,
-        warm_scheduler(name, evaluator, strategy),
-        config,
-    )
-    .run()
-    .unwrap_or_else(|e| panic!("{name} run failed: {e:?}"))
+fn run_once_strategy(evaluator: Evaluator, strategy: SeedStrategy) -> SimReport {
+    let mut cfg = pn_config(evaluator);
+    cfg.seed_strategy = strategy;
+    simulate(SEED, Box::new(PnScheduler::new(PROCS, cfg)))
 }
 
 #[test]
 fn warm_start_is_bit_stable_and_evaluator_invariant() {
-    for name in ["PN", "ZO"] {
-        for strategy in [SeedStrategy::Fresh, SeedStrategy::CarryOver { elites: 5 }] {
-            let serial = run_once_strategy(name, Evaluator::Serial, strategy);
-            let again = run_once_strategy(name, Evaluator::Serial, strategy);
-            assert_identical(&format!("{name}/{strategy:?}/rerun"), &serial, &again);
-            let par = run_once_strategy(name, Evaluator::ThreadPool { workers: 4 }, strategy);
-            assert_identical(&format!("{name}/{strategy:?}/workers=4"), &serial, &par);
-        }
+    for strategy in [SeedStrategy::Fresh, SeedStrategy::CarryOver { elites: 5 }] {
+        let serial = run_once_strategy(Evaluator::Serial, strategy);
+        let again = run_once_strategy(Evaluator::Serial, strategy);
+        assert_identical(&format!("PN/{strategy:?}/rerun"), &serial, &again);
+        let par = run_once_strategy(Evaluator::ThreadPool { workers: 4 }, strategy);
+        assert_identical(&format!("PN/{strategy:?}/workers=4"), &serial, &par);
     }
 }
 
@@ -434,97 +285,53 @@ fn warm_start_is_bit_stable_and_evaluator_invariant() {
 fn warm_start_actually_changes_the_run() {
     // Guard against the carry-over knob being silently ignored: with
     // several batches planned, fresh and warm runs must diverge.
-    for name in ["PN", "ZO"] {
-        let fresh = run_once_strategy(name, Evaluator::Serial, SeedStrategy::Fresh);
-        let warm = run_once_strategy(
-            name,
-            Evaluator::Serial,
-            SeedStrategy::CarryOver { elites: 5 },
-        );
-        assert!(fresh.plan_invocations >= 3, "{name}: want several batches");
-        assert_ne!(
-            fresh.makespan.to_bits(),
-            warm.makespan.to_bits(),
-            "{name}: carry-over had no observable effect"
-        );
-    }
+    let fresh = run_once_strategy(Evaluator::Serial, SeedStrategy::Fresh);
+    let warm = run_once_strategy(Evaluator::Serial, SeedStrategy::CarryOver { elites: 5 });
+    assert!(fresh.plan_invocations >= 3, "want several batches");
+    assert_ne!(
+        fresh.makespan.to_bits(),
+        warm.makespan.to_bits(),
+        "carry-over had no observable effect"
+    );
 }
 
 /// DAG determinism: precedence-constrained workloads must satisfy the
 /// same contract as independent ones. Readiness gating in the simulator
 /// draws no randomness and the GA's topological repair is RNG-free, so
 /// workers {1, 4} × islands {1, 4} must collapse to one bitwise schedule
-/// per island count, for both GA schedulers.
-fn run_once_dag(name: &str, evaluator: Evaluator, islands: usize) -> SimReport {
-    let island_cfg = IslandConfig {
-        islands,
-        migration_interval: 3,
-        migrants: 1,
-        topology: Topology::Ring,
-    };
+/// per island count.
+fn run_once_dag(evaluator: Evaluator, islands: usize) -> SimReport {
+    let mut cfg = pn_config(evaluator);
+    cfg.islands = island_config(islands);
     let cluster = ClusterSpec::paper_defaults(PROCS, 2.0).build(SEED);
-    let workload = WorkloadSpec::batch(
-        TASKS,
-        SizeDistribution::Normal {
-            mean: 500.0,
-            variance: 1.0e4,
-        },
-    );
-    let (tasks, graph) = workload.generate_dag(
+    let (tasks, graph) = workload().generate_dag(
         &dts::model::graph::DagFamily::RandomLayered {
             layers: 5,
             edge_probability: 0.3,
         },
         SEED,
     );
-    let config = SimConfig {
-        record_trace: true,
-        seed: SEED ^ 0xFACE,
-        ..SimConfig::default()
-    };
-    let sched: Box<dyn Scheduler> = match name {
-        "ZO" => {
-            let mut cfg = ZoConfig::default();
-            cfg.ga.max_generations = 25;
-            cfg.ga.evaluator = evaluator;
-            cfg.islands = island_cfg;
-            Box::new(Zomaya::new(PROCS, cfg))
-        }
-        "PN" => {
-            let mut cfg = PnConfig {
-                initial_batch: 8,
-                max_batch: 8,
-                ..PnConfig::default()
-            };
-            cfg.ga.max_generations = 25;
-            cfg.ga.evaluator = evaluator;
-            cfg.islands = island_cfg;
-            Box::new(PnScheduler::new(PROCS, cfg))
-        }
-        other => panic!("unknown scheduler {other}"),
-    };
-    Simulation::new_with_graph(cluster, tasks, graph, sched, config)
+    let sched = Box::new(PnScheduler::new(PROCS, cfg));
+    Simulation::new_with_graph(cluster, tasks, graph, sched, sim_config(SEED))
         .run()
-        .unwrap_or_else(|e| panic!("{name} DAG run failed: {e:?}"))
+        .unwrap_or_else(|e| panic!("PN DAG run failed: {e:?}"))
 }
 
 #[test]
 fn dag_runs_are_bit_identical_across_worker_and_island_counts() {
-    for name in ["PN", "ZO"] {
-        for islands in [1usize, 4] {
-            let reference = run_once_dag(name, Evaluator::Serial, islands);
-            assert!(
-                reference.waiting.mean_precedence_stall > 0.0,
-                "{name}: the DAG workload must actually exercise readiness gating"
+    for islands in [1usize, 4] {
+        let reference = run_once_dag(Evaluator::Serial, islands);
+        assert!(
+            reference.waiting.mean_precedence_stall > 0.0,
+            "the DAG workload must actually exercise readiness gating"
+        );
+        for evaluator in [Evaluator::Serial, Evaluator::ThreadPool { workers: 4 }] {
+            let run = run_once_dag(evaluator, islands);
+            assert_identical(
+                &format!("PN/dag/islands={islands}/{evaluator:?}"),
+                &reference,
+                &run,
             );
-            for evaluator in [Evaluator::Serial, Evaluator::ThreadPool { workers: 4 }] {
-                let run = run_once_dag(name, evaluator, islands);
-                assert_identical(
-                    &format!("{name}/dag/islands={islands}/{evaluator:?}"),
-                    &reference,
-                    &run,
-                );
-            }
         }
     }
 }
@@ -539,19 +346,8 @@ fn empty_dag_is_bit_identical_to_independent_path() {
     // Simulator level: Simulation::new vs an explicit edge-free graph.
     let sim_run = |with_graph: bool| {
         let cluster = ClusterSpec::paper_defaults(PROCS, 2.0).build(SEED);
-        let tasks = WorkloadSpec::batch(
-            TASKS,
-            SizeDistribution::Normal {
-                mean: 500.0,
-                variance: 1.0e4,
-            },
-        )
-        .generate(SEED);
-        let config = SimConfig {
-            record_trace: true,
-            seed: SEED ^ 0xFACE,
-            ..SimConfig::default()
-        };
+        let tasks = workload().generate(SEED);
+        let config = sim_config(SEED);
         let sched = scheduler("PN", Evaluator::ThreadPool { workers: 4 });
         if with_graph {
             let graph = dts::model::TaskGraph::independent(tasks.len());
@@ -601,23 +397,7 @@ fn empty_dag_is_bit_identical_to_independent_path() {
 #[test]
 fn seed_changes_outcome() {
     let base = run_once("PN");
-    let cluster = ClusterSpec::paper_defaults(PROCS, 2.0).build(SEED + 1);
-    let workload = WorkloadSpec::batch(
-        TASKS,
-        SizeDistribution::Normal {
-            mean: 500.0,
-            variance: 1.0e4,
-        },
-    );
-    let tasks = workload.generate(SEED + 1);
-    let config = SimConfig {
-        record_trace: true,
-        seed: (SEED + 1) ^ 0xFACE,
-        ..SimConfig::default()
-    };
-    let other = Simulation::new(cluster, tasks, scheduler("PN", Evaluator::Serial), config)
-        .run()
-        .expect("shifted-seed run completes");
+    let other = run_once_seeded("PN", Evaluator::Serial, SEED + 1);
     assert_ne!(
         base.makespan.to_bits(),
         other.makespan.to_bits(),

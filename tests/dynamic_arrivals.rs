@@ -5,7 +5,7 @@
 
 use dts::core::{PnConfig, PnScheduler, SeedStrategy};
 use dts::model::{ArrivalProcess, ClusterSpec, Scheduler, SizeDistribution, WorkloadSpec};
-use dts::schedulers::{EarliestFinish, RoundRobin, ZoConfig, Zomaya};
+use dts::schedulers::{EarliestFinish, RoundRobin};
 use dts::sim::{SimConfig, Simulation};
 
 fn run_stream(
@@ -120,13 +120,14 @@ fn pn_warm_start_streams_deterministically() {
 #[test]
 fn zo_warm_start_streams_deterministically() {
     let run = || {
-        let mut cfg = ZoConfig {
-            batch_size: 10,
+        let mut cfg = PnConfig {
+            initial_batch: 10,
+            max_batch: 10,
             seed_strategy: SeedStrategy::CarryOver { elites: 5 },
-            ..ZoConfig::default()
+            ..PnConfig::zo_preset()
         };
         cfg.ga.max_generations = 40;
-        run_stream(Box::new(Zomaya::new(6, cfg)), 2.0, 90, 59)
+        run_stream(Box::new(PnScheduler::new(6, cfg)), 2.0, 90, 59)
     };
     let a = run();
     let b = run();

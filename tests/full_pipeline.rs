@@ -3,9 +3,7 @@
 
 use dts::core::{PnConfig, PnScheduler};
 use dts::model::{ClusterSpec, CommCostSpec, Scheduler, SizeDistribution, WorkloadSpec};
-use dts::schedulers::{
-    EarliestFinish, LightestLoaded, MaxMin, MinMin, RoundRobin, ZoConfig, Zomaya,
-};
+use dts::schedulers::{EarliestFinish, LightestLoaded, MaxMin, MinMin, RoundRobin};
 use dts::sim::{SimConfig, SimReport, Simulation};
 
 const PROCS: usize = 8;
@@ -13,9 +11,10 @@ const TASKS: usize = 120;
 
 fn all_schedulers() -> Vec<Box<dyn Scheduler>> {
     let quick_zo = || {
-        let mut cfg = ZoConfig {
-            batch_size: 40,
-            ..ZoConfig::default()
+        let mut cfg = PnConfig {
+            initial_batch: 40,
+            max_batch: 40,
+            ..PnConfig::zo_preset()
         };
         cfg.ga.max_generations = 80;
         cfg
@@ -35,7 +34,7 @@ fn all_schedulers() -> Vec<Box<dyn Scheduler>> {
         Box::new(RoundRobin::new(PROCS)),
         Box::new(MinMin::with_batch_size(PROCS, 40)),
         Box::new(MaxMin::with_batch_size(PROCS, 40)),
-        Box::new(Zomaya::new(PROCS, quick_zo())),
+        Box::new(PnScheduler::new(PROCS, quick_zo())),
         Box::new(PnScheduler::new(PROCS, quick_pn())),
     ]
 }

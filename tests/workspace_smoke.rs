@@ -13,9 +13,7 @@ use dts::linpack::Matrix;
 use dts::model::{
     ClusterSpec, CommCostSpec, Scheduler, SimTime, SizeDistribution, Task, TaskId, WorkloadSpec,
 };
-use dts::schedulers::{
-    EarliestFinish, LightestLoaded, MaxMin, MinMin, RoundRobin, ZoConfig, Zomaya,
-};
+use dts::schedulers::{EarliestFinish, LightestLoaded, MaxMin, MinMin, RoundRobin};
 use dts::sim::{SimConfig, SimReport, Simulation};
 
 /// Every documented type is nameable and the obvious constructors exist.
@@ -42,7 +40,7 @@ fn reexport_surface_resolves() {
     let m = Matrix::linpack(8, 3);
     assert_eq!(m.n(), 8);
 
-    // dts::schedulers — all six baselines construct.
+    // dts::schedulers and dts::core — all six baselines and PN construct.
     let procs = 2;
     let _: Vec<Box<dyn Scheduler>> = vec![
         Box::new(EarliestFinish::new(procs)),
@@ -50,11 +48,9 @@ fn reexport_surface_resolves() {
         Box::new(RoundRobin::new(procs)),
         Box::new(MinMin::with_batch_size(procs, 4)),
         Box::new(MaxMin::with_batch_size(procs, 4)),
-        Box::new(Zomaya::new(procs, ZoConfig::default())),
+        Box::new(PnScheduler::new(procs, PnConfig::zo_preset())),
+        Box::new(PnScheduler::new(procs, PnConfig::default())),
     ];
-
-    // dts::core
-    let _ = PnScheduler::new(procs, PnConfig::default());
 
     // dts::sim
     let _ = SimConfig::default();
