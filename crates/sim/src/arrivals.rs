@@ -349,6 +349,16 @@ impl ArrivalTrace {
             }
         };
 
+        // A record takes at least six bytes: `0 1 0` and the line break
+        // before it. A declared count the text cannot hold is rejected
+        // before it sizes anything, so what is allocated stays proportional
+        // to the input.
+        if count > text.len() / 6 {
+            return Err(TraceError::CountMismatch {
+                declared: count,
+                found: lines.count(),
+            });
+        }
         let mut trace = Self {
             tasks: Vec::with_capacity(count),
             deps: vec![Vec::new(); count],
@@ -625,6 +635,29 @@ mod tests {
                 found: 2
             }
         );
+    }
+
+    /// A count the input cannot hold is rejected before anything is sized
+    /// by it. Sizing by the count would make the first input request a
+    /// 24 GB allocation (the process aborts) and the second overflow a
+    /// `Vec`'s capacity (a panic).
+    #[test]
+    fn oversized_count_rejected_before_allocation() {
+        for (declared, text) in [
+            (
+                1_000_000_000,
+                "dts-arrival-trace v1\ntasks 1000000000\n0 100 0.5\n",
+            ),
+            (
+                usize::MAX,
+                "dts-arrival-trace v1\ntasks 18446744073709551615\n0 100 0.5\n",
+            ),
+        ] {
+            assert_eq!(
+                ArrivalTrace::parse(text).unwrap_err(),
+                TraceError::CountMismatch { declared, found: 1 }
+            );
+        }
     }
 
     #[test]

@@ -191,7 +191,11 @@ pub struct Simulation {
     config: SimConfig,
 
     clock: SimTime,
+    /// In-flight events. Arrivals are not queued: they are streamed from
+    /// `tasks` through `next_arrival`.
     queue: EventQueue,
+    /// Index of the first task whose arrival has not fired yet.
+    next_arrival: usize,
     workers: Vec<Worker>,
     rng: Prng,
 
@@ -206,6 +210,11 @@ pub struct Simulation {
     dispatched_at: Vec<f64>,
     /// When each task's result arrived back (deadline accounting).
     done_at: Vec<f64>,
+    /// Tasks admitted to the scheduler by one DAG arrival or result;
+    /// reused so that admission does not allocate.
+    ready: Vec<Task>,
+    /// The snapshot handed to [`Scheduler::plan`], refilled in place.
+    view: SystemView,
 
     trace: Option<Trace>,
     pending_spans: Vec<Option<PendingSpan>>,
@@ -298,6 +307,7 @@ impl Simulation {
             config,
             clock: SimTime::ZERO,
             queue: EventQueue::new(),
+            next_arrival: 0,
             workers,
             rng,
             pending_preds,
@@ -305,6 +315,12 @@ impl Simulation {
             ready_at: vec![0.0; n_tasks],
             dispatched_at: vec![0.0; n_tasks],
             done_at: vec![0.0; n_tasks],
+            ready: Vec::new(),
+            view: SystemView {
+                now: SimTime::ZERO,
+                processors: Vec::with_capacity(n_workers),
+                seconds_until_first_idle: None,
+            },
             trace,
             pending_spans: vec![None; n_workers],
             host_busy: false,
@@ -321,12 +337,11 @@ impl Simulation {
 
     /// Runs the simulation to completion and returns the report.
     pub fn run(mut self) -> Result<SimReport, SimError> {
-        self.schedule_arrivals();
         self.schedule_availability_changes();
         self.schedule_initial_requests();
 
         let total = self.tasks.len() as u64;
-        while let Some((at, kind)) = self.queue.pop() {
+        while let Some((at, kind)) = self.next_event() {
             self.events_processed += 1;
             if self.events_processed > self.config.max_events {
                 return Err(SimError::EventLimit {
@@ -391,26 +406,33 @@ impl Simulation {
         })
     }
 
-    // ---------------------------------------------------------------- setup
-
-    fn schedule_arrivals(&mut self) {
-        let mut i = 0usize;
-        while i < self.tasks.len() {
-            let at = self.tasks[i].arrival;
-            let mut j = i + 1;
-            while j < self.tasks.len() && self.tasks[j].arrival == at {
-                j += 1;
+    /// Removes and returns the earliest event: the next arrival group (a
+    /// run of equal arrival times in the task table) or the heap's top.
+    /// The arrival wins a tie, so at any instant every arrival fires before
+    /// the events the heap holds for that instant.
+    fn next_event(&mut self) -> Option<(SimTime, EventKind)> {
+        let first = self.next_arrival;
+        if let Some(task) = self.tasks.get(first) {
+            let at = task.arrival;
+            if self.queue.peek_time().is_none_or(|top| at <= top) {
+                let count = self.tasks[first..]
+                    .iter()
+                    .take_while(|t| t.arrival == at)
+                    .count();
+                self.next_arrival = first + count;
+                return Some((
+                    at,
+                    EventKind::TaskArrival {
+                        first: first as u32,
+                        count: count as u32,
+                    },
+                ));
             }
-            self.queue.push(
-                at,
-                EventKind::TaskArrival {
-                    first: i as u32,
-                    count: (j - i) as u32,
-                },
-            );
-            i = j;
         }
+        self.queue.pop()
     }
+
+    // ---------------------------------------------------------------- setup
 
     fn schedule_availability_changes(&mut self) {
         for (i, p) in self.cluster.processors.iter().enumerate() {
@@ -462,29 +484,25 @@ impl Simulation {
         let lo = first as usize;
         let hi = lo + count as usize;
         let now = self.clock.seconds();
-        // Clone the arriving slice to appease the borrow checker; these are
-        // 24-byte PODs and arrivals are rare events.
-        let arriving: Vec<Task> = if self.graph.has_edges() {
+        if self.graph.has_edges() {
             // Admit only tasks whose predecessors have all completed; the
             // rest wait in `arrived` until `on_result` releases them.
-            let mut admissible = Vec::new();
-            for (k, task) in self.tasks[lo..hi].iter().enumerate() {
-                let t = lo + k;
+            self.ready.clear();
+            for (t, task) in (lo..hi).zip(&self.tasks[lo..hi]) {
                 self.arrived[t] = true;
                 if self.pending_preds[t] == 0 {
                     self.ready_at[t] = now;
-                    admissible.push(*task);
+                    self.ready.push(*task);
                 }
             }
-            admissible
+            self.scheduler.enqueue(&self.ready);
         } else {
             for t in lo..hi {
                 self.arrived[t] = true;
                 self.ready_at[t] = now;
             }
-            self.tasks[lo..hi].to_vec()
-        };
-        self.scheduler.enqueue(&arriving);
+            self.scheduler.enqueue(&self.tasks[lo..hi]);
+        }
         self.try_plan();
     }
 
@@ -596,20 +614,19 @@ impl Simulation {
             // some successors: admit every such task that has already
             // arrived. Released *before* serving, so the worker that just
             // freed up can pick the released work straight off the queue.
-            let succs: Vec<u32> = self.graph.succs(task.0).to_vec();
-            let mut released = Vec::new();
+            self.ready.clear();
             let now = self.clock.seconds();
-            for s in succs {
+            for &s in self.graph.succs(task.0) {
                 let s = s as usize;
                 debug_assert!(self.pending_preds[s] > 0, "predecessor counted twice");
                 self.pending_preds[s] -= 1;
                 if self.pending_preds[s] == 0 && self.arrived[s] {
                     self.ready_at[s] = now;
-                    released.push(self.tasks[s]);
+                    self.ready.push(self.tasks[s]);
                 }
             }
-            if !released.is_empty() {
-                self.scheduler.enqueue(&released);
+            if !self.ready.is_empty() {
+                self.scheduler.enqueue(&self.ready);
             }
         }
         self.workers[proc.index()].phase = Phase::Waiting;
@@ -719,8 +736,8 @@ impl Simulation {
                 return;
             }
         }
-        let view = self.make_view();
-        let outcome = self.scheduler.plan(&view);
+        self.fill_view();
+        let outcome = self.scheduler.plan(&self.view);
         self.plan_invocations += 1;
         self.total_generations += u64::from(outcome.generations);
         self.scheduler_busy += outcome.compute_seconds;
@@ -789,40 +806,36 @@ impl Simulation {
         }
     }
 
-    /// Assembles the estimate snapshot a scheduler is allowed to see.
-    fn make_view(&self) -> SystemView {
+    /// Refills `view` with the estimate snapshot a scheduler is allowed to
+    /// see.
+    fn fill_view(&mut self) {
         let mut first_idle: Option<f64> = Some(f64::INFINITY);
-        let processors: Vec<ProcessorView> = self
-            .workers
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                let pid = ProcessorId(i as u16);
-                let rate_estimate = w.rate_estimate.value_or(w.rated).max(1e-9);
-                let inflight = w.inflight_mflops();
-                let queued = self.scheduler.queued_mflops(pid);
-                // Exposed as a per-task round-trip estimate: dispatch +
-                // result messages.
-                let comm_estimate = 2.0 * w.comm_estimate.value_or(0.0);
-                let horizon = (inflight + queued) / rate_estimate;
-                if w.phase == Phase::Waiting && self.scheduler.queued_len(pid) == 0 {
-                    first_idle = None; // someone is idle *right now*
-                } else if let Some(ref mut h) = first_idle {
-                    *h = h.min(horizon);
-                }
-                ProcessorView {
-                    id: pid,
-                    rate_estimate,
-                    inflight_mflops: inflight,
-                    comm_estimate,
-                }
-            })
-            .collect();
-        SystemView {
-            now: self.clock,
-            processors,
-            seconds_until_first_idle: first_idle.filter(|h| h.is_finite()),
-        }
+        let scheduler = &self.scheduler;
+        let processors = &mut self.view.processors;
+        processors.clear();
+        processors.extend(self.workers.iter().enumerate().map(|(i, w)| {
+            let pid = ProcessorId(i as u16);
+            let rate_estimate = w.rate_estimate.value_or(w.rated).max(1e-9);
+            let inflight = w.inflight_mflops();
+            let queued = scheduler.queued_mflops(pid);
+            // Exposed as a per-task round-trip estimate: dispatch +
+            // result messages.
+            let comm_estimate = 2.0 * w.comm_estimate.value_or(0.0);
+            let horizon = (inflight + queued) / rate_estimate;
+            if w.phase == Phase::Waiting && scheduler.queued_len(pid) == 0 {
+                first_idle = None; // someone is idle *right now*
+            } else if let Some(ref mut h) = first_idle {
+                *h = h.min(horizon);
+            }
+            ProcessorView {
+                id: pid,
+                rate_estimate,
+                inflight_mflops: inflight,
+                comm_estimate,
+            }
+        }));
+        self.view.now = self.clock;
+        self.view.seconds_until_first_idle = first_idle.filter(|h| h.is_finite());
     }
 }
 
@@ -1333,5 +1346,128 @@ mod trace_tests {
         .run()
         .unwrap();
         assert!(r.trace.is_none());
+    }
+}
+
+#[cfg(test)]
+mod order_tests {
+    //! Event order at exact time ties: an arrival group fires before every
+    //! other event of the same instant.
+
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use super::*;
+    use dts_model::{PlanOutcome, SchedulerMode, TaskId};
+    use dts_schedulers::RoundRobin;
+
+    /// Round-robin that logs every enqueue, plan and work request.
+    struct Logged {
+        inner: RoundRobin,
+        log: Rc<RefCell<Vec<String>>>,
+    }
+
+    impl Scheduler for Logged {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn mode(&self) -> SchedulerMode {
+            self.inner.mode()
+        }
+        fn enqueue(&mut self, tasks: &[Task]) {
+            let ids: Vec<u32> = tasks.iter().map(|t| t.id.0).collect();
+            self.log.borrow_mut().push(format!("enqueue {ids:?}"));
+            self.inner.enqueue(tasks);
+        }
+        fn unscheduled_len(&self) -> usize {
+            self.inner.unscheduled_len()
+        }
+        fn plan(&mut self, view: &SystemView) -> PlanOutcome {
+            self.log
+                .borrow_mut()
+                .push(format!("plan at {:?}", view.now.seconds()));
+            self.inner.plan(view)
+        }
+        fn next_task_for(&mut self, p: ProcessorId) -> Option<Task> {
+            let task = self.inner.next_task_for(p);
+            let id = task.map(|t| t.id.0);
+            self.log
+                .borrow_mut()
+                .push(format!("next p{} -> {id:?}", p.0));
+            task
+        }
+        fn queued_len(&self, p: ProcessorId) -> usize {
+            self.inner.queued_len(p)
+        }
+        fn queued_mflops(&self, p: ProcessorId) -> f64 {
+            self.inner.queued_mflops(p)
+        }
+    }
+
+    fn run(tasks: Vec<Task>) -> (SimReport, Vec<String>) {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let sched = Box::new(Logged {
+            inner: RoundRobin::new(2),
+            log: Rc::clone(&log),
+        });
+        let cfg = SimConfig {
+            record_trace: true,
+            ..SimConfig::default()
+        };
+        let report = Simulation::new(Cluster::homogeneous(2, 100.0), tasks, sched, cfg)
+            .run()
+            .unwrap();
+        let log = log.borrow().clone();
+        (report, log)
+    }
+
+    fn task(id: u32, mflops: f64, at: SimTime) -> Task {
+        Task::new(TaskId(id), mflops, at)
+    }
+
+    /// On a free-communication cluster the first arrival group coincides
+    /// with both workers' initial requests at t = 0, and tasks 2 and 3 are
+    /// timed to arrive at exactly the instant task 0's result reaches the
+    /// scheduler. Both arrivals fire first: tasks 2 and 3 are enqueued and
+    /// planned before worker 0's request is answered, so worker 0 takes
+    /// task 2 at that same instant.
+    #[test]
+    fn arrivals_fire_before_simultaneous_events() {
+        let first = vec![task(0, 100.0, SimTime::ZERO), task(1, 200.0, SimTime::ZERO)];
+        let (probe, _) = run(first.clone());
+        let tie = probe.trace.unwrap().spans()[0].result_at;
+
+        let mut tasks = first;
+        tasks.extend([task(2, 100.0, tie), task(3, 100.0, tie)]);
+        let (report, log) = run(tasks);
+        let spans = report.trace.unwrap().spans().to_vec();
+        let result0 = spans.iter().find(|s| s.task == TaskId(0)).unwrap();
+        assert_eq!(result0.result_at, tie, "the tie must be exact");
+        assert_eq!(
+            log,
+            [
+                "enqueue [0, 1]",
+                "plan at 0.0",
+                "next p0 -> Some(0)",
+                "next p1 -> Some(1)",
+                "enqueue [2, 3]",
+                "plan at 1.0",
+                "next p0 -> Some(2)",
+                "next p1 -> Some(3)",
+                "next p0 -> None",
+                "next p1 -> None",
+            ]
+        );
+        let dispatches: Vec<(u32, u16, f64)> = spans
+            .iter()
+            .map(|s| (s.task.0, s.proc.0, s.sent_at.seconds()))
+            .collect();
+        assert_eq!(
+            dispatches,
+            [(0, 0, 0.0), (1, 1, 0.0), (2, 0, 1.0), (3, 1, 2.0)]
+        );
+        assert_eq!(report.events_processed, 18);
+        assert_eq!(report.plan_invocations, 2);
+        assert_eq!(report.makespan, 3.0);
     }
 }

@@ -1,8 +1,14 @@
 //! The simulator's event queue.
 //!
 //! A binary min-heap ordered by `(time, sequence)`: the sequence number is
-//! assigned at push time, so simultaneous events fire in insertion order —
-//! a deterministic tie-break that keeps whole simulations bitwise
+//! assigned at push time, so simultaneous events fire in insertion order.
+//!
+//! Task arrivals are not queued here. The simulation streams them from its
+//! arrival-sorted task table through a cursor and merges the cursor with
+//! this heap, which therefore holds only in-flight events (O(processors)).
+//! Events fire in `(time, arrivals first, push order)` order: an arrival
+//! group is taken whenever its time is at most [`EventQueue::peek_time`].
+//! This deterministic tie-break keeps whole simulations bitwise
 //! reproducible.
 
 use std::cmp::Ordering;
@@ -14,7 +20,8 @@ use dts_model::{ProcessorId, SimTime, TaskId};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A group of tasks (contiguous range of the task table) becomes
-    /// visible to the scheduler.
+    /// visible to the scheduler. Streamed from the task table, never pushed
+    /// onto the heap.
     TaskArrival {
         /// Index of the first arriving task.
         first: u32,
@@ -116,6 +123,11 @@ impl EventQueue {
         self.heap.push(Scheduled { at, seq, kind });
     }
 
+    /// Time of the earliest pending event, without removing it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|s| s.at)
+    }
+
     /// Pops the earliest event (ties in insertion order).
     pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
         self.heap.pop().map(|s| (s.at, s.kind))
@@ -174,6 +186,23 @@ mod tests {
         q.pop();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn peek_time_reports_the_next_pop_without_removing_it() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.push(t(4.0), EventKind::PlanComplete);
+        q.push(t(2.0), EventKind::PlanCheck);
+        q.push(t(2.0), EventKind::PlanComplete);
+        assert_eq!(q.peek_time(), Some(t(2.0)));
+        assert_eq!(q.len(), 3, "peeking must not pop");
+        assert_eq!(q.pop(), Some((t(2.0), EventKind::PlanCheck)));
+        assert_eq!(q.peek_time(), Some(t(2.0)));
+        assert_eq!(q.pop(), Some((t(2.0), EventKind::PlanComplete)));
+        assert_eq!(q.peek_time(), Some(t(4.0)));
+        q.pop();
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
