@@ -1,15 +1,27 @@
 //! Drivers for the paper's figures: each function regenerates one class of
-//! plot and returns a [`Table`] ready for printing + CSV export.
+//! plot and returns a [`Table`] ready for printing + CSV export; the rows
+//! of [`crate::experiments`] call them.
 
 use std::time::Instant;
 
 use dts_core::{fitness::ProcessorState, plan_batch, PlanRequest, PnConfig};
-use dts_distributions::{DistributionExt, OnlineStats, Prng, Rng, SeedSequence};
-use dts_model::{SizeDistribution, Task, TaskId, WorkloadSpec};
+use dts_distributions::{Prng, Rng, SeedSequence};
+use dts_model::{SizeDistribution, Task, WorkloadSpec};
 
 use crate::report::Table;
 use crate::roster::ALL_SCHEDULERS;
 use crate::scenarios::{env_or, Scenario};
+
+/// The Fig. 5 task sizes (μ = 1000 MFLOPs, σ² = 9·10⁵), which Figs. 3, 4
+/// and 6 and most ablations reuse.
+pub const PAPER_NORMAL: SizeDistribution = SizeDistribution::Normal {
+    mean: 1000.0,
+    variance: 9.0e5,
+};
+
+// Default task count and replications of the simulated figures (5–11).
+const FIGURE_TASKS: usize = 1000;
+const FIGURE_REPS: usize = 10;
 
 /// Builds a heterogeneous processor-state vector like the paper's clusters
 /// (ratings uniform in [15, 40) Mflop/s, no pre-existing load, no comm) for
@@ -43,10 +55,6 @@ pub fn convergence_series(
     rebalance_settings: &[u32],
     master_seed: u64,
 ) -> (Table, Vec<Vec<f64>>) {
-    let sizes = SizeDistribution::Normal {
-        mean: 1000.0,
-        variance: 9.0e5,
-    };
     let mut series: Vec<Vec<f64>> = Vec::with_capacity(rebalance_settings.len());
 
     for &r in rebalance_settings {
@@ -55,7 +63,7 @@ pub fn convergence_series(
         for rep in 0..reps {
             let seed = seq.seed_at(rep as u64);
             let mut sub = SeedSequence::new(seed);
-            let tasks = batch_tasks(h, &sizes, sub.next_seed());
+            let tasks = batch_tasks(h, &PAPER_NORMAL, sub.next_seed());
             let procs = batch_processors(m, sub.next_seed());
             let mut cfg = PnConfig::default();
             cfg.ga.max_generations = generations;
@@ -109,12 +117,8 @@ pub fn rebalance_timing(
     rebalances: &[u32],
     master_seed: u64,
 ) -> (Table, Vec<(u32, f64)>) {
-    let sizes = SizeDistribution::Normal {
-        mean: 1000.0,
-        variance: 9.0e5,
-    };
     let mut seq = SeedSequence::new(master_seed);
-    let tasks = batch_tasks(n_tasks, &sizes, seq.next_seed());
+    let tasks = batch_tasks(n_tasks, &PAPER_NORMAL, seq.next_seed());
     let procs = batch_processors(m, seq.next_seed());
 
     let mut points = Vec::with_capacity(rebalances.len());
@@ -173,15 +177,10 @@ pub fn linear_fit(points: &[(u32, f64)]) -> (f64, f64, f64) {
 }
 
 /// Figs. 5 & 7 — efficiency of all seven schedulers as a function of
-/// `1/mean-communication-cost`.
-pub fn efficiency_sweep(
-    figure: &str,
-    sizes: SizeDistribution,
-    inv_costs: &[f64],
-    default_tasks: usize,
-    default_reps: usize,
-) -> Table {
-    let base = Scenario::paper_base(sizes.clone(), default_tasks, default_reps);
+/// `1/mean-communication-cost`, over [`paper_inv_cost_axis`].
+pub fn efficiency_sweep(figure: &str, sizes: SizeDistribution) -> Table {
+    let inv_costs = paper_inv_cost_axis();
+    let base = Scenario::paper_base(sizes.clone(), FIGURE_TASKS, FIGURE_REPS);
     let mut header = vec!["1/mean_comm_cost".to_string(), "mean_comm_cost".to_string()];
     header.extend(ALL_SCHEDULERS.iter().map(|k| k.label().to_string()));
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
@@ -212,15 +211,11 @@ pub fn efficiency_sweep(
     table
 }
 
-/// Figs. 6, 8–11 — mean makespan of all seven schedulers on one workload.
-pub fn makespan_bars(
-    figure: &str,
-    sizes: SizeDistribution,
-    mean_comm_cost: f64,
-    default_tasks: usize,
-    default_reps: usize,
-) -> Table {
-    let base = Scenario::paper_base(sizes.clone(), default_tasks, default_reps)
+/// Figs. 6, 8–11 — mean makespan of all seven schedulers on one workload,
+/// at mean communication cost `DTS_COMM` (default `default_comm`, in s).
+pub fn makespan_bars(figure: &str, sizes: SizeDistribution, default_comm: f64) -> Table {
+    let mean_comm_cost: f64 = env_or("DTS_COMM", default_comm);
+    let base = Scenario::paper_base(sizes.clone(), FIGURE_TASKS, FIGURE_REPS)
         .with_comm_cost(mean_comm_cost);
     let mut table = Table::new(
         format!(
@@ -264,26 +259,6 @@ pub fn paper_inv_cost_axis() -> Vec<f64> {
             (lo + (hi - lo) * frac).exp().min(0.1)
         })
         .collect()
-}
-
-/// Generates one task list with dense ids for direct GA experiments.
-pub fn renumber(tasks: &mut [Task]) {
-    for (i, t) in tasks.iter_mut().enumerate() {
-        t.id = TaskId(i as u32);
-    }
-}
-
-/// Draws a heterogeneous size sample for quick experiments (used by the
-/// ablations).
-pub fn sample_sizes(dist: &SizeDistribution, n: usize, seed: u64) -> Vec<f64> {
-    let d = dist.to_distribution();
-    let mut rng = Prng::seed_from(seed);
-    (0..n).map(|_| d.sample_rng(&mut rng).max(1.0)).collect()
-}
-
-/// Mean ± CI of a slice of observations (for ablation tables).
-pub fn stats_of(xs: &[f64]) -> OnlineStats {
-    xs.iter().copied().collect()
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
-//! Table rendering and CSV output for the experiment binaries.
+//! Table rendering and CSV output for the experiments.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// A simple aligned text table (what the figure binaries print).
+/// A simple aligned text table (what `repro` prints for each experiment).
 #[derive(Debug, Clone)]
 pub struct Table {
     title: String,
@@ -27,16 +27,6 @@ impl Table {
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the aligned table.

@@ -23,7 +23,7 @@
 //! "Deterministic crates" are the ones inside the replay/oracle
 //! contract: `core`, `ga`, `model`, `schedulers`, `sim`, `server`,
 //! `distributions`, and the umbrella crate (root `src/`, `tests/`,
-//! `examples/`). The harness crates (`bench`, `linpack`, `proptest`,
+//! `examples/`). The harness crates (`bench`, `proptest`,
 //! `lint` itself) measure wall-clock time and aggregate reports by
 //! design, so `wall-clock`/`unordered-iter`/`float-eq` do not apply
 //! there; `ambient-rng` still does — even a harness must seed its RNG

@@ -162,7 +162,6 @@ fn rule_scopes_follow_the_crate_map() {
     assert_eq!(scan("crates/ga/src/x.rs", clocky).findings.len(), 1);
     // Harness crates measure wall-clock by design.
     assert!(scan("crates/bench/src/x.rs", clocky).is_clean());
-    assert!(scan("crates/linpack/src/x.rs", clocky).is_clean());
     // Integration tests may time things.
     assert!(scan("crates/ga/tests/x.rs", clocky).is_clean());
 

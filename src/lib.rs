@@ -17,7 +17,6 @@
 //! | [`sim`] | `dts-sim` | discrete-event distributed-system simulator |
 //! | [`model`] | `dts-model` | tasks, processors, links, workloads, the `Scheduler` trait |
 //! | [`distributions`] | `dts-distributions` | PRNG, uniform/normal/Poisson/exponential, stats |
-//! | [`linpack`] | `dts-linpack` | LU-factorisation Mflop/s benchmark |
 //!
 //! ## Quickstart
 //!
@@ -94,9 +93,4 @@ pub mod model {
 /// Randomness and statistics substrate. Re-export of `dts-distributions`.
 pub mod distributions {
     pub use dts_distributions::*;
-}
-
-/// LINPACK-style Mflop/s benchmark. Re-export of `dts-linpack`.
-pub mod linpack {
-    pub use dts_linpack::*;
 }

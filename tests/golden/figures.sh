@@ -2,16 +2,14 @@
 # Prints the SHA-256 of every figure CSV in a results directory (default
 # `results/`), in the format of `tests/golden/figures.sha256`.
 #
-# The CSVs are the ones `all_figures` + `extra_baselines` write at
+# The CSVs are the ones `repro` (every experiment) writes at
 # `DTS_REPS=1 DTS_TASKS=20 DTS_PROCS=4`; every one of them is a pure
 # function of the seed except for wall-clock columns:
 #   - fig4.csv is all wall-clock and is skipped;
 #   - ablate_popsize.csv is digested without its `wall_seconds` column.
 #
 # Regenerate the golden file after a change that moves the science:
-#   for bin in all_figures extra_baselines; do
-#     DTS_REPS=1 DTS_TASKS=20 DTS_PROCS=4 cargo run --release -p dts-bench --bin "$bin"
-#   done
+#   DTS_REPS=1 DTS_TASKS=20 DTS_PROCS=4 cargo run --release -p dts-bench --bin repro
 #   bash tests/golden/figures.sh > tests/golden/figures.sha256
 set -euo pipefail
 export LC_ALL=C

@@ -9,7 +9,6 @@
 use dts::core::{PnConfig, PnScheduler};
 use dts::distributions::{Rng, SeedSequence};
 use dts::ga::{Chromosome, GaConfig};
-use dts::linpack::Matrix;
 use dts::model::{
     ClusterSpec, CommCostSpec, Scheduler, SimTime, SizeDistribution, Task, TaskId, WorkloadSpec,
 };
@@ -35,10 +34,6 @@ fn reexport_surface_resolves() {
     let _ = GaConfig::default();
     let c = Chromosome::from_queues(&[vec![0, 1], vec![2]]);
     assert!(c.validate().is_ok());
-
-    // dts::linpack
-    let m = Matrix::linpack(8, 3);
-    assert_eq!(m.n(), 8);
 
     // dts::schedulers and dts::core — all six baselines and PN construct.
     let procs = 2;
