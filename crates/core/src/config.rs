@@ -1,6 +1,6 @@
 //! Configuration of the PN scheduler.
 
-use dts_ga::{Evaluator, GaConfig, IslandConfig};
+use dts_ga::{Evaluator, GaConfig};
 
 use crate::fitness::Fitness;
 use crate::time_model::GaTimeModel;
@@ -105,12 +105,6 @@ pub struct PnConfig {
     /// list-scheduling (the paper), or warm-started from the previous
     /// batch's elites.
     pub seed_strategy: SeedStrategy,
-    /// Island-model sharding of the GA population
-    /// ([`dts_ga::IslandEngine`]). The default (`islands: 1`) is exactly
-    /// the paper's monolithic GA; with more islands the same population
-    /// budget is partitioned into concurrently evolving shards with
-    /// deterministic elite migration.
-    pub islands: IslandConfig,
     /// Seed for the scheduler's private RNG stream.
     pub seed: u64,
 }
@@ -131,7 +125,6 @@ impl Default for PnConfig {
             use_comm_estimates: true,
             fitness: Fitness::RelativeError,
             seed_strategy: SeedStrategy::Fresh,
-            islands: IslandConfig::default(),
             seed: 0x9A6E_2005,
         }
     }
@@ -202,27 +195,6 @@ impl PnConfig {
         self
     }
 
-    /// Shards the GA population across islands with deterministic elite
-    /// migration (see [`dts_ga::IslandEngine`]):
-    ///
-    /// ```
-    /// use dts_core::PnConfig;
-    /// use dts_ga::{IslandConfig, Topology};
-    ///
-    /// let cfg = PnConfig::default().with_islands(IslandConfig {
-    ///     islands: 4,
-    ///     migration_interval: 5,
-    ///     migrants: 1,
-    ///     topology: Topology::Ring,
-    /// });
-    /// assert_eq!(cfg.islands.islands, 4);
-    /// assert!(cfg.validate().is_ok());
-    /// ```
-    pub fn with_islands(mut self, islands: IslandConfig) -> Self {
-        self.islands = islands;
-        self
-    }
-
     /// Validates cross-field invariants. Called by the scheduler
     /// constructor; exposed for configuration loaders.
     pub fn validate(&self) -> Result<(), String> {
@@ -245,8 +217,6 @@ impl PnConfig {
         if self.seed_strategy == (SeedStrategy::CarryOver { elites: 0 }) {
             return Err("carry-over elites must be ≥ 1".into());
         }
-        self.islands
-            .validate(self.ga.population_size, self.ga.elitism)?;
         Ok(())
     }
 }
@@ -313,28 +283,6 @@ mod tests {
         let c = PnConfig::default().with_warm_start(0);
         assert!(c.validate().is_err());
         assert!(PnConfig::default().with_warm_start(5).validate().is_ok());
-    }
-
-    #[test]
-    fn validation_catches_degenerate_islands() {
-        // migrants >= population/islands must be a diagnosable rejection.
-        let mut c = PnConfig::default().with_islands(IslandConfig {
-            islands: 4,
-            migrants: 5,
-            ..IslandConfig::default()
-        });
-        assert!(c.validate().is_err());
-        c.islands.migrants = 4;
-        assert!(c.validate().is_ok(), "pop 20 / 4 islands leaves room for 4");
-        // More islands than the population can shard.
-        c.islands = IslandConfig {
-            islands: 16,
-            migrants: 1,
-            ..IslandConfig::default()
-        };
-        assert!(c.validate().is_err());
-        // The default single island stays valid whatever the other knobs.
-        assert!(PnConfig::default().validate().is_ok());
     }
 
     #[test]

@@ -124,33 +124,6 @@ pub fn remap_elite(prev: &Chromosome, batch: &[Task], procs: &[ProcessorState]) 
     Chromosome::from_queues(&queues)
 }
 
-/// Remaps per-island carried populations onto a new batch's shape for
-/// island-model warm starts: island `k` of the output is the first
-/// `elites` chromosomes of `carried[k]`, each remapped with
-/// [`remap_elite`] against the *same* `(batch, procs)`.
-///
-/// Every island is remapped independently — elites never move between
-/// islands here (migration is the GA engine's job, not the carry-over's),
-/// so each island's evolved niche survives a batch-shape change intact.
-/// Like [`remap_elite`] this draws no randomness.
-pub fn remap_islands(
-    carried: &[Vec<Chromosome>],
-    elites: usize,
-    batch: &[Task],
-    procs: &[ProcessorState],
-) -> Vec<Vec<Chromosome>> {
-    carried
-        .iter()
-        .map(|island| {
-            island
-                .iter()
-                .take(elites)
-                .map(|c| remap_elite(c, batch, procs))
-                .collect()
-        })
-        .collect()
-}
-
 /// Generates a whole initial population. Each individual draws its own
 /// random fraction from `fraction_range`.
 pub fn initial_population(
@@ -392,54 +365,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn remap_islands_remaps_each_island_independently() {
-        // Regression test for island warm-start: remap_elite used to be
-        // exercised with one flat population only; the per-island remap
-        // must be exactly "remap_elite per chromosome, island by island" —
-        // never a remap of the concatenation, which would let the greedy
-        // fill of one island's elite see (and react to) another island's.
-        let island_a = vec![
-            Chromosome::from_queues(&[vec![0, 1, 2], vec![3, 4], vec![5]]),
-            Chromosome::from_queues(&[vec![0], vec![1, 2, 3], vec![4, 5]]),
-        ];
-        let island_b = vec![
-            Chromosome::from_queues(&[vec![5, 4], vec![3, 2], vec![1, 0]]),
-            Chromosome::from_queues(&[vec![], vec![], vec![0, 1, 2, 3, 4, 5]]),
-        ];
-        let carried = vec![island_a.clone(), island_b.clone()];
-        // Shape change: 6 tasks → 8 tasks (two slots must be greedy-filled).
-        let b = batch(8, 10.0);
-        let p = uniform_procs(3, 100.0);
-
-        let out = remap_islands(&carried, 2, &b, &p);
-        assert_eq!(out.len(), 2, "island count preserved");
-        for (k, island) in [island_a, island_b].iter().enumerate() {
-            assert_eq!(out[k].len(), 2);
-            for (i, prev) in island.iter().enumerate() {
-                // Bit-for-bit the single-population remap of that elite:
-                // no cross-island state leaks into the greedy fill.
-                assert_eq!(out[k][i], remap_elite(prev, &b, &p), "island {k} elite {i}");
-                assert!(out[k][i].validate().is_ok());
-            }
-        }
-        // The two islands carried different structures and must still
-        // differ after the remap — a mixed-up carry would collapse them.
-        assert_ne!(out[0], out[1], "islands' elites must not be mixed");
-    }
-
-    #[test]
-    fn remap_islands_truncates_to_elites_per_island() {
-        let island: Vec<Chromosome> = (0..4)
-            .map(|i| Chromosome::from_queues(&[vec![i], (0..4).filter(|&s| s != i).collect()]))
-            .collect();
-        let carried = vec![island.clone(), island];
-        let b = batch(4, 10.0);
-        let p = uniform_procs(2, 100.0);
-        let out = remap_islands(&carried, 2, &b, &p);
-        assert!(out.iter().all(|isl| isl.len() == 2), "per-island elite cap");
     }
 
     #[test]

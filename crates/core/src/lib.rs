@@ -80,7 +80,7 @@ pub mod time_model;
 
 pub use config::{PnConfig, SeedStrategy};
 pub use fitness::{slot_precedence, BatchProblem, Fitness, ProcessorState};
-pub use init::{remap_elite, remap_islands};
+pub use init::remap_elite;
 pub use plan::{plan_batch, BatchOutcome, PlanBudget, PlanRequest, Planner};
 pub use scheduler::PnScheduler;
 pub use time_model::GaTimeModel;

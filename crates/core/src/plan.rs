@@ -41,14 +41,14 @@ use std::time::Duration;
 
 use dts_distributions::{Prng, Rng};
 use dts_ga::{
-    island_sizes, Chromosome, CrossoverOp, CycleCrossover, GaResult, IslandEngine, IslandResult,
-    MutationOp, RouletteWheel, SelectionOp, SlotPrecedence, SwapMutation,
+    Chromosome, CrossoverOp, CycleCrossover, GaEngine, GaResult, MutationOp, RouletteWheel,
+    SelectionOp, SlotPrecedence, SwapMutation,
 };
 use dts_model::Task;
 
 use crate::config::{PnConfig, SeedStrategy};
 use crate::fitness::{BatchProblem, ProcessorState};
-use crate::init::{initial_population, remap_islands};
+use crate::init::{initial_population, remap_elite};
 
 /// How much search a plan call may spend before it must return.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,18 +103,11 @@ pub struct PlanRequest<'a> {
     pub mutation: &'a dyn MutationOp,
     /// Elites carried over from an earlier run, already remapped onto
     /// this batch's shape ([`crate::init::remap_elite`]), best first.
-    /// They head the initial population — dealt round-robin over the
-    /// islands of a sharded run so every island gets a share — and the
-    /// rest is filled with fresh §3.3 list-scheduled individuals. Empty
-    /// for a fresh run; seeds whose shape does not match the batch are
-    /// skipped, so a stale carry-over can never poison the run.
+    /// They head the initial population (at most a population's worth)
+    /// and the rest is filled with fresh §3.3 list-scheduled individuals.
+    /// Empty for a fresh run; seeds whose shape does not match the batch
+    /// are skipped, so a stale carry-over can never poison the run.
     pub warm_seeds: &'a [Chromosome],
-    /// Warm seeds already split by island: one remapped elite list per
-    /// island ([`crate::init::remap_islands`]; a monolithic run has one
-    /// island), so islands re-seed independently and elites never mix
-    /// across them. This is what [`Planner`] carries. Empty means fresh;
-    /// when non-empty it is used instead of `warm_seeds`.
-    pub warm_islands: &'a [Vec<Chromosome>],
     /// Batch-local precedence constraints for DAG planning
     /// ([`crate::fitness::slot_precedence`] builds one from a
     /// [`dts_model::TaskGraph`]): the engine repairs every chromosome
@@ -141,7 +134,6 @@ impl<'a> PlanRequest<'a> {
             crossover: &CycleCrossover,
             mutation: &SwapMutation,
             warm_seeds: &[],
-            warm_islands: &[],
             precedence: None,
             budget: PlanBudget::Unlimited,
             seed,
@@ -175,13 +167,6 @@ impl<'a> PlanRequest<'a> {
         self
     }
 
-    /// Sets per-island warm-start seeds (one list per island, best
-    /// first).
-    pub fn with_island_seeds(mut self, seeds: &'a [Vec<Chromosome>]) -> Self {
-        self.warm_islands = seeds;
-        self
-    }
-
     /// Sets the latency budget.
     pub fn with_budget(mut self, budget: PlanBudget) -> Self {
         self.budget = budget;
@@ -211,41 +196,13 @@ pub struct BatchOutcome {
     /// Generations evolved.
     pub generations: u32,
     /// Full GA result (history is populated when
-    /// `config.ga.record_history` is set). For an island run
-    /// (`config.islands.islands > 1`) this is the ensemble aggregate:
-    /// best-of-islands schedule, summed memo counters, rank-interleaved
-    /// final population, empty history.
+    /// `config.ga.record_history` is set).
     pub ga: GaResult,
-    /// Per-island results when the run was sharded
-    /// (`config.islands.islands > 1`), in island order; empty for a
-    /// monolithic run. Warm-start carry-over reads each island's
-    /// `final_population` from here so islands re-seed independently.
-    pub islands: Vec<GaResult>,
 }
 
 impl BatchOutcome {
-    /// Packages what [`dts_ga::IslandEngine`] returned. A one-island
-    /// ensemble *is* its island (the engine delegates to the monolithic
-    /// GA), so that island's result moves into `ga` whole — history and
-    /// final population included — and `islands` stays empty.
-    fn from_ensemble(mut result: IslandResult) -> Self {
-        let (ga, islands) = if result.islands.len() == 1 {
-            (result.islands.swap_remove(0), Vec::new())
-        } else {
-            let final_population = result.merged_final_population();
-            let ga = GaResult {
-                best: result.best,
-                best_makespan: result.best_makespan,
-                best_fitness: result.best_fitness,
-                generations: result.generations,
-                stop_reason: result.stop_reason,
-                history: Vec::new(),
-                final_population,
-                memo_hits: result.memo_hits,
-                memo_misses: result.memo_misses,
-            };
-            (ga, result.islands)
-        };
+    /// Packages a finished GA run, keeping its result whole.
+    fn new(ga: GaResult) -> Self {
         Self {
             queues: ga.best.to_queues(),
             best: ga.best.clone(),
@@ -253,74 +210,48 @@ impl BatchOutcome {
             best_fitness: ga.best_fitness,
             generations: ga.generations,
             ga,
-            islands,
         }
     }
 
-    /// Moves the best `elites` schedules of every island's final
-    /// population out of the outcome, one list per island (a monolithic
-    /// run yields a single list) — what warm-start carry-over keeps.
-    /// Nothing is cloned; the populations left behind are empty.
-    fn take_elites(&mut self, elites: usize) -> Vec<Vec<Chromosome>> {
-        let per_island = if self.islands.is_empty() {
-            std::slice::from_mut(&mut self.ga)
-        } else {
-            &mut self.islands[..]
-        };
-        per_island
-            .iter_mut()
-            .map(|island| {
-                let mut pop = std::mem::take(&mut island.final_population);
-                pop.truncate(elites);
-                pop
-            })
-            .collect()
+    /// Moves the best `elites` schedules of the final population out of
+    /// the outcome — what warm-start carry-over keeps. Nothing is cloned;
+    /// the population left behind is empty.
+    fn take_elites(&mut self, elites: usize) -> Vec<Chromosome> {
+        let mut pop = std::mem::take(&mut self.ga.final_population);
+        pop.truncate(elites);
+        pop
     }
 }
 
-/// The initial population of one run, one list per island, each exactly
-/// its island's size: the request's warm seeds first, then fresh §3.3
-/// individuals drawn in island order from the single run RNG —
-/// deterministic, and no seed list ever needs cycling.
-fn seed_islands(req: &PlanRequest<'_>, config: &PnConfig, rng: &mut Prng) -> Vec<Vec<Chromosome>> {
-    let shape_ok = |c: &&Chromosome| {
-        c.n_tasks() as usize == req.batch.len()
-            && c.n_procs() as usize == req.procs.len()
-            && c.validate().is_ok()
-    };
+/// The initial population of one run, exactly `population_size` long: the
+/// request's shape-matching warm seeds first, then fresh §3.3 individuals
+/// drawn from the run RNG — deterministic, and no seed list ever needs
+/// cycling.
+fn seed_population(req: &PlanRequest<'_>, config: &PnConfig, rng: &mut Prng) -> Vec<Chromosome> {
     let population = config.ga.population_size;
-    let sizes = island_sizes(population, config.islands.islands);
-    let mut seeds: Vec<Vec<Chromosome>> = vec![Vec::new(); sizes.len()];
-    if req.warm_islands.is_empty() {
-        let warm = req.warm_seeds.iter().filter(shape_ok).take(population);
-        for (i, c) in warm.enumerate() {
-            seeds[i % sizes.len()].push(c.clone());
-        }
-    } else {
-        for ((island, warm), &size) in seeds.iter_mut().zip(req.warm_islands).zip(&sizes) {
-            island.extend(warm.iter().filter(shape_ok).take(size).cloned());
-        }
-    }
-    for (island, &size) in seeds.iter_mut().zip(&sizes) {
-        let missing = size - island.len();
-        if missing > 0 {
-            island.extend(initial_population(
-                req.batch,
-                req.procs,
-                missing,
-                config.init_random_fraction,
-                rng,
-            ));
-        }
-    }
+    let mut seeds: Vec<Chromosome> = req
+        .warm_seeds
+        .iter()
+        .filter(|c| {
+            c.n_tasks() as usize == req.batch.len()
+                && c.n_procs() as usize == req.procs.len()
+                && c.validate().is_ok()
+        })
+        .take(population)
+        .cloned()
+        .collect();
+    seeds.extend(initial_population(
+        req.batch,
+        req.procs,
+        population - seeds.len(),
+        config.init_random_fraction,
+        rng,
+    ));
     seeds
 }
 
 /// Runs the PN genetic algorithm for one plan request under its budget —
-/// the only one-shot entry point. `config.islands` decides whether the
-/// population is sharded; [`IslandEngine`] with a single island is the
-/// paper's monolithic GA bit for bit, so there is no second code path
-/// here.
+/// the only one-shot entry point.
 ///
 /// # Panics
 ///
@@ -334,18 +265,16 @@ pub fn plan_batch(req: &PlanRequest<'_>, config: &PnConfig) -> BatchOutcome {
     if let Some(prec) = req.precedence {
         problem = problem.with_precedence(prec);
     }
-    let seeds = seed_islands(req, config, &mut rng);
-    let engine = IslandEngine::new(
+    let initial = seed_population(req, config, &mut rng);
+    let engine = GaEngine::new(
         req.selection,
         req.crossover,
         req.mutation,
         config.ga.clone(),
-        config.islands.clone(),
-    )
-    .expect("validated PnConfig");
-    BatchOutcome::from_ensemble(engine.run_budgeted(
+    );
+    BatchOutcome::new(engine.run_budgeted(
         &problem,
-        seeds,
+        initial,
         req.budget.generation_cap(),
         req.budget.time_limit(),
         &mut rng,
@@ -358,22 +287,20 @@ pub fn plan_batch(req: &PlanRequest<'_>, config: &PnConfig) -> BatchOutcome {
 /// Each [`Planner::plan`] call draws one seed from the plan-call stream
 /// (`Prng::seed_from(config.seed)`), and under
 /// [`SeedStrategy::CarryOver`] remaps the previous batch's elites onto
-/// the new batch's shape, island by island, runs [`plan_batch`] warm
-/// started from them, and keeps the top `elites` of each island's final
-/// population for the next call. The remap is deterministic, so the whole
-/// lifecycle stays a pure function of the seeds. Two `Planner`s built
-/// from equal configurations and fed equal batches therefore return
-/// identical outcomes — which is what lets the replay oracle compare the
-/// server against [`crate::scheduler::PnScheduler`] placement for
-/// placement.
+/// the new batch's shape, runs [`plan_batch`] warm started from them,
+/// and keeps the top `elites` of the final population for the next call.
+/// The remap is deterministic, so the whole lifecycle stays a pure
+/// function of the seeds. Two `Planner`s built from equal configurations
+/// and fed equal batches therefore return identical outcomes — which is
+/// what lets the replay oracle compare the server against
+/// [`crate::scheduler::PnScheduler`] placement for placement.
 pub struct Planner {
     config: PnConfig,
     /// The plan-call seed stream: one `next_u64` per call.
     rng: Prng,
-    /// The previous batch's elites (best first), one list per island — a
-    /// monolithic run carries a single list. Empty before the first call
-    /// and always under [`SeedStrategy::Fresh`].
-    carried: Vec<Vec<Chromosome>>,
+    /// The previous batch's elites, best first. Empty before the first
+    /// call and always under [`SeedStrategy::Fresh`].
+    carried: Vec<Chromosome>,
 }
 
 impl Planner {
@@ -397,8 +324,8 @@ impl Planner {
         &self.config
     }
 
-    /// The elites retained for the next call, one list per island.
-    pub fn carried(&self) -> &[Vec<Chromosome>] {
+    /// The elites retained for the next call, best first.
+    pub fn carried(&self) -> &[Chromosome] {
         &self.carried
     }
 
@@ -410,15 +337,15 @@ impl Planner {
         budget: PlanBudget,
     ) -> BatchOutcome {
         let seed = self.rng.next_u64();
-        let warm = match self.config.seed_strategy {
-            SeedStrategy::CarryOver { elites } => {
-                remap_islands(&self.carried, elites, batch, procs)
-            }
-            SeedStrategy::Fresh => Vec::new(),
-        };
+        // Empty under `Fresh`; under `CarryOver` already cut to `elites`.
+        let warm: Vec<Chromosome> = self
+            .carried
+            .iter()
+            .map(|c| remap_elite(c, batch, procs))
+            .collect();
         let mut outcome = plan_batch(
             &PlanRequest::new(batch, procs, seed)
-                .with_island_seeds(&warm)
+                .with_warm_seeds(&warm)
                 .with_budget(budget),
             &self.config,
         );
@@ -539,18 +466,10 @@ mod tests {
         assert_eq!(plain.generations, memoised.generations);
     }
 
-    /// `CarryOver { elites: 3 }` on a monolithic or two-island population.
-    fn carry_config(islands: usize) -> PnConfig {
+    /// `CarryOver { elites: 3 }`.
+    fn carry_config() -> PnConfig {
         let mut cfg = quick_config(50);
         cfg.seed_strategy = SeedStrategy::CarryOver { elites: 3 };
-        if islands > 1 {
-            cfg = cfg.with_islands(dts_ga::IslandConfig {
-                islands,
-                migration_interval: 5,
-                migrants: 1,
-                topology: dts_ga::Topology::Ring,
-            });
-        }
         cfg
     }
 
@@ -567,16 +486,14 @@ mod tests {
 
     #[test]
     fn equal_configs_plan_identically_across_a_shape_change() {
-        for islands in [1, 2] {
-            let cfg = carry_config(islands);
-            let (a, _) = four_batches(&cfg);
-            let (b, _) = four_batches(&cfg);
-            for (k, (x, y)) in a.iter().zip(&b).enumerate() {
-                assert_eq!(x.queues, y.queues, "islands={islands} batch {k}");
-                assert_eq!(x.best_makespan.to_bits(), y.best_makespan.to_bits());
-                assert_eq!(x.generations, y.generations);
-                assert_places_every_task_once(x, [10, 10, 6, 6][k]);
-            }
+        let cfg = carry_config();
+        let (a, _) = four_batches(&cfg);
+        let (b, _) = four_batches(&cfg);
+        for (k, (x, y)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(x.queues, y.queues, "batch {k}");
+            assert_eq!(x.best_makespan.to_bits(), y.best_makespan.to_bits());
+            assert_eq!(x.generations, y.generations);
+            assert_places_every_task_once(x, [10, 10, 6, 6][k]);
         }
     }
 
@@ -592,19 +509,14 @@ mod tests {
     }
 
     #[test]
-    fn carry_over_retains_exactly_the_elites_of_every_island() {
-        for islands in [1, 2] {
-            let cfg = carry_config(islands);
-            let (_, planner) = four_batches(&cfg);
-            let carried = planner.carried();
-            assert_eq!(carried.len(), islands, "one carried list per island");
-            assert!(carried.iter().all(|island| island.len() == 3));
-            // The last batch had 6 tasks on 3 processors.
-            assert!(carried
-                .iter()
-                .flatten()
-                .all(|c| c.validate().is_ok() && c.n_tasks() == 6 && c.n_procs() == 3));
-        }
+    fn carry_over_retains_exactly_the_elites() {
+        let (_, planner) = four_batches(&carry_config());
+        let carried = planner.carried();
+        assert_eq!(carried.len(), 3);
+        // The last batch had 6 tasks on 3 processors.
+        assert!(carried
+            .iter()
+            .all(|c| c.validate().is_ok() && c.n_tasks() == 6 && c.n_procs() == 3));
     }
 
     #[test]

@@ -507,9 +507,10 @@ impl<'a> GaEngine<'a> {
     /// Begins a resumable run: evaluates the initial population and returns
     /// the live [`GaRun`], which advances one generation per
     /// [`GaRun::step`] call. This is the engine's steppable form — the
-    /// building block for time-budgeted planning and (eventually)
-    /// island-model migration, where a driver interleaves generations of
-    /// several runs.
+    /// building block for time-budgeted planning and for any driver that
+    /// interleaves generations with its own events (stopping when a
+    /// processor asks for work rather than at a predicted generation
+    /// count).
     ///
     /// `eval` must come from `self.config().evaluator.with_context(..)`
     /// (or any other [`BatchEval`] that evaluates exactly like the
@@ -667,11 +668,10 @@ pub enum GaStep {
 ///
 /// The driver owns the loop, which is what makes time-budgeted planning
 /// ("best schedule in ≤ X ms" — check the clock between steps, then
-/// [`GaRun::stop_now`]) and island-model migration (interleave steps of
-/// several runs, exchanging elites between them) possible. Stepping draws
-/// from the caller's RNG exactly as the one-shot `run()` does, so a run
-/// driven to completion by `step()` is bit-identical to `run()` with the
-/// same seed.
+/// [`GaRun::stop_now`]) and event-driven stopping (interleave steps with
+/// a simulator's event queue) possible. Stepping draws from the caller's
+/// RNG exactly as the one-shot `run()` does, so a run driven to completion
+/// by `step()` is bit-identical to `run()` with the same seed.
 ///
 /// The borrow of the engine and problem lasts for the run; the evaluation
 /// context passed to each `step` must evaluate exactly like the problem
@@ -945,36 +945,6 @@ impl<'r, P: Problem> GaRun<'r, P> {
         GaStep::Continue
     }
 
-    /// Population indices sorted by makespan ascending (stable: ties keep
-    /// population order) — the ranking the island migration operator uses
-    /// to pick emigrants (head) and the immigrants to displace (tail).
-    /// A pure function of the evaluated population, so it is identical
-    /// whatever thread stepped the island.
-    pub(crate) fn ranked_indices(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.pop.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.pop[a]
-                .makespan
-                .partial_cmp(&self.pop[b].makespan)
-                .expect("finite makespan")
-        });
-        order
-    }
-
-    /// Re-runs the best-schedule tracking over the current population —
-    /// called after a migration so an immigrant better than everything
-    /// this island has seen becomes its tracked best (and resets the
-    /// plateau counter, exactly like an improvement found by evolution).
-    pub(crate) fn refresh_best(&mut self) {
-        let (best_idx, _) = GaEngine::best_of(&self.pop);
-        if self.pop[best_idx].makespan < self.best_makespan {
-            self.best.clone_from(&self.pop[best_idx].chrom);
-            self.best_makespan = self.pop[best_idx].makespan;
-            self.best_fitness = self.pop[best_idx].fitness;
-            self.stale_generations = 0;
-        }
-    }
-
     /// Finishes the run and assembles the [`GaResult`]. A run abandoned
     /// mid-flight (no stopping condition fired, no [`GaRun::stop_now`])
     /// reports [`StopReason::MaxGenerations`] — the result is still the
@@ -992,19 +962,6 @@ impl<'r, P: Problem> GaRun<'r, P> {
             memo_misses: self.memo.misses(),
         }
     }
-}
-
-/// Swaps the individuals at population slot `ia` of `a` and `ib` of `b` —
-/// the island migration primitive. Cached fitness, makespan, and
-/// completion times travel with the chromosomes, so migration never
-/// re-evaluates anything and never touches the memo counters.
-pub(crate) fn swap_individuals<P: Problem>(
-    a: &mut GaRun<'_, P>,
-    ia: usize,
-    b: &mut GaRun<'_, P>,
-    ib: usize,
-) {
-    std::mem::swap(&mut a.pop[ia], &mut b.pop[ib]);
 }
 
 #[cfg(test)]

@@ -268,12 +268,9 @@ pub trait BatchEval {
 }
 
 /// Serial evaluation context: walks the records in order on the calling
-/// thread. Crate-visible so the island engine can hand each island its own
-/// serial context while islands themselves run on separate threads — the
-/// per-island evaluation order (and therefore every result bit) is then
-/// independent of how islands are scheduled onto workers.
-pub(crate) struct SerialCtx<'a, P: ?Sized> {
-    pub(crate) problem: &'a P,
+/// thread.
+struct SerialCtx<'a, P: ?Sized> {
+    problem: &'a P,
 }
 
 impl<P: Problem + ?Sized> BatchEval for SerialCtx<'_, P> {

@@ -3,9 +3,10 @@
 //!
 //! The paper's GA (Fig. 1) repeats *crossover → random mutation → selection*
 //! over a population of schedule encodings until a stopping condition is
-//! met. This crate implements that machinery generically, so the PN
-//! scheduler (`dts-core`) and the ZO baseline (`dts-schedulers`) can share
-//! it while plugging in their own fitness functions:
+//! met. This crate implements that machinery generically, over any
+//! [`Problem`] that supplies a fitness function; the PN scheduler
+//! (`dts-core`) plugs in its own, and its ZO preset a second one. One
+//! engine evolves one population per batch:
 //!
 //! * [`encoding::Chromosome`] — the §3.1 encoding: a permutation of task
 //!   slots and `M − 1` delimiter symbols splitting it into per-processor
@@ -21,17 +22,13 @@
 //!   the evaluated population instead of a penalty term.
 //! * [`engine`] — the generation loop with elitism, per-generation local
 //!   improvement hooks (for §3.5's rebalancing heuristic), statistics
-//!   history, and the §3.4 stopping conditions.
+//!   history, and the §3.4 stopping conditions; [`GaEngine::start`] hands
+//!   out the same loop one generation per [`GaRun::step`], for drivers
+//!   that stop on a deadline or an event.
 //! * [`evaluate`] — the deterministic evaluation pipeline:
 //!   [`evaluate::Evaluator`] executes fitness batches either serially or on
 //!   a scoped thread pool, with results written back by chromosome index so
 //!   runs are bit-identical at any worker count.
-//! * [`islands`] — the island model: [`islands::IslandEngine`] shards one
-//!   configured population across independent islands (one [`GaRun`] each,
-//!   stepped in lockstep rounds, coarse-grained parallelism over the same
-//!   [`evaluate::Evaluator`] worker budget) with deterministic elite
-//!   migration every [`islands::IslandConfig::migration_interval`]
-//!   generations.
 //! * [`memo`] — the fitness memo: duplicate genomes (common late in
 //!   convergence) are evaluated once per batch epoch and then served from
 //!   an O(1) cache keyed by the chromosome's incrementally maintained
@@ -65,7 +62,6 @@ pub mod crossover;
 pub mod encoding;
 pub mod engine;
 pub mod evaluate;
-pub mod islands;
 pub mod memo;
 pub mod mutation;
 pub mod repair;
@@ -75,9 +71,6 @@ pub use crossover::{CrossoverOp, CycleCrossover, OnePointOrder, OrderCrossover, 
 pub use encoding::{Chromosome, Gene};
 pub use engine::{GaConfig, GaEngine, GaResult, GaRun, GaStep, GenStats, Problem, StopReason};
 pub use evaluate::{BatchEval, Evaluated, Evaluator};
-pub use islands::{
-    island_sizes, migrate_populations, IslandConfig, IslandEngine, IslandResult, Topology,
-};
 pub use memo::{FitnessMemo, DEFAULT_MEMO_CAPACITY};
 pub use mutation::{GeneEdit, InsertMutation, InversionMutation, MutationOp, SwapMutation};
 pub use repair::{repair_topological, SlotPrecedence};

@@ -2,11 +2,11 @@
 //! for arbitrary chromosome shapes, and the engine never fabricates or
 //! loses tasks.
 
-use dts_distributions::{Prng, Rng};
+use dts_distributions::Prng;
 use dts_ga::{
-    migrate_populations, repair_topological, Chromosome, CrossoverOp, CycleCrossover, Evaluator,
-    GaConfig, GaEngine, Gene, InsertMutation, MutationOp, OnePointOrder, OrderCrossover, Problem,
-    RankSelection, RouletteWheel, SelectionOp, SlotPrecedence, SwapMutation, Topology, Tournament,
+    repair_topological, Chromosome, CrossoverOp, CycleCrossover, Evaluator, GaConfig, GaEngine,
+    Gene, InsertMutation, MutationOp, OnePointOrder, OrderCrossover, Problem, RankSelection,
+    RouletteWheel, SelectionOp, SlotPrecedence, SwapMutation, Tournament,
 };
 use proptest::prelude::*;
 
@@ -219,135 +219,6 @@ proptest! {
         prop_assert_eq!(parallel.best_makespan.to_bits(), serial.best_makespan.to_bits());
         prop_assert_eq!(parallel.best_fitness.to_bits(), serial.best_fitness.to_bits());
         prop_assert_eq!(parallel.generations, serial.generations);
-    }
-}
-
-// ---------------------------------------------------------------------
-// The migration operator in isolation: `migrate_populations` over plain
-// `(makespan, id)` pairs, with no engine in the loop.
-// ---------------------------------------------------------------------
-
-/// One generated archipelago: per-island `(makespan, id)` populations plus
-/// a migrant count, topology pick, and per-island rotation offsets.
-type Archipelago = (Vec<Vec<(f64, u32)>>, usize, bool, Vec<usize>);
-
-/// Strategy: 2–6 islands of 2–8 individuals each, every individual
-/// carrying a globally unique id and a distinct makespan (an arbitrary
-/// injective scramble of the id), plus a migrant count and topology pick.
-fn archipelago_strategy() -> impl Strategy<Value = Archipelago> {
-    (
-        proptest::collection::vec(2usize..9, 2..7),
-        1usize..6,
-        proptest::bool::ANY,
-        0u64..u64::MAX,
-        proptest::collection::vec(0usize..64, 2..7),
-    )
-        .prop_map(|(sizes, migrants, ring, scramble_seed, rotations)| {
-            let mut rng = Prng::seed_from(scramble_seed);
-            let mut id = 0u32;
-            let pops: Vec<Vec<(f64, u32)>> = sizes
-                .iter()
-                .map(|&size| {
-                    (0..size)
-                        .map(|_| {
-                            id += 1;
-                            // Distinct makespans: unique id plus a strictly
-                            // sub-unit jitter keeps the scramble injective.
-                            (f64::from(id) + rng.next_f64() * 0.5, id)
-                        })
-                        .collect()
-                })
-                .collect();
-            (pops, migrants, ring, rotations)
-        })
-}
-
-fn sorted_ids(island: &[(f64, u32)]) -> Vec<u32> {
-    let mut ids: Vec<u32> = island.iter().map(|&(_, id)| id).collect();
-    ids.sort_unstable();
-    ids
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
-    /// Migration is a pure exchange: whatever the island count, shapes,
-    /// migrant count, or topology, the global id multiset and every
-    /// island's size are preserved — nothing duplicated, nothing lost.
-    /// Degenerate knobs are a diagnosable `Err`, never a panic.
-    #[test]
-    fn migration_conserves_individuals_or_rejects(
-        (pops, migrants, ring, _rot) in archipelago_strategy(),
-    ) {
-        let topology = if ring { Topology::Ring } else { Topology::FullyConnected };
-        let min_pop = pops.iter().map(Vec::len).min().unwrap();
-        let before_global = {
-            let mut all: Vec<u32> = pops.iter().flatten().map(|&(_, id)| id).collect();
-            all.sort_unstable();
-            all
-        };
-        let sizes_before: Vec<usize> = pops.iter().map(Vec::len).collect();
-
-        let mut migrated = pops.clone();
-        let outcome = migrate_populations(&mut migrated, migrants, topology);
-        if migrants >= min_pop {
-            prop_assert!(outcome.is_err(), "migrants={migrants} >= min pop {min_pop} must be rejected");
-            prop_assert_eq!(&migrated, &pops, "a rejected migration must not touch the populations");
-        } else {
-            prop_assert!(outcome.is_ok(), "valid knobs rejected: {:?}", outcome);
-            let sizes_after: Vec<usize> = migrated.iter().map(Vec::len).collect();
-            prop_assert_eq!(sizes_before, sizes_after, "island sizes drifted");
-            let mut after_global: Vec<u32> =
-                migrated.iter().flatten().map(|&(_, id)| id).collect();
-            after_global.sort_unstable();
-            prop_assert_eq!(before_global, after_global, "id multiset changed");
-        }
-    }
-
-    /// Emigrant selection keys on *rank*, not storage order: rotating each
-    /// island's internal element order (a stand-in for any permutation of
-    /// island evaluation order) leaves the post-migration membership of
-    /// every island unchanged.
-    #[test]
-    fn migration_is_stable_under_island_order_permutation(
-        (pops, migrants, ring, rotations) in archipelago_strategy(),
-    ) {
-        let topology = if ring { Topology::Ring } else { Topology::FullyConnected };
-        // Clamp into the valid range (the shim has no prop_assume): every
-        // island has ≥ 2 members, so min_pop - 1 ≥ 1 is always legal.
-        let min_pop = pops.iter().map(Vec::len).min().unwrap();
-        let migrants = migrants.min(min_pop - 1);
-
-        let mut canonical = pops.clone();
-        migrate_populations(&mut canonical, migrants, topology).unwrap();
-
-        let mut permuted = pops.clone();
-        for (k, island) in permuted.iter_mut().enumerate() {
-            let by = rotations[k % rotations.len()] % island.len();
-            island.rotate_left(by);
-        }
-        migrate_populations(&mut permuted, migrants, topology).unwrap();
-
-        for (k, (a, b)) in canonical.iter().zip(&permuted).enumerate() {
-            prop_assert_eq!(
-                sorted_ids(a),
-                sorted_ids(b),
-                "island {} membership depends on storage order", k
-            );
-        }
-    }
-
-    /// Fewer than two islands can never migrate, whatever the other knobs.
-    #[test]
-    fn migration_rejects_sub_archipelagos(
-        size in 2usize..9,
-        migrants in 0usize..6,
-    ) {
-        let mut one: Vec<Vec<(f64, u32)>> =
-            vec![(0..size).map(|i| (i as f64, i as u32)).collect()];
-        prop_assert!(migrate_populations(&mut one, migrants.max(1), Topology::Ring).is_err());
-        let mut none: Vec<Vec<(f64, u32)>> = Vec::new();
-        prop_assert!(migrate_populations(&mut none, migrants.max(1), Topology::Ring).is_err());
     }
 }
 

@@ -735,33 +735,8 @@ mod tests {
         }
         s.plan();
         let carried = s.planner.carried();
-        assert_eq!(carried.len(), 1, "monolithic plan carries one list");
-        assert_eq!(carried[0].len(), 4);
-        assert!(carried[0].iter().all(|c| c.validate().is_ok()));
-        s.drain();
-        assert_eq!(s.stats().placed, 12);
-    }
-
-    #[test]
-    fn island_plans_carry_per_island_elites() {
-        let mut cfg = small_config();
-        cfg.pn.seed_strategy = SeedStrategy::CarryOver { elites: 4 };
-        cfg.pn.islands = dts_ga::IslandConfig {
-            islands: 2,
-            migration_interval: 5,
-            migrants: 1,
-            topology: dts_ga::Topology::Ring,
-        };
-        let mut s = DtsServer::new(cfg);
-        for i in 0..12 {
-            s.submit(TenantId((i % 2) as u16), 50.0 + 37.0 * i as f64, i as f64)
-                .unwrap();
-        }
-        s.plan();
-        let carried = s.planner.carried();
-        assert_eq!(carried.len(), 2, "one carried list per island");
-        assert!(carried.iter().all(|isl| isl.len() == 4));
-        assert!(carried.iter().flatten().all(|c| c.validate().is_ok()));
+        assert_eq!(carried.len(), 4);
+        assert!(carried.iter().all(|c| c.validate().is_ok()));
         s.drain();
         assert_eq!(s.stats().placed, 12);
     }
@@ -926,9 +901,8 @@ mod tests {
             }
         }
         let carried = s.planner.carried();
-        assert_eq!(carried.len(), 1);
-        assert_eq!(carried[0].len(), 4);
-        assert!(carried[0].iter().all(|c| c.validate().is_ok()));
+        assert_eq!(carried.len(), 4);
+        assert!(carried.iter().all(|c| c.validate().is_ok()));
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! worker count, fresh or warm-started.
 
 use dts_core::{PnConfig, PnScheduler};
-use dts_ga::{IslandConfig, Topology};
 use dts_model::sched::ProcessorView;
 use dts_model::{
     ArrivalProcess, ProcessorId, Scheduler, SimTime, SizeDistribution, SystemView, WorkloadSpec,
@@ -151,68 +150,6 @@ fn replay_matches_batch_pipeline_warm_started() {
         50,
         99,
         Some(5),
-    );
-}
-
-/// [`pn_config`] sharded across `islands` GA islands (Ring, migrating
-/// every 5 generations). The same config goes to both pipelines, so the
-/// server's island runs — including per-island warm-start carry — must
-/// reproduce the batch PnScheduler bit for bit.
-fn island_pn_config(workers: usize, warm: Option<usize>, islands: usize) -> PnConfig {
-    pn_config(workers, warm).with_islands(IslandConfig {
-        islands,
-        migration_interval: 5,
-        migrants: 1,
-        topology: Topology::Ring,
-    })
-}
-
-fn assert_island_oracle_equivalence(
-    arrival: ArrivalProcess,
-    n: usize,
-    seed: u64,
-    warm: Option<usize>,
-    islands: usize,
-) {
-    let t = trace(n, seed, arrival);
-    let reference = oracle_queues(t.tasks(), island_pn_config(1, warm, islands));
-    for workers in [1usize, 2, 8] {
-        let report =
-            replay_trace(&t, server_config(island_pn_config(workers, warm, islands))).unwrap();
-        assert_eq!(report.placements.len(), n);
-        assert_eq!(
-            report.queues(RATES.len()),
-            reference,
-            "island server replay (islands={islands}, workers={workers}, warm={warm:?}) \
-             diverged from the batch pipeline"
-        );
-    }
-}
-
-#[test]
-fn island_replay_matches_batch_pipeline_fresh() {
-    assert_island_oracle_equivalence(
-        ArrivalProcess::PoissonStream {
-            mean_interarrival: 0.3,
-        },
-        47,
-        2005,
-        None,
-        4,
-    );
-}
-
-#[test]
-fn island_replay_matches_batch_pipeline_warm_started() {
-    // The strongest island oracle: per-island carry-over must remap and
-    // re-seed every island identically on both sides, across several
-    // plan calls, at every worker count.
-    assert_island_oracle_equivalence(
-        ArrivalProcess::UniformOver { window: 30.0 },
-        50,
-        99,
-        Some(4),
-        2,
     );
 }
 

@@ -11,11 +11,11 @@
 //! paper's figures.
 //!
 //! ZO is `PnConfig::zo_preset` on the same pipeline as PN, so the matrices
-//! below (workers, memo, islands, warm start, DAG) run on PN alone;
+//! below (workers, memo, warm start, DAG) run on PN alone;
 //! `zomaya_is_deterministic` is ZO's end-to-end row.
 
 use dts::core::{PnConfig, PnScheduler, SeedStrategy};
-use dts::ga::{Evaluator, IslandConfig, Topology};
+use dts::ga::Evaluator;
 use dts::model::{ClusterSpec, Scheduler, SizeDistribution, WorkloadSpec};
 use dts::schedulers::{EarliestFinish, LightestLoaded, MaxMin, MinMin, RoundRobin};
 use dts::sim::{SimConfig, SimReport, Simulation};
@@ -199,64 +199,6 @@ fn memo_on_off_and_worker_counts_are_bit_identical() {
     }
 }
 
-fn island_config(islands: usize) -> IslandConfig {
-    IslandConfig {
-        islands,
-        migration_interval: 3,
-        migrants: 1,
-        topology: Topology::Ring,
-    }
-}
-
-/// Island-model determinism: sharding the GA population must not open any
-/// nondeterminism hole. The matrix islands {1, 4} × memo {0, 4096} ×
-/// workers {1, 4} must collapse to one bitwise schedule per island count —
-/// migration is driven by island-indexed RNG streams and rank snapshots,
-/// so neither the fitness memo nor thread scheduling may influence who
-/// migrates where.
-fn run_once_islands(evaluator: Evaluator, memo_capacity: usize, islands: usize) -> SimReport {
-    let mut cfg = pn_config(evaluator);
-    cfg.ga.memo_capacity = memo_capacity;
-    cfg.islands = island_config(islands);
-    simulate(SEED, Box::new(PnScheduler::new(PROCS, cfg)))
-}
-
-#[test]
-fn island_runs_are_bit_identical_across_memo_and_worker_counts() {
-    for islands in [1usize, 4] {
-        let reference = run_once_islands(Evaluator::Serial, 0, islands);
-        for memo_capacity in [0usize, 4096] {
-            for evaluator in [Evaluator::Serial, Evaluator::ThreadPool { workers: 4 }] {
-                let run = run_once_islands(evaluator, memo_capacity, islands);
-                assert_identical(
-                    &format!("PN/islands={islands}/memo={memo_capacity}/{evaluator:?}"),
-                    &reference,
-                    &run,
-                );
-            }
-        }
-    }
-}
-
-/// The opposite guard: island RNG streams derive from the master seed, so
-/// a different seed must produce a genuinely different migration pattern
-/// (observable as a different schedule), not a constant one.
-#[test]
-fn island_seed_changes_the_migration_outcome() {
-    let run_with = |seed: u64| {
-        let mut cfg = pn_config(Evaluator::Serial);
-        cfg.islands = island_config(4);
-        simulate(seed, Box::new(PnScheduler::new(PROCS, cfg)))
-    };
-    let a = run_with(SEED);
-    let b = run_with(SEED ^ 0x5EED);
-    assert_ne!(
-        a.makespan.to_bits(),
-        b.makespan.to_bits(),
-        "changing the master seed should change the island run"
-    );
-}
-
 /// Warm-start lifecycle determinism: with population carry-over the GA
 /// scheduler keeps state across `plan` calls (the previous batch's final
 /// population). That state is itself a pure function of the seeds, and the
@@ -298,11 +240,9 @@ fn warm_start_actually_changes_the_run() {
 /// DAG determinism: precedence-constrained workloads must satisfy the
 /// same contract as independent ones. Readiness gating in the simulator
 /// draws no randomness and the GA's topological repair is RNG-free, so
-/// workers {1, 4} × islands {1, 4} must collapse to one bitwise schedule
-/// per island count.
-fn run_once_dag(evaluator: Evaluator, islands: usize) -> SimReport {
-    let mut cfg = pn_config(evaluator);
-    cfg.islands = island_config(islands);
+/// workers {1, 4} must collapse to one bitwise schedule.
+fn run_once_dag(evaluator: Evaluator) -> SimReport {
+    let cfg = pn_config(evaluator);
     let cluster = ClusterSpec::paper_defaults(PROCS, 2.0).build(SEED);
     let (tasks, graph) = workload().generate_dag(
         &dts::model::graph::DagFamily::RandomLayered {
@@ -318,21 +258,15 @@ fn run_once_dag(evaluator: Evaluator, islands: usize) -> SimReport {
 }
 
 #[test]
-fn dag_runs_are_bit_identical_across_worker_and_island_counts() {
-    for islands in [1usize, 4] {
-        let reference = run_once_dag(Evaluator::Serial, islands);
-        assert!(
-            reference.waiting.mean_precedence_stall > 0.0,
-            "the DAG workload must actually exercise readiness gating"
-        );
-        for evaluator in [Evaluator::Serial, Evaluator::ThreadPool { workers: 4 }] {
-            let run = run_once_dag(evaluator, islands);
-            assert_identical(
-                &format!("PN/dag/islands={islands}/{evaluator:?}"),
-                &reference,
-                &run,
-            );
-        }
+fn dag_runs_are_bit_identical_across_worker_counts() {
+    let reference = run_once_dag(Evaluator::Serial);
+    assert!(
+        reference.waiting.mean_precedence_stall > 0.0,
+        "the DAG workload must actually exercise readiness gating"
+    );
+    for evaluator in [Evaluator::Serial, Evaluator::ThreadPool { workers: 4 }] {
+        let run = run_once_dag(evaluator);
+        assert_identical(&format!("PN/dag/{evaluator:?}"), &reference, &run);
     }
 }
 
