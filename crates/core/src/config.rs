@@ -5,41 +5,6 @@ use dts_ga::{Evaluator, GaConfig};
 use crate::fitness::Fitness;
 use crate::time_model::GaTimeModel;
 
-/// How the GA's initial population is seeded on each `plan` invocation.
-///
-/// The paper reseeds every batch from scratch via the §3.3 list-scheduling
-/// initialiser. `CarryOver` instead warm-starts each run from the previous
-/// batch's fittest schedules: because genes are batch-local slot indices,
-/// the carried elites are first *remapped* onto the new batch's shape
-/// ([`crate::init::remap_elite`]) — overlapping slots keep their
-/// processor-queue positions, new slots are placed earliest-finish — and
-/// the remainder of the population is filled with fresh list-scheduled
-/// individuals. Warm-starting transfers the evolved load-balance structure
-/// across invocations, so the GA needs fewer generations to re-converge in
-/// dynamic-arrival scenarios.
-///
-/// Either strategy is deterministic: the carried population is itself a
-/// pure function of the seeds, and the remap draws no randomness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SeedStrategy {
-    /// Reseed from scratch every invocation (the paper's behaviour).
-    #[default]
-    Fresh,
-    /// Carry the best `elites` schedules of the previous run forward as
-    /// warm-start seeds (capped by the population size).
-    CarryOver {
-        /// How many of the previous run's best schedules to carry.
-        elites: usize,
-    },
-}
-
-impl SeedStrategy {
-    /// True for [`SeedStrategy::CarryOver`].
-    pub fn is_carry_over(self) -> bool {
-        matches!(self, SeedStrategy::CarryOver { .. })
-    }
-}
-
 /// All knobs of the PN scheduler. [`PnConfig::default`] reproduces the
 /// paper's §4.2 setup: micro-GA population of 20, up to 1000 generations,
 /// one rebalance per individual per generation with 5 probes, batch size
@@ -101,10 +66,6 @@ pub struct PnConfig {
     /// or ZO's makespan ratio ([`PnConfig::zo_preset`]). It also names the
     /// scheduler: `PnScheduler::name` is [`Fitness::label`].
     pub fitness: Fitness,
-    /// How each `plan` invocation seeds its GA population: fresh §3.3
-    /// list-scheduling (the paper), or warm-started from the previous
-    /// batch's elites.
-    pub seed_strategy: SeedStrategy,
     /// Seed for the scheduler's private RNG stream.
     pub seed: u64,
 }
@@ -124,7 +85,6 @@ impl Default for PnConfig {
             time_model: GaTimeModel::default(),
             use_comm_estimates: true,
             fitness: Fitness::RelativeError,
-            seed_strategy: SeedStrategy::Fresh,
             seed: 0x9A6E_2005,
         }
     }
@@ -146,7 +106,7 @@ impl PnConfig {
     ///
     /// Everything else — the GA (micro-population of 20, up to 1000
     /// generations, roulette / cycle crossover / swap), the idle-horizon
-    /// budget with its `min_generations` floor, fresh seeding — is shared.
+    /// budget with its `min_generations` floor — is shared.
     /// ZO was made heterogeneous as the paper did it, by sizing tasks in
     /// MFLOPs rather than time. It keeps its own seed.
     ///
@@ -180,21 +140,6 @@ impl PnConfig {
         self
     }
 
-    /// Warm-starts every `plan` invocation from the previous batch's best
-    /// `elites` schedules (see [`SeedStrategy::CarryOver`]):
-    ///
-    /// ```
-    /// use dts_core::{PnConfig, config::SeedStrategy};
-    ///
-    /// let cfg = PnConfig::default().with_warm_start(5);
-    /// assert_eq!(cfg.seed_strategy, SeedStrategy::CarryOver { elites: 5 });
-    /// assert!(cfg.validate().is_ok());
-    /// ```
-    pub fn with_warm_start(mut self, elites: usize) -> Self {
-        self.seed_strategy = SeedStrategy::CarryOver { elites };
-        self
-    }
-
     /// Validates cross-field invariants. Called by the scheduler
     /// constructor; exposed for configuration loaders.
     pub fn validate(&self) -> Result<(), String> {
@@ -213,9 +158,6 @@ impl PnConfig {
         }
         if self.batch_scale.is_nan() || self.batch_scale <= 0.0 {
             return Err(format!("batch_scale {} must be positive", self.batch_scale));
-        }
-        if self.seed_strategy == (SeedStrategy::CarryOver { elites: 0 }) {
-            return Err("carry-over elites must be ≥ 1".into());
         }
         Ok(())
     }
@@ -276,19 +218,5 @@ mod tests {
             ..PnConfig::default()
         };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn validation_catches_zero_elites() {
-        let c = PnConfig::default().with_warm_start(0);
-        assert!(c.validate().is_err());
-        assert!(PnConfig::default().with_warm_start(5).validate().is_ok());
-    }
-
-    #[test]
-    fn seed_strategy_default_is_fresh() {
-        assert_eq!(SeedStrategy::default(), SeedStrategy::Fresh);
-        assert!(!SeedStrategy::Fresh.is_carry_over());
-        assert!(SeedStrategy::CarryOver { elites: 3 }.is_carry_over());
     }
 }

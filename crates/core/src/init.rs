@@ -55,9 +55,9 @@ pub fn list_scheduled_individual(
     Chromosome::from_queues(&queues)
 }
 
-/// The §3.3 greedy placement step, shared by the list-scheduling
-/// initialiser and the warm-start remap: index of the processor that
-/// would finish `t` earliest — argminⱼ (completionⱼ + t/Pⱼ + commⱼ).
+/// The §3.3 greedy placement step of [`list_scheduled_individual`]:
+/// index of the processor that would finish `t` earliest —
+/// argminⱼ (completionⱼ + t/Pⱼ + commⱼ), lowest index on ties.
 fn earliest_finish_proc(completion: &[f64], t: &Task, procs: &[ProcessorState]) -> usize {
     let mut best = 0usize;
     let mut best_finish = f64::INFINITY;
@@ -69,59 +69,6 @@ fn earliest_finish_proc(completion: &[f64], t: &Task, procs: &[ProcessorState]) 
         }
     }
     best
-}
-
-/// Remaps a chromosome evolved for a *previous* batch onto a new batch's
-/// shape, for warm-starting the next GA run
-/// ([`crate::config::SeedStrategy::CarryOver`]).
-///
-/// Genes are batch-local slot indices, so a carried elite cannot be reused
-/// verbatim: the new batch has different tasks, a different size, and
-/// possibly a different processor count. The remap keeps what *is*
-/// transferable — the processor-queue structure:
-///
-/// * slots that exist in both batches (`slot < batch.len()`) keep their
-///   processor and their relative queue position;
-/// * slots the old batch had but the new one lacks are dropped;
-/// * slots the new batch adds (or whose processor no longer exists) are
-///   placed on the earliest-finishing processor given everything placed so
-///   far — the greedy arm of the §3.3 initialiser.
-///
-/// The result is always a valid chromosome for `(batch, procs)`, and the
-/// function draws no randomness, so warm-started runs stay deterministic.
-pub fn remap_elite(prev: &Chromosome, batch: &[Task], procs: &[ProcessorState]) -> Chromosome {
-    assert!(!procs.is_empty());
-    let m = procs.len();
-    let h = batch.len();
-
-    let mut queues: Vec<Vec<u32>> = vec![Vec::new(); m];
-    let mut placed = vec![false; h];
-    for (p, slot) in prev.assignments() {
-        if p < m && (slot as usize) < h {
-            placed[slot as usize] = true;
-            queues[p].push(slot);
-        }
-    }
-
-    // Completion estimate per processor over what was kept, then fill the
-    // missing slots earliest-finish (ascending slot order: deterministic).
-    let mut completion: Vec<f64> = procs.iter().map(ProcessorState::delta).collect();
-    for (j, q) in queues.iter().enumerate() {
-        for &slot in q {
-            completion[j] += batch[slot as usize].mflops / procs[j].rate + procs[j].comm_cost;
-        }
-    }
-    for (slot, done) in placed.iter().enumerate() {
-        if *done {
-            continue;
-        }
-        let t = &batch[slot];
-        let best = earliest_finish_proc(&completion, t, procs);
-        completion[best] += t.mflops / procs[best].rate + procs[best].comm_cost;
-        queues[best].push(slot as u32);
-    }
-
-    Chromosome::from_queues(&queues)
 }
 
 /// Generates a whole initial population. Each individual draws its own
@@ -282,89 +229,6 @@ mod tests {
         digests.sort_unstable();
         digests.dedup();
         assert!(digests.len() > 10, "population should be diverse");
-    }
-
-    #[test]
-    fn remap_preserves_overlapping_structure() {
-        // A 6-task elite remapped onto a 6-task batch of the same shape is
-        // unchanged.
-        let prev = Chromosome::from_queues(&[vec![0, 3], vec![1, 4], vec![2, 5]]);
-        let b = batch(6, 10.0);
-        let p = uniform_procs(3, 100.0);
-        let c = remap_elite(&prev, &b, &p);
-        assert_eq!(c, prev);
-    }
-
-    #[test]
-    fn remap_shrinks_to_smaller_batch() {
-        let prev = Chromosome::from_queues(&[vec![0, 3, 6], vec![1, 4, 7], vec![2, 5, 8]]);
-        let b = batch(5, 10.0);
-        let p = uniform_procs(3, 100.0);
-        let c = remap_elite(&prev, &b, &p);
-        assert!(c.validate().is_ok());
-        assert_eq!(c.n_tasks(), 5);
-        // Surviving slots keep their processors: 0,3 → P0; 1,4 → P1; 2 → P2.
-        assert_eq!(c.to_queues(), vec![vec![0, 3], vec![1, 4], vec![2]]);
-    }
-
-    #[test]
-    fn remap_grows_to_larger_batch_earliest_finish() {
-        let prev = Chromosome::from_queues(&[vec![0], vec![1]]);
-        let b = batch(4, 10.0);
-        let p = uniform_procs(2, 100.0);
-        let c = remap_elite(&prev, &b, &p);
-        assert!(c.validate().is_ok());
-        assert_eq!(c.n_tasks(), 4);
-        // The two new slots fill the two equally loaded processors.
-        assert_eq!(c.queue_lengths(), vec![2, 2]);
-    }
-
-    #[test]
-    fn remap_handles_processor_count_changes() {
-        let prev = Chromosome::from_queues(&[vec![0, 2], vec![1, 3], vec![4]]);
-        let b = batch(5, 10.0);
-        // Cluster shrank 3 → 2: P2's tasks must be re-placed.
-        let c2 = remap_elite(&prev, &b, &uniform_procs(2, 100.0));
-        assert!(c2.validate().is_ok());
-        assert_eq!(c2.n_procs(), 2);
-        assert_eq!(c2.queue_lengths().iter().sum::<usize>(), 5);
-        // Cluster grew 3 → 4: the old structure persists, P3 starts empty
-        // (no slots were missing so nothing is placed on it).
-        let c4 = remap_elite(&prev, &b, &uniform_procs(4, 100.0));
-        assert!(c4.validate().is_ok());
-        assert_eq!(
-            c4.to_queues(),
-            vec![vec![0, 2], vec![1, 3], vec![4], vec![]]
-        );
-    }
-
-    #[test]
-    fn remap_is_always_valid_across_shapes() {
-        // Sweep old-batch × new-batch × proc-count combinations; validate()
-        // must hold for every remapped chromosome (the carried population
-        // can never poison the next run).
-        let mut rng = Prng::seed_from(9);
-        for &h_old in &[1usize, 3, 8, 20] {
-            for &m_old in &[1usize, 2, 5] {
-                let old_batch = batch(h_old, 10.0);
-                let old_procs = uniform_procs(m_old, 100.0);
-                let prev = list_scheduled_individual(&old_batch, &old_procs, 0.5, &mut rng);
-                for &h_new in &[1usize, 2, 8, 31] {
-                    for &m_new in &[1usize, 2, 4] {
-                        let b = batch(h_new, 10.0);
-                        let p = uniform_procs(m_new, 100.0);
-                        let c = remap_elite(&prev, &b, &p);
-                        assert!(
-                            c.validate().is_ok(),
-                            "remap {h_old}x{m_old} -> {h_new}x{m_new}: {:?}",
-                            c.validate()
-                        );
-                        assert_eq!(c.n_tasks() as usize, h_new);
-                        assert_eq!(c.n_procs() as usize, m_new);
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //! * [`scheduler`] — [`scheduler::PnScheduler`], the
 //!   [`dts_model::Scheduler`] implementation driven by the simulator.
 //! * [`plan`] — the one planning pipeline: [`plan::plan_batch`], the only
-//!   one-shot entry point (one request struct: operators, warm seeds,
-//!   precedence, an explicit latency budget), [`plan::Planner`], the
-//!   owner of the seed stream and carried elites that both
+//!   one-shot entry point (one request struct: operators, precedence, an
+//!   explicit latency budget), [`plan::Planner`], the owner of the
+//!   plan-call seed stream that both
 //!   [`scheduler::PnScheduler`] and the online `dts-server` plan through,
 //!   and [`plan::BatchOutcome`], what a plan call returns (read directly
 //!   by the Fig. 3 / Fig. 4 experiments).
@@ -78,9 +78,8 @@ pub mod rebalance;
 pub mod scheduler;
 pub mod time_model;
 
-pub use config::{PnConfig, SeedStrategy};
+pub use config::PnConfig;
 pub use fitness::{slot_precedence, BatchProblem, Fitness, ProcessorState};
-pub use init::remap_elite;
 pub use plan::{plan_batch, BatchOutcome, PlanBudget, PlanRequest, Planner};
 pub use scheduler::PnScheduler;
 pub use time_model::GaTimeModel;

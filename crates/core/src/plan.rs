@@ -5,14 +5,14 @@
 //! queues. This module is the only place that loop's middle is written:
 //!
 //! * [`plan_batch`] is the **one stateless call**: a [`PlanRequest`]
-//!   (batch, processor states, operators, warm seeds, precedence, budget,
-//!   seed) in, a [`BatchOutcome`] out. It builds the initial population,
+//!   (batch, processor states, operators, precedence, budget, seed) in, a
+//!   [`BatchOutcome`] out. It builds the §3.3 initial population,
 //!   constructs the GA engine — the only place outside `dts-ga` that
 //!   does, which CI checks — and runs it. Figures, ablations and tests
 //!   call it directly.
 //! * [`Planner`] is the **one stateful owner** of what persists across
-//!   plan calls: the plan-call seed stream and, under
-//!   [`SeedStrategy::CarryOver`], the carried elites. Both
+//!   plan calls: the plan-call seed stream. Every call seeds its
+//!   population fresh, as the paper does. Both
 //!   [`crate::scheduler::PnScheduler`] (driven by the simulator) and the
 //!   online `dts-server` hold a `Planner` and keep only what is their
 //!   own: how a batch is chosen, what budget it gets and where the
@@ -41,14 +41,14 @@ use std::time::Duration;
 
 use dts_distributions::{Prng, Rng};
 use dts_ga::{
-    Chromosome, CrossoverOp, CycleCrossover, GaEngine, GaResult, MutationOp, RouletteWheel,
-    SelectionOp, SlotPrecedence, SwapMutation,
+    CrossoverOp, CycleCrossover, GaEngine, GaResult, MutationOp, RouletteWheel, SelectionOp,
+    SlotPrecedence, SwapMutation,
 };
 use dts_model::Task;
 
-use crate::config::{PnConfig, SeedStrategy};
+use crate::config::PnConfig;
 use crate::fitness::{BatchProblem, ProcessorState};
-use crate::init::{initial_population, remap_elite};
+use crate::init::initial_population;
 
 /// How much search a plan call may spend before it must return.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,13 +101,6 @@ pub struct PlanRequest<'a> {
     /// Mutation. [`PlanRequest::new`] sets the paper's random swap
     /// (§3.3).
     pub mutation: &'a dyn MutationOp,
-    /// Elites carried over from an earlier run, already remapped onto
-    /// this batch's shape ([`crate::init::remap_elite`]), best first.
-    /// They head the initial population (at most a population's worth)
-    /// and the rest is filled with fresh §3.3 list-scheduled individuals.
-    /// Empty for a fresh run; seeds whose shape does not match the batch
-    /// are skipped, so a stale carry-over can never poison the run.
-    pub warm_seeds: &'a [Chromosome],
     /// Batch-local precedence constraints for DAG planning
     /// ([`crate::fitness::slot_precedence`] builds one from a
     /// [`dts_model::TaskGraph`]): the engine repairs every chromosome
@@ -133,7 +126,6 @@ impl<'a> PlanRequest<'a> {
             selection: &RouletteWheel,
             crossover: &CycleCrossover,
             mutation: &SwapMutation,
-            warm_seeds: &[],
             precedence: None,
             budget: PlanBudget::Unlimited,
             seed,
@@ -161,12 +153,6 @@ impl<'a> PlanRequest<'a> {
         self
     }
 
-    /// Sets the warm-start seeds.
-    pub fn with_warm_seeds(mut self, seeds: &'a [Chromosome]) -> Self {
-        self.warm_seeds = seeds;
-        self
-    }
-
     /// Sets the latency budget.
     pub fn with_budget(mut self, budget: PlanBudget) -> Self {
         self.budget = budget;
@@ -186,17 +172,13 @@ pub struct BatchOutcome {
     /// Per-processor queues of **batch slot indices** (positions in the
     /// input task slice), in dispatch order.
     pub queues: Vec<Vec<u32>>,
-    /// The winning chromosome.
-    pub best: Chromosome,
     /// Estimated makespan of the winning schedule (seconds), including δⱼ
     /// and communication estimates.
     pub best_makespan: f64,
-    /// Fitness of the winner, in (0, 1].
-    pub best_fitness: f64,
     /// Generations evolved.
     pub generations: u32,
-    /// Full GA result (history is populated when
-    /// `config.ga.record_history` is set).
+    /// Full GA result: the winning chromosome and its fitness, memo
+    /// counters, and the history when `config.ga.record_history` is set.
     pub ga: GaResult,
 }
 
@@ -205,49 +187,11 @@ impl BatchOutcome {
     fn new(ga: GaResult) -> Self {
         Self {
             queues: ga.best.to_queues(),
-            best: ga.best.clone(),
             best_makespan: ga.best_makespan,
-            best_fitness: ga.best_fitness,
             generations: ga.generations,
             ga,
         }
     }
-
-    /// Moves the best `elites` schedules of the final population out of
-    /// the outcome — what warm-start carry-over keeps. Nothing is cloned;
-    /// the population left behind is empty.
-    fn take_elites(&mut self, elites: usize) -> Vec<Chromosome> {
-        let mut pop = std::mem::take(&mut self.ga.final_population);
-        pop.truncate(elites);
-        pop
-    }
-}
-
-/// The initial population of one run, exactly `population_size` long: the
-/// request's shape-matching warm seeds first, then fresh §3.3 individuals
-/// drawn from the run RNG — deterministic, and no seed list ever needs
-/// cycling.
-fn seed_population(req: &PlanRequest<'_>, config: &PnConfig, rng: &mut Prng) -> Vec<Chromosome> {
-    let population = config.ga.population_size;
-    let mut seeds: Vec<Chromosome> = req
-        .warm_seeds
-        .iter()
-        .filter(|c| {
-            c.n_tasks() as usize == req.batch.len()
-                && c.n_procs() as usize == req.procs.len()
-                && c.validate().is_ok()
-        })
-        .take(population)
-        .cloned()
-        .collect();
-    seeds.extend(initial_population(
-        req.batch,
-        req.procs,
-        population - seeds.len(),
-        config.init_random_fraction,
-        rng,
-    ));
-    seeds
 }
 
 /// Runs the PN genetic algorithm for one plan request under its budget —
@@ -265,7 +209,13 @@ pub fn plan_batch(req: &PlanRequest<'_>, config: &PnConfig) -> BatchOutcome {
     if let Some(prec) = req.precedence {
         problem = problem.with_precedence(prec);
     }
-    let initial = seed_population(req, config, &mut rng);
+    let initial = initial_population(
+        req.batch,
+        req.procs,
+        config.ga.population_size,
+        config.init_random_fraction,
+        &mut rng,
+    );
     let engine = GaEngine::new(
         req.selection,
         req.crossover,
@@ -285,12 +235,9 @@ pub fn plan_batch(req: &PlanRequest<'_>, config: &PnConfig) -> BatchOutcome {
 /// from one plan call to the next, and the one sequence that uses it.
 ///
 /// Each [`Planner::plan`] call draws one seed from the plan-call stream
-/// (`Prng::seed_from(config.seed)`), and under
-/// [`SeedStrategy::CarryOver`] remaps the previous batch's elites onto
-/// the new batch's shape, runs [`plan_batch`] warm started from them,
-/// and keeps the top `elites` of the final population for the next call.
-/// The remap is deterministic, so the whole lifecycle stays a pure
-/// function of the seeds. Two `Planner`s built from equal configurations
+/// (`Prng::seed_from(config.seed)`) and runs [`plan_batch`] with it, so
+/// every plan is a pure function of the seeds. Two `Planner`s built from
+/// equal configurations
 /// and fed equal batches therefore return identical outcomes — which is
 /// what lets the replay oracle compare the server against
 /// [`crate::scheduler::PnScheduler`] placement for placement.
@@ -298,9 +245,6 @@ pub struct Planner {
     config: PnConfig,
     /// The plan-call seed stream: one `next_u64` per call.
     rng: Prng,
-    /// The previous batch's elites, best first. Empty before the first
-    /// call and always under [`SeedStrategy::Fresh`].
-    carried: Vec<Chromosome>,
 }
 
 impl Planner {
@@ -312,21 +256,12 @@ impl Planner {
     pub fn new(config: PnConfig) -> Self {
         config.validate().expect("invalid PnConfig");
         let rng = Prng::seed_from(config.seed);
-        Self {
-            config,
-            rng,
-            carried: Vec::new(),
-        }
+        Self { config, rng }
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &PnConfig {
         &self.config
-    }
-
-    /// The elites retained for the next call, best first.
-    pub fn carried(&self) -> &[Chromosome] {
-        &self.carried
     }
 
     /// Plans one batch under `budget`.
@@ -337,22 +272,10 @@ impl Planner {
         budget: PlanBudget,
     ) -> BatchOutcome {
         let seed = self.rng.next_u64();
-        // Empty under `Fresh`; under `CarryOver` already cut to `elites`.
-        let warm: Vec<Chromosome> = self
-            .carried
-            .iter()
-            .map(|c| remap_elite(c, batch, procs))
-            .collect();
-        let mut outcome = plan_batch(
-            &PlanRequest::new(batch, procs, seed)
-                .with_warm_seeds(&warm)
-                .with_budget(budget),
+        plan_batch(
+            &PlanRequest::new(batch, procs, seed).with_budget(budget),
             &self.config,
-        );
-        if let SeedStrategy::CarryOver { elites } = self.config.seed_strategy {
-            self.carried = outcome.take_elites(elites);
-        }
-        outcome
+        )
     }
 }
 
@@ -387,8 +310,7 @@ mod tests {
         c
     }
 
-    /// Heterogeneous sizes: equal-size tasks make fresh and warm runs
-    /// converge to the same plan, hiding carry-over effects.
+    /// Heterogeneous sizes, so that distinct schedules rarely tie.
     fn varied(n: usize) -> Vec<Task> {
         batch(
             &(0..n)
@@ -435,7 +357,7 @@ mod tests {
         );
         let out = plan_batch(&req, &quick_config(40));
         assert_places_every_task_once(&out, 12);
-        assert!(out.best.validate().is_ok());
+        assert!(out.ga.best.validate().is_ok());
         assert!(out.generations > 0);
     }
 
@@ -466,57 +388,27 @@ mod tests {
         assert_eq!(plain.generations, memoised.generations);
     }
 
-    /// `CarryOver { elites: 3 }`.
-    fn carry_config() -> PnConfig {
-        let mut cfg = quick_config(50);
-        cfg.seed_strategy = SeedStrategy::CarryOver { elites: 3 };
-        cfg
-    }
-
     /// Four plan calls with a shape change (10, 10, 6, 6 tasks).
-    fn four_batches(cfg: &PnConfig) -> (Vec<BatchOutcome>, Planner) {
+    fn four_batches(cfg: &PnConfig) -> Vec<BatchOutcome> {
         let p = procs(&[100.0, 150.0, 80.0]);
         let mut planner = Planner::new(cfg.clone());
-        let outcomes = [10, 10, 6, 6]
+        [10, 10, 6, 6]
             .into_iter()
             .map(|n| planner.plan(&varied(n), &p, PlanBudget::Generations(25)))
-            .collect();
-        (outcomes, planner)
+            .collect()
     }
 
     #[test]
     fn equal_configs_plan_identically_across_a_shape_change() {
-        let cfg = carry_config();
-        let (a, _) = four_batches(&cfg);
-        let (b, _) = four_batches(&cfg);
+        let cfg = quick_config(50);
+        let a = four_batches(&cfg);
+        let b = four_batches(&cfg);
         for (k, (x, y)) in a.iter().zip(&b).enumerate() {
             assert_eq!(x.queues, y.queues, "batch {k}");
             assert_eq!(x.best_makespan.to_bits(), y.best_makespan.to_bits());
             assert_eq!(x.generations, y.generations);
             assert_places_every_task_once(x, [10, 10, 6, 6][k]);
         }
-    }
-
-    #[test]
-    fn fresh_planner_retains_nothing() {
-        let (outcomes, planner) = four_batches(&quick_config(50));
-        assert!(planner.carried().is_empty(), "Fresh must not accumulate");
-        // Nothing was moved out of the outcomes either.
-        let population = planner.config().ga.population_size;
-        assert!(outcomes
-            .iter()
-            .all(|o| o.ga.final_population.len() == population));
-    }
-
-    #[test]
-    fn carry_over_retains_exactly_the_elites() {
-        let (_, planner) = four_batches(&carry_config());
-        let carried = planner.carried();
-        assert_eq!(carried.len(), 3);
-        // The last batch had 6 tasks on 3 processors.
-        assert!(carried
-            .iter()
-            .all(|c| c.validate().is_ok() && c.n_tasks() == 6 && c.n_procs() == 3));
     }
 
     #[test]
@@ -543,19 +435,6 @@ mod tests {
 
     fn run(batch: &[Task], procs: &[ProcessorState], config: &PnConfig, seed: u64) -> BatchOutcome {
         plan_batch(&PlanRequest::new(batch, procs, seed), config)
-    }
-
-    fn run_warm(
-        batch: &[Task],
-        procs: &[ProcessorState],
-        config: &PnConfig,
-        warm_seeds: &[Chromosome],
-        seed: u64,
-    ) -> BatchOutcome {
-        plan_batch(
-            &PlanRequest::new(batch, procs, seed).with_warm_seeds(warm_seeds),
-            config,
-        )
     }
 
     #[test]
@@ -621,61 +500,14 @@ mod tests {
             let cfg = quick_config(80).with_eval_workers(workers);
             let par = run(&b, &p, &cfg, 21);
             assert_eq!(par.queues, serial.queues, "workers={workers}");
-            assert_eq!(par.best, serial.best);
+            assert_eq!(par.ga.best, serial.ga.best);
             assert_eq!(par.best_makespan.to_bits(), serial.best_makespan.to_bits());
-            assert_eq!(par.best_fitness.to_bits(), serial.best_fitness.to_bits());
+            assert_eq!(
+                par.ga.best_fitness.to_bits(),
+                serial.ga.best_fitness.to_bits()
+            );
             assert_eq!(par.generations, serial.generations);
         }
-    }
-
-    #[test]
-    fn warm_seeds_enter_the_population() {
-        // A 1-generation run with a perfect warm seed: elitism keeps the
-        // seed, so the outcome can be no worse than the seeded schedule.
-        let b = batch(&[100.0, 100.0, 100.0, 100.0]);
-        let p = procs(&[100.0, 100.0]);
-        let seeded = Chromosome::from_queues(&[vec![0, 1], vec![2, 3]]);
-        let mut cfg = quick_config(1);
-        cfg.init_random_fraction = (1.0, 1.0); // fresh fill is all-random
-        let out = run_warm(&b, &p, &cfg, std::slice::from_ref(&seeded), 11);
-        // The balanced seed achieves the 2.0 s optimum.
-        assert!(
-            (out.best_makespan - 2.0).abs() < 1e-9,
-            "{}",
-            out.best_makespan
-        );
-    }
-
-    #[test]
-    fn warm_run_with_empty_seeds_matches_fresh() {
-        let b = batch(&[100.0, 200.0, 50.0, 300.0]);
-        let p = procs(&[100.0, 150.0]);
-        let fresh = run(&b, &p, &quick_config(50), 7);
-        let warm = run_warm(&b, &p, &quick_config(50), &[], 7);
-        assert_eq!(fresh.queues, warm.queues);
-        assert_eq!(fresh.best_makespan.to_bits(), warm.best_makespan.to_bits());
-    }
-
-    #[test]
-    fn mismatched_warm_seeds_are_skipped() {
-        // Seeds shaped for a different batch/cluster must be ignored, not
-        // crash or corrupt the run.
-        let b = batch(&[100.0, 200.0, 50.0]);
-        let p = procs(&[100.0, 150.0]);
-        let wrong_tasks = Chromosome::from_queues(&[vec![0, 1, 2, 3], vec![]]);
-        let wrong_procs = Chromosome::from_queues(&[vec![0], vec![1], vec![2]]);
-        let out = run_warm(&b, &p, &quick_config(20), &[wrong_tasks, wrong_procs], 13);
-        assert_places_every_task_once(&out, 3);
-    }
-
-    #[test]
-    fn outcome_exposes_final_population() {
-        let b = batch(&[100.0, 200.0, 50.0, 300.0]);
-        let p = procs(&[100.0, 150.0]);
-        let out = run(&b, &p, &quick_config(30), 17);
-        let pop = &out.ga.final_population;
-        assert_eq!(pop.len(), PnConfig::default().ga.population_size);
-        assert!(pop.iter().all(|c| c.validate().is_ok()));
     }
 
     #[test]

@@ -14,11 +14,10 @@
 //! * communication-cost and execution-rate estimates arrive via the
 //!   [`SystemView`], which the simulator maintains with the §3.6 smoothing
 //!   function;
-//! * the GA run itself — the per-call seed, and under
-//!   [`SeedStrategy::CarryOver`](crate::config::SeedStrategy) the elites
-//!   carried from the previous batch — belongs to the [`Planner`] the
-//!   scheduler holds: the only state that persists across `plan` calls
-//!   besides the queues, and itself a pure function of the seeds.
+//! * the GA run itself, and the per-call seed it draws, belongs to the
+//!   [`Planner`] the scheduler holds: the only state that persists across
+//!   `plan` calls besides the queues, and itself a pure function of the
+//!   seeds.
 
 use std::collections::VecDeque;
 
@@ -192,7 +191,6 @@ impl Scheduler for PnScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SeedStrategy;
     use dts_model::sched::ProcessorView;
     use dts_model::{SimTime, TaskId};
 
@@ -349,8 +347,7 @@ mod tests {
             .collect()
     }
 
-    /// Heterogeneous sizes: equal-size tasks make fresh and warm runs
-    /// converge to the same plan, hiding carry-over effects.
+    /// Heterogeneous sizes, so that distinct schedules rarely tie.
     fn varied_tasks(n: usize) -> Vec<Task> {
         (0..n)
             .map(|i| {
@@ -374,60 +371,11 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_is_deterministic_and_complete() {
-        let cfg = || {
-            let mut c = quick_config();
-            c.seed_strategy = SeedStrategy::CarryOver { elites: 5 };
-            c
-        };
-        let a = run_batches(cfg(), 4);
-        let b = run_batches(cfg(), 4);
-        assert_eq!(a, b, "warm-start runs must be bit-stable");
+    fn multi_batch_runs_are_deterministic_and_complete() {
+        let a = run_batches(quick_config(), 4);
+        let b = run_batches(quick_config(), 4);
+        assert_eq!(a, b, "multi-batch runs must be bit-stable");
         let total: usize = a.iter().map(Vec::len).sum();
         assert_eq!(total, 40, "every task dispatched exactly once");
-    }
-
-    #[test]
-    fn warm_start_changes_later_batches_only() {
-        // The first batch has nothing to carry, so fresh and warm runs
-        // coincide; from the second batch on the seeds (and RNG draw
-        // counts) differ, so the plans may diverge.
-        let fresh = run_batches(quick_config(), 4);
-        let warm = run_batches(
-            {
-                let mut c = quick_config();
-                c.seed_strategy = SeedStrategy::CarryOver { elites: 5 };
-                c
-            },
-            4,
-        );
-        let total_fresh: usize = fresh.iter().map(Vec::len).sum();
-        let total_warm: usize = warm.iter().map(Vec::len).sum();
-        assert_eq!(total_fresh, 40);
-        assert_eq!(total_warm, 40);
-        assert_ne!(
-            fresh, warm,
-            "carry-over should alter the evolved plans after batch 1"
-        );
-    }
-
-    #[test]
-    fn fresh_strategy_never_retains_population() {
-        let mut s = PnScheduler::new(2, quick_config());
-        s.enqueue(&tasks(20, 100.0));
-        let v = view(&[100.0, 100.0]);
-        s.plan(&v);
-        assert!(
-            s.planner.carried().is_empty(),
-            "Fresh must not accumulate state"
-        );
-        let mut c = quick_config();
-        c.seed_strategy = SeedStrategy::CarryOver { elites: 3 };
-        let mut s = PnScheduler::new(2, c);
-        s.enqueue(&tasks(20, 100.0));
-        s.plan(&v);
-        let carried = s.planner.carried();
-        assert_eq!(carried.len(), 3, "only the elites are retained");
-        assert!(carried.iter().all(|ch| ch.validate().is_ok()));
     }
 }

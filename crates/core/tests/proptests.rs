@@ -1,8 +1,9 @@
 //! Property tests for the PN scheduler's components: fitness sanity,
-//! rebalance safety, warm-start remapping, and whole-batch conservation.
+//! rebalance safety, initial-population validity, and whole-batch
+//! conservation.
 
 use dts_core::fitness::{BatchProblem, ProcessorState};
-use dts_core::init::{initial_population, list_scheduled_individual, remap_elite};
+use dts_core::init::{initial_population, list_scheduled_individual};
 use dts_core::rebalance::rebalance_once;
 use dts_core::{plan_batch, PlanRequest, PnConfig};
 use dts_distributions::Prng;
@@ -158,7 +159,7 @@ proptest! {
         for cfg in [&memo_off, &memo_on_parallel] {
             let run = plan_batch(&PlanRequest::new(&batch, &procs, seed), cfg);
             prop_assert_eq!(&run.queues, &reference.queues);
-            prop_assert_eq!(run.best_fitness.to_bits(), reference.best_fitness.to_bits());
+            prop_assert_eq!(run.ga.best_fitness.to_bits(), reference.ga.best_fitness.to_bits());
             prop_assert_eq!(run.best_makespan.to_bits(), reference.best_makespan.to_bits());
         }
     }
@@ -180,47 +181,6 @@ proptest! {
         }
     }
 
-    /// Remapping a carried elite onto an arbitrary new batch/cluster shape
-    /// always yields a valid chromosome — the carry-over lifecycle can
-    /// never inject a corrupt individual into the next GA run.
-    #[test]
-    fn remap_elite_always_valid(
-        old_batch in tasks_strategy(),
-        old_procs in procs_strategy(),
-        new_batch in tasks_strategy(),
-        new_procs in procs_strategy(),
-        frac in 0.0..=1.0f64,
-        seed in 0u64..u64::MAX,
-    ) {
-        let mut rng = Prng::seed_from(seed);
-        let prev = list_scheduled_individual(&old_batch, &old_procs, frac, &mut rng);
-        let c = remap_elite(&prev, &new_batch, &new_procs);
-        prop_assert!(c.validate().is_ok(), "{:?}", c.validate());
-        prop_assert_eq!(c.n_tasks() as usize, new_batch.len());
-        prop_assert_eq!(c.n_procs() as usize, new_procs.len());
-    }
-
-    /// A warm-started batch run conserves tasks exactly like a fresh one,
-    /// whatever shape the carried seeds came from.
-    #[test]
-    fn schedule_batch_warm_conserves_tasks(
-        old_batch in tasks_strategy(),
-        batch in tasks_strategy(),
-        procs in procs_strategy(),
-        seed in 0u64..u64::MAX,
-    ) {
-        let mut cfg = PnConfig::default();
-        cfg.ga.max_generations = 10;
-        let mut rng = Prng::seed_from(seed ^ 0x5EED);
-        let prev = list_scheduled_individual(&old_batch, &procs, 0.5, &mut rng);
-        let warm = vec![remap_elite(&prev, &batch, &procs)];
-        let out = plan_batch(&PlanRequest::new(&batch, &procs, seed).with_warm_seeds(&warm), &cfg);
-        let mut seen: Vec<u32> = out.queues.iter().flatten().copied().collect();
-        seen.sort_unstable();
-        let expect: Vec<u32> = (0..batch.len() as u32).collect();
-        prop_assert_eq!(seen, expect);
-    }
-
     /// A whole batch run assigns every task exactly once, regardless of
     /// shapes and seeds.
     #[test]
@@ -237,6 +197,6 @@ proptest! {
         let expect: Vec<u32> = (0..batch.len() as u32).collect();
         prop_assert_eq!(seen, expect);
         prop_assert!(out.best_makespan.is_finite());
-        prop_assert!(out.best_fitness > 0.0 && out.best_fitness <= 1.0);
+        prop_assert!(out.ga.best_fitness > 0.0 && out.ga.best_fitness <= 1.0);
     }
 }

@@ -203,7 +203,7 @@ pub struct GaConfig {
     /// Random mutations applied per generation, each to one uniformly
     /// chosen individual (the paper mutates "a randomly chosen individual").
     pub mutations_per_generation: usize,
-    /// Individuals carried to the next generation unchanged, best first.
+    /// Individuals copied to the next generation unchanged, best first.
     pub elitism: usize,
     /// Hard cap on generations (paper: 1000, "the quality of the schedules
     /// returned with more than that number does not justify the increased
@@ -218,17 +218,6 @@ pub struct GaConfig {
     /// budget: whichever limit is hit first stops the run. `None` (the
     /// default) disables the plateau check; `Some(0)` is rejected.
     pub plateau_generations: Option<u32>,
-    /// Generations that must evolve before the *early* stops (target
-    /// makespan, plateau) may fire. A warm-started run whose seeded elite
-    /// already sits at the target — or at a plateau the carried population
-    /// cannot immediately improve on — would otherwise return at
-    /// generation 0 without giving the GA a chance to refine the seeds;
-    /// this floor guarantees a minimum amount of evolution. Hard caps
-    /// ([`GaConfig::max_generations`], the §3.4 generation override, and
-    /// time budgets) still bind first: they bound *latency*, which always
-    /// wins over extra search. Default 0 (early stops fire immediately,
-    /// the paper's behaviour).
-    pub min_generations: u32,
     /// Record per-generation statistics (needed by Fig. 3; costs memory).
     pub record_history: bool,
     /// How fitness batches are executed ([`Evaluator::Serial`] or a scoped
@@ -255,7 +244,6 @@ impl Default for GaConfig {
             max_generations: 1000,
             target_makespan: None,
             plateau_generations: None,
-            min_generations: 0,
             record_history: false,
             evaluator: Evaluator::Serial,
             memo_capacity: DEFAULT_MEMO_CAPACITY,
@@ -313,11 +301,6 @@ pub struct GaResult {
     pub stop_reason: StopReason,
     /// Per-generation history (empty unless requested).
     pub history: Vec<GenStats>,
-    /// The final population, sorted by makespan ascending (best schedule
-    /// first, ties kept in population order). Callers that plan batch
-    /// after batch — the dynamic schedulers — carry the head of this list
-    /// forward as warm-start seeds for the next run.
-    pub final_population: Vec<Chromosome>,
     /// Fitness-memo lookups served from cache (0 when the memo is
     /// disabled). One lookup happens per queued evaluation job, so
     /// `memo_hits + memo_misses` is the number of evaluations the run
@@ -614,27 +597,15 @@ impl<'a> GaEngine<'a> {
         // Gen-0 stopping conditions, in the same precedence as the
         // per-generation checks: an instantly met target wins over an
         // exhausted (zero) generation budget.
-        if run.generations >= self.config.min_generations {
-            if let Some(target) = self.config.target_makespan {
-                if run.best_makespan <= target {
-                    run.stopped = Some(StopReason::TargetReached);
-                }
+        if let Some(target) = self.config.target_makespan {
+            if run.best_makespan <= target {
+                run.stopped = Some(StopReason::TargetReached);
             }
         }
         if run.stopped.is_none() && max_gens == 0 {
             run.stopped = Some(StopReason::MaxGenerations);
         }
         run
-    }
-
-    /// Consumes the working population and returns its chromosomes sorted
-    /// by makespan ascending (stable, so ties keep population order — the
-    /// ordering is a pure function of the evaluated population).
-    fn ranked_population(pop: Vec<Individual>) -> Vec<Chromosome> {
-        let mut ranked: Vec<(f64, Chromosome)> =
-            pop.into_iter().map(|i| (i.makespan, i.chrom)).collect();
-        ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite makespan"));
-        ranked.into_iter().map(|(_, c)| c).collect()
     }
 
     /// Index and makespan of the lowest-makespan individual (§3.4: "the
@@ -921,21 +892,16 @@ impl<'r, P: Problem> GaRun<'r, P> {
         self.record();
 
         // --- stopping rules, in precedence order -----------------------
-        // The early stops (target, plateau) wait out the configured
-        // minimum; the generation cap is a hard latency bound and fires
-        // regardless.
-        if self.generations >= config.min_generations {
-            if let Some(target) = config.target_makespan {
-                if self.best_makespan <= target {
-                    self.stopped = Some(StopReason::TargetReached);
-                    return GaStep::Stopped(StopReason::TargetReached);
-                }
+        if let Some(target) = config.target_makespan {
+            if self.best_makespan <= target {
+                self.stopped = Some(StopReason::TargetReached);
+                return GaStep::Stopped(StopReason::TargetReached);
             }
-            if let Some(k) = config.plateau_generations {
-                if self.stale_generations >= k {
-                    self.stopped = Some(StopReason::Plateau);
-                    return GaStep::Stopped(StopReason::Plateau);
-                }
+        }
+        if let Some(k) = config.plateau_generations {
+            if self.stale_generations >= k {
+                self.stopped = Some(StopReason::Plateau);
+                return GaStep::Stopped(StopReason::Plateau);
             }
         }
         if self.generations >= self.max_gens {
@@ -957,7 +923,6 @@ impl<'r, P: Problem> GaRun<'r, P> {
             generations: self.generations,
             stop_reason: self.stopped.unwrap_or(StopReason::MaxGenerations),
             history: self.history,
-            final_population: GaEngine::ranked_population(self.pop),
             memo_hits: self.memo.hits(),
             memo_misses: self.memo.misses(),
         }
@@ -1319,44 +1284,6 @@ mod tests {
     }
 
     #[test]
-    fn final_population_is_complete_valid_and_ranked() {
-        let e = engine(GaConfig {
-            max_generations: 40,
-            mutations_per_generation: 4,
-            ..GaConfig::default()
-        });
-        let mut rng = Prng::seed_from(51);
-        let result = e.run(&Balance, skewed_initial(20), None, &mut rng);
-        assert_eq!(result.final_population.len(), 20);
-        assert!(result.final_population.iter().all(|c| c.validate().is_ok()));
-        // Sorted by makespan ascending: the head is the current-population
-        // best (the all-time best may predate the final generation).
-        let spans: Vec<f64> = result
-            .final_population
-            .iter()
-            .map(|c| Balance.makespan(c))
-            .collect();
-        for w in spans.windows(2) {
-            assert!(w[0] <= w[1], "final population not ranked: {spans:?}");
-        }
-        assert!(result.best_makespan <= spans[0]);
-    }
-
-    #[test]
-    fn final_population_present_on_instant_target() {
-        let e = engine(GaConfig {
-            max_generations: 100,
-            target_makespan: Some(1000.0), // already met at generation 0
-            ..GaConfig::default()
-        });
-        let mut rng = Prng::seed_from(52);
-        let result = e.run(&Balance, skewed_initial(20), None, &mut rng);
-        assert_eq!(result.stop_reason, StopReason::TargetReached);
-        assert_eq!(result.generations, 0);
-        assert_eq!(result.final_population.len(), 20);
-    }
-
-    #[test]
     #[should_panic]
     fn zero_plateau_rejected() {
         let _ = engine(GaConfig {
@@ -1387,9 +1314,7 @@ mod tests {
     }
 
     /// An already-optimal seed population: 12 tasks balanced 3-3-3-3 over
-    /// 4 processors (the `Balance` optimum) — the shape a warm-started
-    /// plan call sees when the carried elites are already as good as this
-    /// batch allows.
+    /// 4 processors (the `Balance` optimum).
     fn balanced_initial(pop: usize) -> Vec<Chromosome> {
         let queues = vec![
             vec![0u32, 1, 2],
@@ -1435,7 +1360,6 @@ mod tests {
         );
         assert_eq!(stepped.generations, one_shot.generations);
         assert_eq!(stepped.stop_reason, one_shot.stop_reason);
-        assert_eq!(stepped.final_population, one_shot.final_population);
         assert_eq!(stepped.memo_hits, one_shot.memo_hits);
         assert_eq!(stepped.memo_misses, one_shot.memo_misses);
         assert_eq!(stepped.history.len(), one_shot.history.len());
@@ -1493,10 +1417,9 @@ mod tests {
     }
 
     #[test]
-    fn warm_seeded_run_at_target_stops_at_generation_zero_by_default() {
-        // Regression baseline for the min_generations fix: with the
-        // default (0), a seed population already at the target returns
-        // without evolving — the paper's behaviour.
+    fn seed_population_at_target_stops_at_generation_zero() {
+        // A seed population already at the target returns without
+        // evolving — the paper's behaviour.
         let e = engine(GaConfig {
             max_generations: 100,
             target_makespan: Some(3.0),
@@ -1506,66 +1429,6 @@ mod tests {
         let result = e.run(&Balance, balanced_initial(20), None, &mut rng);
         assert_eq!(result.stop_reason, StopReason::TargetReached);
         assert_eq!(result.generations, 0);
-    }
-
-    #[test]
-    fn min_generations_defers_target_stop() {
-        let e = engine(GaConfig {
-            max_generations: 100,
-            target_makespan: Some(3.0),
-            min_generations: 5,
-            mutations_per_generation: 4,
-            ..GaConfig::default()
-        });
-        let mut rng = Prng::seed_from(52);
-        let result = e.run(&Balance, balanced_initial(20), None, &mut rng);
-        // The target is met from generation 0, but the floor forces five
-        // generations of evolution before the early stop may fire.
-        assert_eq!(result.stop_reason, StopReason::TargetReached);
-        assert_eq!(result.generations, 5);
-        assert_eq!(result.best_makespan, 3.0);
-    }
-
-    #[test]
-    fn min_generations_defers_plateau_stop_for_warm_seeds() {
-        // The warm-start interaction this knob exists for: a carried
-        // elite that the population cannot improve on trips a 1-generation
-        // plateau immediately …
-        let run = |min_generations: u32| {
-            let e = engine(GaConfig {
-                max_generations: 100,
-                plateau_generations: Some(1),
-                min_generations,
-                mutations_per_generation: 4,
-                ..GaConfig::default()
-            });
-            let mut rng = Prng::seed_from(53);
-            e.run(&Balance, balanced_initial(20), None, &mut rng)
-        };
-        let immediate = run(0);
-        assert_eq!(immediate.stop_reason, StopReason::Plateau);
-        assert_eq!(immediate.generations, 1);
-
-        // … while the floor guarantees ten generations of search first.
-        let floored = run(10);
-        assert_eq!(floored.stop_reason, StopReason::Plateau);
-        assert_eq!(floored.generations, 10);
-    }
-
-    #[test]
-    fn min_generations_never_exceeds_hard_caps() {
-        // Hard latency bounds (max_generations, the §3.4 override) always
-        // win over the early-stop floor.
-        let e = engine(GaConfig {
-            max_generations: 100,
-            min_generations: 50,
-            plateau_generations: Some(1),
-            ..GaConfig::default()
-        });
-        let mut rng = Prng::seed_from(54);
-        let result = e.run(&Balance, balanced_initial(20), Some(3), &mut rng);
-        assert_eq!(result.stop_reason, StopReason::MaxGenerations);
-        assert_eq!(result.generations, 3);
     }
 
     #[test]

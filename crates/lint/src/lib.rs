@@ -2,7 +2,7 @@
 //! determinism contract (ARCHITECTURE.md, "Determinism contract").
 //!
 //! The repo's core claim — bit-identical schedules across evaluator
-//! worker counts, memo settings and warm-start — is enforced
+//! worker counts and memo settings — is enforced
 //! dynamically by the regression suites, but a single `Instant::now()`
 //! or `HashMap` iteration added to a hot path survives silently until a
 //! determinism test happens to cover it. This crate rejects the known

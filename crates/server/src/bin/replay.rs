@@ -24,7 +24,7 @@
 //!
 //! Environment knobs (replay mode): `DTS_PROCS` (default 4), `DTS_BATCH`
 //! (8), `DTS_GENS` (100), `DTS_TENANTS` (2), `DTS_SEED` (overrides the PN
-//! seed), `DTS_ELITES` (warm-start elites; 0 disables, default 5).
+//! seed).
 
 use std::process::ExitCode;
 
@@ -86,13 +86,9 @@ fn replay(path: &str) -> ExitCode {
     let batch: usize = env_or("DTS_BATCH", 8);
     let gens: u32 = env_or("DTS_GENS", 100);
     let tenants: usize = env_or("DTS_TENANTS", 2);
-    let elites: usize = env_or("DTS_ELITES", 5);
     let mut pn = PnConfig::default();
     pn.ga.max_generations = gens;
     pn.seed = env_or("DTS_SEED", pn.seed);
-    if elites > 0 {
-        pn = pn.with_warm_start(elites);
-    }
     let config = ServerConfig {
         // A mildly heterogeneous fleet so placements show rate awareness.
         procs: (0..procs)
@@ -109,7 +105,7 @@ fn replay(path: &str) -> ExitCode {
     };
     eprintln!(
         "replay: {} tasks from {path} → {procs} procs, batch {batch}, \
-         gens ≤ {gens}, {tenants} tenants, warm elites {elites}, seed {}",
+         gens ≤ {gens}, {tenants} tenants, seed {}",
         trace.len(),
         config.pn.seed
     );

@@ -13,7 +13,7 @@
 //!   pending FCFS queue ──► batching: FCFS prefix, ≤ batch_size
 //!        │
 //!        ▼
-//!   warm-started GA plan call (dts_core::plan::plan_batch)
+//!   GA plan call (dts_core::Planner → dts_core::plan::plan_batch)
 //!        │  PlanBudget::Generations → deterministic replay mode
 //!        │  PlanBudget::TimeLimit   → bounded decision latency
 //!        ▼
@@ -36,8 +36,8 @@
 //! ([`PlanBudget::Unlimited`] / [`PlanBudget::Generations`]) the
 //! placement sequence is a pure function of the submission sequence and
 //! `config.pn.seed`, bit-identical at any evaluator worker count — and,
-//! because the server's plan-call discipline (seed stream, warm-start
-//! carry, load accounting) mirrors [`dts_core::PnScheduler`]'s exactly,
+//! because the server's plan-call discipline (seed stream, load
+//! accounting) mirrors [`dts_core::PnScheduler`]'s exactly,
 //! replaying a trace produces the same placements as the batch pipeline
 //! (`tests/oracle.rs`). [`PlanBudget::TimeLimit`] trades that for a
 //! latency bound: generation counts then depend on host speed.

@@ -5,8 +5,8 @@
 //! (bounded per-tenant queues with backpressure), **batching** (FCFS
 //! prefix of the pending queue, like the paper's §3.7 batch-mode loop),
 //! and **planning** (one GA run per batch through a
-//! [`dts_core::Planner`], which owns the seed stream and the warm-start
-//! carry-over), emitting one [`PlacementEvent`] per task.
+//! [`dts_core::Planner`], which owns the plan-call seed stream), emitting
+//! one [`PlacementEvent`] per task.
 //!
 //! The core is deliberately **wall-clock-free**: it never reads a clock,
 //! so with a deterministic [`PlanBudget`] (generations, not wall-time)
@@ -128,8 +128,7 @@ pub struct ProcessorProfile {
 pub struct ServerConfig {
     /// The worker fleet the server places tasks onto.
     pub procs: Vec<ProcessorProfile>,
-    /// The PN planning configuration (GA knobs, warm-start strategy,
-    /// seed). The server plans through a [`dts_core::Planner`] built from
+    /// The PN planning configuration (GA knobs, seed). The server plans through a [`dts_core::Planner`] built from
     /// it, exactly like [`dts_core::PnScheduler`], which is what makes
     /// the two pipelines comparable placement-for-placement.
     pub pn: PnConfig,
@@ -257,7 +256,7 @@ pub struct DtsServer {
     /// the `Lⱼ` term of the fitness function. [`DtsServer::dispatch`]
     /// pops from here as workers pull work.
     queues: TaskQueues,
-    /// The plan-call seed stream and carried elites — the same pipeline
+    /// The plan-call seed stream — the same pipeline
     /// [`dts_core::PnScheduler`] plans through.
     planner: Planner,
     /// `placed[id]` is true once `id` was committed by a completed plan
@@ -549,7 +548,6 @@ impl DtsServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dts_core::SeedStrategy;
 
     fn quick_pn(max_gens: u32) -> PnConfig {
         let mut c = PnConfig::default();
@@ -725,23 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_carries_elites_across_batches() {
-        let mut cfg = small_config();
-        cfg.pn.seed_strategy = SeedStrategy::CarryOver { elites: 4 };
-        let mut s = DtsServer::new(cfg);
-        for i in 0..12 {
-            s.submit(TenantId((i % 2) as u16), 50.0 + 37.0 * i as f64, i as f64)
-                .unwrap();
-        }
-        s.plan();
-        let carried = s.planner.carried();
-        assert_eq!(carried.len(), 4);
-        assert!(carried.iter().all(|c| c.validate().is_ok()));
-        s.drain();
-        assert_eq!(s.stats().placed, 12);
-    }
-
-    #[test]
     fn dependent_task_waits_for_a_strictly_earlier_batch() {
         let mut s = DtsServer::new(small_config());
         let a = s.submit(TenantId(0), 100.0, 0.0).unwrap();
@@ -863,10 +844,9 @@ mod tests {
     }
 
     #[test]
-    fn time_limited_warm_plans_respect_dependencies_and_terminate() {
+    fn time_limited_plans_respect_dependencies_and_terminate() {
         let mut cfg = small_config();
         cfg.pn.ga.max_generations = u32::MAX;
-        cfg.pn.seed_strategy = SeedStrategy::CarryOver { elites: 4 };
         cfg.budget = PlanBudget::TimeLimit(std::time::Duration::from_millis(2));
         cfg.tenant_capacity = 64;
         let mut s = DtsServer::new(cfg);
@@ -900,9 +880,6 @@ mod tests {
                 assert!(pred < own, "task {i} batched with or before task {}", d.0);
             }
         }
-        let carried = s.planner.carried();
-        assert_eq!(carried.len(), 4);
-        assert!(carried.iter().all(|c| c.validate().is_ok()));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! effectively unbounded idle horizon, both pipelines see identical
 //! batches, identical processor states, and identical per-call seeds —
 //! so their placements must be **bit-identical**, at any evaluator
-//! worker count, fresh or warm-started.
+//! worker count.
 
 use dts_core::{PnConfig, PnScheduler};
 use dts_model::sched::ProcessorView;
@@ -41,14 +41,11 @@ fn trace(n: usize, seed: u64, arrival: ArrivalProcess) -> ArrivalTrace {
     .unwrap()
 }
 
-fn pn_config(workers: usize, warm: Option<usize>) -> PnConfig {
+fn pn_config(workers: usize) -> PnConfig {
     let mut pn = PnConfig::default();
     pn.ga.max_generations = 40;
     if workers > 1 {
         pn = pn.with_eval_workers(workers);
-    }
-    if let Some(elites) = warm {
-        pn = pn.with_warm_start(elites);
     }
     pn
 }
@@ -110,16 +107,16 @@ fn oracle_queues(tasks: &[dts_model::Task], pn: PnConfig) -> Vec<Vec<u32>> {
         .collect()
 }
 
-fn assert_oracle_equivalence(arrival: ArrivalProcess, n: usize, seed: u64, warm: Option<usize>) {
+fn assert_oracle_equivalence(arrival: ArrivalProcess, n: usize, seed: u64) {
     let t = trace(n, seed, arrival);
-    let reference = oracle_queues(t.tasks(), pn_config(1, warm));
+    let reference = oracle_queues(t.tasks(), pn_config(1));
     for workers in [1usize, 2, 8] {
-        let report = replay_trace(&t, server_config(pn_config(workers, warm))).unwrap();
+        let report = replay_trace(&t, server_config(pn_config(workers))).unwrap();
         assert_eq!(report.placements.len(), n);
         assert_eq!(
             report.queues(RATES.len()),
             reference,
-            "server replay (workers={workers}, warm={warm:?}) diverged from the batch pipeline"
+            "server replay (workers={workers}) diverged from the batch pipeline"
         );
     }
 }
@@ -132,25 +129,12 @@ fn replay_matches_batch_pipeline_poisson_stream() {
         },
         47,
         2005,
-        None,
     );
 }
 
 #[test]
 fn replay_matches_batch_pipeline_all_at_start() {
-    assert_oracle_equivalence(ArrivalProcess::AllAtStart, 36, 7, None);
-}
-
-#[test]
-fn replay_matches_batch_pipeline_warm_started() {
-    // Warm start exercises the carry/remap path on both sides: elites
-    // survive across plan calls and must be remapped identically.
-    assert_oracle_equivalence(
-        ArrivalProcess::UniformOver { window: 30.0 },
-        50,
-        99,
-        Some(5),
-    );
+    assert_oracle_equivalence(ArrivalProcess::AllAtStart, 36, 7);
 }
 
 #[test]
@@ -161,8 +145,8 @@ fn committed_tiny_trace_replays_and_round_trips() {
     let text = include_str!("data/tiny.trace");
     let t = ArrivalTrace::parse(text).unwrap();
     assert_eq!(t.serialize(), text, "committed trace round-trips bitwise");
-    let reference = oracle_queues(t.tasks(), pn_config(1, None));
-    let report = replay_trace(&t, server_config(pn_config(1, None))).unwrap();
+    let reference = oracle_queues(t.tasks(), pn_config(1));
+    let report = replay_trace(&t, server_config(pn_config(1))).unwrap();
     assert_eq!(report.placements.len(), t.len());
     assert_eq!(report.queues(RATES.len()), reference);
 }
@@ -178,7 +162,7 @@ fn replay_from_serialized_trace_matches_too() {
         },
     );
     let reparsed = ArrivalTrace::parse(&t.serialize()).unwrap();
-    let reference = oracle_queues(t.tasks(), pn_config(1, None));
-    let report = replay_trace(&reparsed, server_config(pn_config(1, None))).unwrap();
+    let reference = oracle_queues(t.tasks(), pn_config(1));
+    let report = replay_trace(&reparsed, server_config(pn_config(1))).unwrap();
     assert_eq!(report.queues(RATES.len()), reference);
 }

@@ -65,7 +65,7 @@ pub enum TraceError {
         /// What was found instead (possibly truncated).
         found: String,
     },
-    /// A record carried a malformed or invalid `deps=` field — including
+    /// A record has a malformed or invalid `deps=` field — including
     /// any `deps=` field at all under a v1 header.
     InvalidDependency {
         /// 1-based line number.
@@ -105,7 +105,7 @@ pub enum TraceError {
         /// The declared task count.
         count: usize,
     },
-    /// A record carried a non-finite, non-positive size or a negative /
+    /// A record has a non-finite, non-positive size or a negative /
     /// non-finite arrival time.
     InvalidRecord {
         /// 1-based line number.

@@ -80,7 +80,7 @@ pub struct WaitingStats {
     pub mean_precedence_stall: f64,
     /// Largest single task wait (arrival to dispatch), in seconds.
     pub max_wait: f64,
-    /// Tasks that carried a deadline.
+    /// Tasks that had a deadline.
     pub deadlined_tasks: u64,
     /// Deadlined tasks whose result arrived after their deadline.
     pub deadline_misses: u64,

@@ -19,10 +19,10 @@
 //! both multiplies thread counts and wastes time in context switches.
 //!
 //! Scheduler-internal state that persists across `plan` calls *within* a
-//! run — per-processor queues, smoothed signals, and (under
-//! `SeedStrategy::CarryOver`) the previous batch's GA population — is
-//! itself derived only from the scheduler's fanned-out seed, so it never
-//! couples replications to each other or to thread scheduling.
+//! run — per-processor queues, smoothed signals and the planner's seed
+//! stream — is itself derived only from the scheduler's fanned-out seed,
+//! so it never couples replications to each other or to thread
+//! scheduling.
 
 use dts_distributions::SeedSequence;
 use dts_model::{ClusterSpec, Scheduler, WorkloadSpec};

@@ -50,7 +50,7 @@ fn main() {
     );
 
     // ---- Part 1: dependent submissions through the online server -----
-    let mut pn = PnConfig::default().with_warm_start(4);
+    let mut pn = PnConfig::default();
     pn.ga.max_generations = 120;
     let config = ServerConfig {
         procs: [90.0, 130.0, 70.0]

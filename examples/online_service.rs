@@ -2,8 +2,8 @@
 //! long-running `dts-server` thread and watch placements flow out.
 //!
 //! Demonstrates the full service lifecycle — spawn, admission with
-//! per-tenant backpressure, eager batched planning with warm-started GA
-//! runs, placement polling with measured decision latency, and a
+//! per-tenant backpressure, eager batched planning with one GA run per
+//! batch, placement polling with measured decision latency, and a
 //! draining shutdown. The placement sequence is deterministic (a pure
 //! function of the submissions and the PN seed); only the printed
 //! latencies are wall-clock.
@@ -19,8 +19,8 @@ use dts::server::{spawn, PlanBudget, ProcessorProfile, ServerConfig, SubmitError
 
 fn main() {
     // Four workers with different speeds, two tenants, plan every 6
-    // pending submissions, carry 4 elites between plan calls.
-    let mut pn = PnConfig::default().with_warm_start(4);
+    // pending submissions.
+    let mut pn = PnConfig::default();
     pn.ga.max_generations = 150;
     let config = ServerConfig {
         procs: [90.0, 130.0, 70.0, 110.0]

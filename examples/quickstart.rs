@@ -48,7 +48,7 @@ fn main() {
 
     println!("PN schedule after {} generations", outcome.generations);
     println!("estimated makespan: {:.2} s", outcome.best_makespan);
-    println!("fitness:            {:.4}\n", outcome.best_fitness);
+    println!("fitness:            {:.4}\n", outcome.ga.best_fitness);
 
     for (j, queue) in outcome.queues.iter().enumerate() {
         let p = &procs[j];

@@ -13,7 +13,7 @@
 //! | [`core`] | `dts-core` | the PN scheduler: fitness, rebalancing, dynamic batching; the Zomaya-Teh GA as `PnConfig::zo_preset` |
 //! | [`schedulers`] | `dts-schedulers` | EF, LL, RR, min-min, max-min |
 //! | [`ga`] | `dts-ga` | generic GA engine over permutation encodings, with deterministic serial/parallel fitness evaluation |
-//! | [`server`] | `dts-server` | online scheduling service: bounded admission, batched warm-started replanning, trace replay |
+//! | [`server`] | `dts-server` | online scheduling service: bounded admission, batched GA replanning, trace replay |
 //! | [`sim`] | `dts-sim` | discrete-event distributed-system simulator |
 //! | [`model`] | `dts-model` | tasks, processors, links, workloads, the `Scheduler` trait |
 //! | [`distributions`] | `dts-distributions` | PRNG, uniform/normal/Poisson/exponential, stats |

@@ -11,10 +11,10 @@
 //! paper's figures.
 //!
 //! ZO is `PnConfig::zo_preset` on the same pipeline as PN, so the matrices
-//! below (workers, memo, warm start, DAG) run on PN alone;
+//! below (workers, memo, DAG) run on PN alone;
 //! `zomaya_is_deterministic` is ZO's end-to-end row.
 
-use dts::core::{PnConfig, PnScheduler, SeedStrategy};
+use dts::core::{PnConfig, PnScheduler};
 use dts::ga::Evaluator;
 use dts::model::{ClusterSpec, Scheduler, SizeDistribution, WorkloadSpec};
 use dts::schedulers::{EarliestFinish, LightestLoaded, MaxMin, MinMin, RoundRobin};
@@ -199,44 +199,6 @@ fn memo_on_off_and_worker_counts_are_bit_identical() {
     }
 }
 
-/// Warm-start lifecycle determinism: with population carry-over the GA
-/// scheduler keeps state across `plan` calls (the previous batch's final
-/// population). That state is itself a pure function of the seeds, and the
-/// remap onto the next batch draws no randomness — so a warm-started run
-/// must be exactly as reproducible as a fresh one, and exactly as
-/// invariant to the evaluator's worker count. Small batches force several
-/// plan invocations so the carried population is actually exercised.
-fn run_once_strategy(evaluator: Evaluator, strategy: SeedStrategy) -> SimReport {
-    let mut cfg = pn_config(evaluator);
-    cfg.seed_strategy = strategy;
-    simulate(SEED, Box::new(PnScheduler::new(PROCS, cfg)))
-}
-
-#[test]
-fn warm_start_is_bit_stable_and_evaluator_invariant() {
-    for strategy in [SeedStrategy::Fresh, SeedStrategy::CarryOver { elites: 5 }] {
-        let serial = run_once_strategy(Evaluator::Serial, strategy);
-        let again = run_once_strategy(Evaluator::Serial, strategy);
-        assert_identical(&format!("PN/{strategy:?}/rerun"), &serial, &again);
-        let par = run_once_strategy(Evaluator::ThreadPool { workers: 4 }, strategy);
-        assert_identical(&format!("PN/{strategy:?}/workers=4"), &serial, &par);
-    }
-}
-
-#[test]
-fn warm_start_actually_changes_the_run() {
-    // Guard against the carry-over knob being silently ignored: with
-    // several batches planned, fresh and warm runs must diverge.
-    let fresh = run_once_strategy(Evaluator::Serial, SeedStrategy::Fresh);
-    let warm = run_once_strategy(Evaluator::Serial, SeedStrategy::CarryOver { elites: 5 });
-    assert!(fresh.plan_invocations >= 3, "want several batches");
-    assert_ne!(
-        fresh.makespan.to_bits(),
-        warm.makespan.to_bits(),
-        "carry-over had no observable effect"
-    );
-}
-
 /// DAG determinism: precedence-constrained workloads must satisfy the
 /// same contract as independent ones. Readiness gating in the simulator
 /// draws no randomness and the GA's topological repair is RNG-free, so
@@ -323,7 +285,6 @@ fn empty_dag_is_bit_identical_to_independent_path() {
     assert_eq!(plain.generations, gated.generations);
     assert_eq!(plain.ga.memo_hits, gated.ga.memo_hits);
     assert_eq!(plain.ga.memo_misses, gated.ga.memo_misses);
-    assert_eq!(plain.ga.final_population, gated.ga.final_population);
 }
 
 /// Different seeds must actually change the outcome — guards against the

@@ -3,7 +3,7 @@
 //! but its experiments simplify away (§4.2 has all tasks arrive at t = 0).
 //! These tests exercise the continuous-arrival path end-to-end.
 
-use dts::core::{PnConfig, PnScheduler, SeedStrategy};
+use dts::core::{PnConfig, PnScheduler};
 use dts::model::{ArrivalProcess, ClusterSpec, Scheduler, SizeDistribution, WorkloadSpec};
 use dts::schedulers::{EarliestFinish, RoundRobin};
 use dts::sim::{SimConfig, Simulation};
@@ -83,47 +83,35 @@ fn makespan_tracks_arrival_horizon_when_arrivals_dominate() {
     );
 }
 
-/// The regime warm-starting is *for*: a continuous arrival stream, one GA
-/// run per batch, elites carried (and remapped) between runs. The carried
-/// population must keep the run bit-stable, survive the stream end-to-end,
-/// and actually alter the evolution relative to fresh seeding.
+/// A continuous arrival stream, one GA run per batch: the planner's seed
+/// stream is the only state kept between runs, so the whole run is
+/// bit-stable and completes every task.
 #[test]
-fn pn_warm_start_streams_deterministically() {
-    let run = |strategy: SeedStrategy| {
+fn pn_streams_deterministically() {
+    let run = || {
         let mut cfg = PnConfig {
             initial_batch: 10,
             max_batch: 10,
-            seed_strategy: strategy,
             ..PnConfig::default()
         };
         cfg.ga.max_generations = 40;
         run_stream(Box::new(PnScheduler::new(6, cfg)), 2.0, 90, 53)
     };
-    let warm = SeedStrategy::CarryOver { elites: 5 };
-    let a = run(warm);
-    let b = run(warm);
+    let a = run();
+    let b = run();
     assert_eq!(a.tasks_completed, 90);
     assert!(a.plan_invocations >= 3, "stream must force several batches");
     assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
     assert_eq!(a.scheduler_busy.to_bits(), b.scheduler_busy.to_bits());
     assert_eq!(a.total_generations, b.total_generations);
-
-    let fresh = run(SeedStrategy::Fresh);
-    assert_eq!(fresh.tasks_completed, 90);
-    assert_ne!(
-        fresh.makespan.to_bits(),
-        a.makespan.to_bits(),
-        "carry-over must change the evolved schedules"
-    );
 }
 
 #[test]
-fn zo_warm_start_streams_deterministically() {
+fn zo_streams_deterministically() {
     let run = || {
         let mut cfg = PnConfig {
             initial_batch: 10,
             max_batch: 10,
-            seed_strategy: SeedStrategy::CarryOver { elites: 5 },
             ..PnConfig::zo_preset()
         };
         cfg.ga.max_generations = 40;
@@ -137,17 +125,15 @@ fn zo_warm_start_streams_deterministically() {
     assert_eq!(a.total_generations, b.total_generations);
 }
 
-/// Warm-start composes with parallel fitness evaluation: the carried
-/// population is assembled from index-addressed evaluation results, so the
-/// whole dynamic-arrival run stays bit-identical at any worker count.
+/// Parallel fitness evaluation writes results back by chromosome index, so
+/// a whole dynamic-arrival run stays bit-identical at any worker count.
 #[test]
-fn warm_start_stream_is_evaluator_invariant() {
+fn stream_is_evaluator_invariant() {
     let run = |workers: usize| {
         let mut cfg = PnConfig::default().with_eval_workers(workers);
         cfg.ga.max_generations = 30;
         cfg.initial_batch = 10;
         cfg.max_batch = 10;
-        cfg.seed_strategy = SeedStrategy::CarryOver { elites: 5 };
         run_stream(Box::new(PnScheduler::new(6, cfg)), 2.0, 60, 61)
     };
     let serial = run(1);
