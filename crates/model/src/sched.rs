@@ -86,7 +86,9 @@ pub struct SystemView {
     /// Estimated seconds until the first processor becomes idle, if every
     /// queue drains at the estimated rates. `None` when a processor is
     /// *already* idle — batch schedulers should hurry (§3.4's third stopping
-    /// condition).
+    /// condition). The simulator sets it for batch-mode schedulers only;
+    /// an immediate-mode scheduler maps each task as it arrives (§4.1) and
+    /// always sees `None`.
     pub seconds_until_first_idle: Option<f64>,
 }
 

@@ -24,7 +24,8 @@
 //!
 //! Environment knobs (replay mode): `DTS_PROCS` (default 4), `DTS_BATCH`
 //! (8), `DTS_GENS` (100), `DTS_TENANTS` (2), `DTS_SEED` (overrides the PN
-//! seed).
+//! seed). A knob that is set but does not parse exits with status 2 and
+//! `NAME=value: <parse error>`.
 
 use std::process::ExitCode;
 
@@ -33,11 +34,22 @@ use dts_model::{ArrivalProcess, SizeDistribution, WorkloadSpec};
 use dts_server::{replay_trace, PlanBudget, ProcessorProfile, ServerConfig};
 use dts_sim::arrivals::ArrivalTrace;
 
-fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The knob `key`, or `default` when it is unset. A set value that does
+/// not parse exits with status 2 and `NAME=value: <parse error>`, so a typo
+/// never runs the default silently.
+fn env_or<T>(key: &str, default: T) -> T
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let Some(raw) = std::env::var_os(key) else {
+        return default;
+    };
+    let raw = raw.to_string_lossy();
+    raw.parse().unwrap_or_else(|e| {
+        eprintln!("{key}={raw}: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn record(path: &str, n: usize, seed: u64) -> ExitCode {

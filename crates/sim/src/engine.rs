@@ -18,6 +18,16 @@
 //! remaining MFLOPs of the in-flight task and re-schedules its completion
 //! at the new effective rate (stale completions are invalidated through an
 //! epoch counter).
+//!
+//! The [`SystemView`] handed to [`Scheduler::plan`] is kept current event
+//! by event, not rebuilt per plan call: each handler that changes a
+//! worker's smoothers, phase or remaining MFLOPs rewrites that worker's
+//! entry (`view_entry`), so a plan call only stamps the time. Batch-mode
+//! plan calls add one pass over the view for the idle horizon, which both
+//! paces the call and fills [`SystemView::seconds_until_first_idle`];
+//! immediate-mode calls skip it. Debug builds check every entry against a
+//! fresh `view_entry` at every plan call. A count of waiting workers lets
+//! `PlanComplete` skip its serve scan when no worker waits.
 
 use dts_distributions::Prng;
 use dts_model::{
@@ -150,6 +160,31 @@ impl Worker {
     }
 }
 
+/// The estimates a scheduler may see of worker `id`: its smoothed rate,
+/// the MFLOPs it holds and a per-task round-trip cost.
+fn view_entry(id: ProcessorId, w: &Worker) -> ProcessorView {
+    ProcessorView {
+        id,
+        rate_estimate: w.rate_estimate.value_or(w.rated).max(1e-9),
+        inflight_mflops: w.inflight_mflops(),
+        // Exposed as a per-task round-trip estimate: dispatch + result
+        // messages.
+        comm_estimate: 2.0 * w.comm_estimate.value_or(0.0),
+    }
+}
+
+/// What a batch-mode plan call needs to know about the idle horizon, from
+/// one pass over the view.
+struct Horizon {
+    /// Least `(inflight + queued) / rate` over all workers: estimated
+    /// seconds until the first one runs out of work.
+    first_idle: f64,
+    /// Some worker is waiting with nothing queued for it right now.
+    idle_now: bool,
+    /// Largest round-trip estimate over all links.
+    max_rtt: f64,
+}
+
 /// In-flight trace data for a task currently owned by a worker.
 #[derive(Debug, Clone, Copy)]
 struct PendingSpan {
@@ -197,6 +232,9 @@ pub struct Simulation {
     /// Index of the first task whose arrival has not fired yet.
     next_arrival: usize,
     workers: Vec<Worker>,
+    /// Workers in [`Phase::Waiting`]; `PlanComplete` skips its serve scan
+    /// when none is.
+    waiting: usize,
     rng: Prng,
 
     /// Unfinished-predecessor counters: task `t` may be admitted to the
@@ -213,7 +251,9 @@ pub struct Simulation {
     /// Tasks admitted to the scheduler by one DAG arrival or result;
     /// reused so that admission does not allocate.
     ready: Vec<Task>,
-    /// The snapshot handed to [`Scheduler::plan`], refilled in place.
+    /// The snapshot handed to [`Scheduler::plan`]. Entry `i` is
+    /// `view_entry(i, &workers[i])` at all times: every handler that
+    /// changes a worker's smoothers, phase or remaining MFLOPs rewrites it.
     view: SystemView,
 
     trace: Option<Trace>,
@@ -276,7 +316,7 @@ impl Simulation {
             "task graph must span exactly the workload"
         );
         let mut seed_stream = dts_distributions::SeedSequence::new(cluster.availability_seed);
-        let workers = cluster
+        let workers: Vec<Worker> = cluster
             .processors
             .iter()
             .map(|p| Worker {
@@ -291,7 +331,12 @@ impl Simulation {
             })
             .collect();
         let rng = Prng::seed_from(config.seed);
-        let n_workers = cluster.processors.len();
+        let n_workers = workers.len();
+        let processors = workers
+            .iter()
+            .enumerate()
+            .map(|(i, w)| view_entry(ProcessorId(i as u16), w))
+            .collect();
         let trace = if config.record_trace {
             Some(Trace::new())
         } else {
@@ -309,6 +354,7 @@ impl Simulation {
             queue: EventQueue::new(),
             next_arrival: 0,
             workers,
+            waiting: n_workers,
             rng,
             pending_preds,
             arrived: vec![false; n_tasks],
@@ -318,7 +364,7 @@ impl Simulation {
             ready: Vec::new(),
             view: SystemView {
                 now: SimTime::ZERO,
-                processors: Vec::with_capacity(n_workers),
+                processors,
                 seconds_until_first_idle: None,
             },
             trace,
@@ -473,6 +519,7 @@ impl Simulation {
         if cost > 0.0 {
             self.workers[i].comm_estimate.observe(cost);
             self.scheduler.observe_comm(proc, cost);
+            self.sync_view(i);
         }
         self.workers[i].request_arrived = true;
         if self.workers[i].phase == Phase::Waiting && self.scheduler.queued_len(proc) > 0 {
@@ -508,11 +555,14 @@ impl Simulation {
 
     fn on_plan_complete(&mut self) {
         self.host_busy = false;
-        // Serve every idle worker that now has queued work.
-        for i in 0..self.workers.len() {
-            let pid = ProcessorId(i as u16);
-            if self.workers[i].phase == Phase::Waiting && self.scheduler.queued_len(pid) > 0 {
-                self.serve(pid);
+        // Serve every idle worker that now has queued work, in index order
+        // (each dispatch draws a link cost from the shared stream).
+        if self.waiting > 0 {
+            for i in 0..self.workers.len() {
+                let pid = ProcessorId(i as u16);
+                if self.workers[i].phase == Phase::Waiting && self.scheduler.queued_len(pid) > 0 {
+                    self.serve(pid);
+                }
             }
         }
         // More unscheduled tasks? Plan the next batch immediately.
@@ -534,18 +584,14 @@ impl Simulation {
         };
         w.epoch += 1;
         let finish = self.clock + remaining / rate;
+        let epoch = w.epoch;
+        self.sync_view(proc.index());
         if self.trace.is_some() {
             if let Some(span) = self.pending_spans[proc.index()].as_mut() {
                 span.exec_start = self.clock;
             }
         }
-        self.queue.push(
-            finish,
-            EventKind::Complete {
-                proc,
-                epoch: w.epoch,
-            },
-        );
+        self.queue.push(finish, EventKind::Complete { proc, epoch });
     }
 
     fn on_complete(&mut self, proc: ProcessorId, epoch: u64) {
@@ -578,6 +624,7 @@ impl Simulation {
         w.comm_estimate.observe(link_cost);
         self.scheduler.observe_comm(proc, link_cost);
         w.phase = Phase::Sending;
+        self.sync_view(proc.index());
         if self.trace.is_some() {
             if let Some(span) = self.pending_spans[proc.index()].as_mut() {
                 span.exec_end = self.clock;
@@ -630,6 +677,8 @@ impl Simulation {
             }
         }
         self.workers[proc.index()].phase = Phase::Waiting;
+        self.waiting += 1;
+        self.sync_view(proc.index());
         self.serve(proc);
         // Defensive: planning opportunities are normally chained through
         // arrivals and PlanComplete, but a free host with unscheduled work
@@ -666,6 +715,7 @@ impl Simulation {
             self.queue
                 .push(self.clock + dt, EventKind::AvailabilityChange { proc });
         }
+        self.sync_view(proc.index());
     }
 
     // ------------------------------------------------------------ internals
@@ -685,6 +735,8 @@ impl Simulation {
             w.comm_estimate.observe(cost);
             self.scheduler.observe_comm(proc, cost);
             w.phase = Phase::Receiving { task };
+            self.waiting -= 1;
+            self.sync_view(proc.index());
             if self.trace.is_some() {
                 self.pending_spans[proc.index()] = Some(PendingSpan {
                     task: task.id,
@@ -714,19 +766,20 @@ impl Simulation {
     /// deferred until the estimated idle horizon shrinks to the lead time
     /// (previous plan duration + a round trip + margin). Immediate-mode
     /// schedulers, which map tasks the moment they arrive by definition,
-    /// are never deferred.
+    /// are never deferred, and their view carries no idle horizon.
     fn try_plan(&mut self) {
         if self.host_busy || self.scheduler.unscheduled_len() == 0 {
             return;
         }
+        let mut first_idle = None;
         if self.scheduler.mode() == dts_model::SchedulerMode::Batch {
-            let horizon = self.idle_horizon();
-            let max_rtt = self
-                .workers
-                .iter()
-                .map(|w| 2.0 * w.comm_estimate.value_or(0.0))
-                .fold(0.0f64, f64::max);
-            let lead = self.config.plan_lead_margin + max_rtt + self.last_plan_seconds;
+            let h = self.horizon();
+            let horizon = if h.first_idle.is_finite() {
+                h.first_idle
+            } else {
+                0.0
+            };
+            let lead = self.config.plan_lead_margin + h.max_rtt + self.last_plan_seconds;
             if horizon > lead {
                 if !self.plan_check_pending {
                     self.plan_check_pending = true;
@@ -735,8 +788,15 @@ impl Simulation {
                 }
                 return;
             }
+            if !h.idle_now {
+                first_idle = Some(h.first_idle).filter(|s| s.is_finite());
+            }
         }
-        self.fill_view();
+        self.view.now = self.clock;
+        self.view.seconds_until_first_idle = first_idle;
+        if cfg!(debug_assertions) {
+            self.check_view();
+        }
         let outcome = self.scheduler.plan(&self.view);
         self.plan_invocations += 1;
         self.total_generations += u64::from(outcome.generations);
@@ -789,53 +849,44 @@ impl Simulation {
         }
     }
 
-    /// Estimated seconds until the first worker runs out of work, judging
-    /// by rate estimates: 0 when a worker is already starved.
-    fn idle_horizon(&self) -> f64 {
-        let mut horizon = f64::INFINITY;
-        for (i, w) in self.workers.iter().enumerate() {
-            let pid = ProcessorId(i as u16);
-            let rate = w.rate_estimate.value_or(w.rated).max(1e-9);
-            let work = w.inflight_mflops() + self.scheduler.queued_mflops(pid);
-            horizon = horizon.min(work / rate);
-        }
-        if horizon.is_finite() {
-            horizon
-        } else {
-            0.0
-        }
+    /// Rewrites worker `i`'s view entry after its state changed.
+    fn sync_view(&mut self, i: usize) {
+        self.view.processors[i] = view_entry(ProcessorId(i as u16), &self.workers[i]);
     }
 
-    /// Refills `view` with the estimate snapshot a scheduler is allowed to
-    /// see.
-    fn fill_view(&mut self) {
-        let mut first_idle: Option<f64> = Some(f64::INFINITY);
-        let scheduler = &self.scheduler;
-        let processors = &mut self.view.processors;
-        processors.clear();
-        processors.extend(self.workers.iter().enumerate().map(|(i, w)| {
-            let pid = ProcessorId(i as u16);
-            let rate_estimate = w.rate_estimate.value_or(w.rated).max(1e-9);
-            let inflight = w.inflight_mflops();
-            let queued = scheduler.queued_mflops(pid);
-            // Exposed as a per-task round-trip estimate: dispatch +
-            // result messages.
-            let comm_estimate = 2.0 * w.comm_estimate.value_or(0.0);
-            let horizon = (inflight + queued) / rate_estimate;
-            if w.phase == Phase::Waiting && scheduler.queued_len(pid) == 0 {
-                first_idle = None; // someone is idle *right now*
-            } else if let Some(ref mut h) = first_idle {
-                *h = h.min(horizon);
-            }
-            ProcessorView {
-                id: pid,
-                rate_estimate,
-                inflight_mflops: inflight,
-                comm_estimate,
-            }
-        }));
-        self.view.now = self.clock;
-        self.view.seconds_until_first_idle = first_idle.filter(|h| h.is_finite());
+    /// The idle horizon of a batch-mode plan call, in one pass over the
+    /// (current) view.
+    fn horizon(&self) -> Horizon {
+        let mut h = Horizon {
+            first_idle: f64::INFINITY,
+            idle_now: false,
+            max_rtt: 0.0,
+        };
+        for (p, w) in self.view.processors.iter().zip(&self.workers) {
+            let queued = self.scheduler.queued_mflops(p.id);
+            h.first_idle = h
+                .first_idle
+                .min((p.inflight_mflops + queued) / p.rate_estimate);
+            h.idle_now |= w.phase == Phase::Waiting && self.scheduler.queued_len(p.id) == 0;
+            h.max_rtt = h.max_rtt.max(p.comm_estimate);
+        }
+        h
+    }
+
+    /// The view oracle (debug builds): every entry equals a fresh
+    /// [`view_entry`] and `waiting` counts the waiting workers. Allocates
+    /// nothing unless it fails.
+    fn check_view(&self) {
+        let mut waiting = 0;
+        for (i, w) in self.workers.iter().enumerate() {
+            assert_eq!(
+                self.view.processors[i],
+                view_entry(ProcessorId(i as u16), w),
+                "stale view entry for worker {i}"
+            );
+            waiting += usize::from(w.phase == Phase::Waiting);
+        }
+        assert_eq!(self.waiting, waiting, "waiting count drifted");
     }
 }
 

@@ -1,13 +1,16 @@
 //! Heap allocations of one whole simulation. The event loop keeps only
 //! in-flight events in its heap, streams arrivals from the task table,
-//! hands the scheduler a reused view and enqueues borrowed slices, so a
+//! hands the scheduler a view it keeps current in place (built once, one
+//! entry rewritten per worker change) and enqueues borrowed slices, so a
 //! run's allocation count must not grow with the number of tasks: what
 //! remains is setup, report assembly and the amortised growth of a few
 //! buffers.
 //!
 //! A counting global allocator counts per thread, so the test harness's
-//! other threads do not disturb the count. The engine has no allocating
-//! debug checks, so the counts are the same in debug and release builds.
+//! other threads do not disturb the count. The engine's one debug check,
+//! the view oracle at every plan call, compares entries in place and
+//! allocates nothing unless it fails, so the counts are the same in debug
+//! and release builds.
 
 // A `GlobalAlloc` impl is `unsafe` by definition; it only forwards to the
 // system allocator.
