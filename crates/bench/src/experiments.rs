@@ -313,7 +313,7 @@ impl BatchStudy {
         format!("{study} (H={h}, M={m}, {gens} gens, {reps} reps)")
     }
 
-    /// Plans every replication's batch under the default `PnConfig` with
+    /// Plans every replication's batch under `PnConfig::paper()` with
     /// the generation cap, as changed by `configure`, and with `ops` in
     /// place of the paper's operators when given. Replication `rep` draws
     /// tasks, processors and GA seed from `seed_at(rep)` of the study
@@ -325,7 +325,7 @@ impl BatchStudy {
                 let mut sub = SeedSequence::new(seq.seed_at(rep as u64));
                 let tasks = batch_tasks(self.h, &PAPER_NORMAL, sub.next_seed());
                 let procs = batch_processors(self.m, sub.next_seed());
-                let mut cfg = PnConfig::default();
+                let mut cfg = PnConfig::paper();
                 cfg.ga.max_generations = self.gens;
                 configure(&mut cfg);
                 let request = PlanRequest::new(&tasks, &procs, sub.next_seed());

@@ -65,7 +65,7 @@ pub fn convergence_series(
             let mut sub = SeedSequence::new(seed);
             let tasks = batch_tasks(h, &PAPER_NORMAL, sub.next_seed());
             let procs = batch_processors(m, sub.next_seed());
-            let mut cfg = PnConfig::default();
+            let mut cfg = PnConfig::paper();
             cfg.ga.max_generations = generations;
             cfg.ga.record_history = true;
             cfg.rebalances_per_generation = r;
@@ -123,7 +123,7 @@ pub fn rebalance_timing(
 
     let mut points = Vec::with_capacity(rebalances.len());
     for &r in rebalances {
-        let mut cfg = PnConfig::default();
+        let mut cfg = PnConfig::paper();
         cfg.ga.max_generations = generations;
         cfg.rebalances_per_generation = r;
         let start = Instant::now();

@@ -108,7 +108,8 @@ pub struct BuildOptions {
     /// Fitness-evaluation strategy for the GA schedulers (ZO and PN).
     /// Serial by default; `DTS_EVAL_WORKERS` overrides it in scenarios.
     pub evaluator: Evaluator,
-    /// Base PN configuration (rebalances, init fraction, …).
+    /// Base PN configuration (rebalances, init fraction, …): the paper's
+    /// §4.2 setup, [`PnConfig::paper`].
     pub pn: PnConfig,
 }
 
@@ -118,7 +119,7 @@ impl Default for BuildOptions {
             batch_size: 200,
             max_generations: 1000,
             evaluator: Evaluator::Serial,
-            pn: PnConfig::default(),
+            pn: PnConfig::paper(),
         }
     }
 }

@@ -5,10 +5,20 @@ use dts_ga::{Evaluator, GaConfig};
 use crate::fitness::Fitness;
 use crate::time_model::GaTimeModel;
 
-/// All knobs of the PN scheduler. [`PnConfig::default`] reproduces the
-/// paper's §4.2 setup: micro-GA population of 20, up to 1000 generations,
-/// one rebalance per individual per generation with 5 probes, batch size
-/// 200, communication estimation enabled.
+/// All knobs of the PN scheduler. [`PnConfig::paper`] is the paper's §4.2
+/// setup: micro-GA population of 20, up to 1000 generations, one rebalance
+/// per individual per generation with 5 probes, batch size 200,
+/// communication estimation enabled.
+///
+/// [`PnConfig::default`] is the same setup with one more stop: a plan call
+/// also ends after 50 generations without an improvement in the best
+/// makespan (`ga.plateau_generations`). A plan call then ends at the first
+/// of the plateau, the 1000-generation cap and its `PlanBudget` (the §3.4
+/// idle-horizon cap). The plateau draws no extra random numbers, so a
+/// plateau-stopped run is an exact prefix of the same seed's
+/// [`PnConfig::paper`] run; on the online path it ends a converged 30-task
+/// batch after ≈ 50 generations instead of 1000 (ARCHITECTURE.md,
+/// "Deviations from the paper"). The experiments run [`PnConfig::paper`].
 ///
 /// Fitness evaluation runs serially by default; set
 /// `ga.evaluator` (or call [`PnConfig::with_eval_workers`]) to evaluate
@@ -73,7 +83,10 @@ pub struct PnConfig {
 impl Default for PnConfig {
     fn default() -> Self {
         Self {
-            ga: GaConfig::default(),
+            ga: GaConfig {
+                plateau_generations: Some(50),
+                ..GaConfig::default()
+            },
             rebalances_per_generation: 1,
             rebalance_probes: 5,
             init_random_fraction: (0.1, 0.9),
@@ -91,12 +104,29 @@ impl Default for PnConfig {
 }
 
 impl PnConfig {
+    /// The paper's §4.2 setup exactly: [`PnConfig::default`] without the
+    /// plateau stop, so a plan call runs until the 1000-generation cap or
+    /// its `PlanBudget`. Every figure and ablation runs this preset.
+    ///
+    /// ```
+    /// use dts_core::PnConfig;
+    ///
+    /// assert_eq!(PnConfig::default().ga.plateau_generations, Some(50));
+    /// assert_eq!(PnConfig::paper().ga.plateau_generations, None);
+    /// ```
+    pub fn paper() -> Self {
+        Self {
+            ga: GaConfig::default(),
+            ..Self::default()
+        }
+    }
+
     /// ZO — Zomaya & Teh's dynamic GA load-balancer (TPDS 2001), the §4.1
     /// baseline the paper calls "the basis for our scheduler" — as a
     /// preset of the one planning pipeline. PN is ZO plus the paper's
     /// contributions, so ZO is PN with each of them switched off:
     ///
-    /// | Aspect             | ZO (this preset)                        | PN (default)                 |
+    /// | Aspect             | ZO (this preset)                        | PN ([`PnConfig::paper`])     |
     /// |--------------------|-----------------------------------------|------------------------------|
     /// | fitness            | makespan only (`MakespanRatio`)         | relative error incl. Γc      |
     /// | communication      | ignored (`use_comm_estimates: false`)   | predicted via smoothing      |
@@ -106,7 +136,8 @@ impl PnConfig {
     ///
     /// Everything else — the GA (micro-population of 20, up to 1000
     /// generations, roulette / cycle crossover / swap), the idle-horizon
-    /// budget with its `min_generations` floor — is shared.
+    /// budget with its `min_generations` floor — is shared, and ZO stops
+    /// as the paper does, with no plateau.
     /// ZO was made heterogeneous as the paper did it, by sizing tasks in
     /// MFLOPs rather than time. It keeps its own seed.
     ///
@@ -128,7 +159,7 @@ impl PnConfig {
             use_comm_estimates: false,
             fitness: Fitness::MakespanRatio,
             seed: 0x20_2001,
-            ..Self::default()
+            ..Self::paper()
         }
     }
 
@@ -168,15 +199,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_matches_paper() {
-        let c = PnConfig::default();
-        assert_eq!(c.ga.population_size, 20, "micro-GA");
-        assert_eq!(c.ga.max_generations, 1000);
+    fn paper_preset_matches_paper() {
+        for c in [PnConfig::paper(), PnConfig::zo_preset()] {
+            assert_eq!(c.ga.plateau_generations, None, "§3.4 has no plateau");
+            assert_eq!(c.ga.population_size, 20, "micro-GA");
+            assert_eq!(c.ga.max_generations, 1000);
+            assert_eq!(c.ga.target_makespan, None);
+            assert!(c.validate().is_ok());
+        }
+        let c = PnConfig::paper();
         assert_eq!(c.rebalances_per_generation, 1);
         assert_eq!(c.rebalance_probes, 5);
         assert_eq!(c.initial_batch, 200);
         assert!(c.use_comm_estimates);
-        assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn default_stops_on_a_plateau() {
+        let c = PnConfig::default();
+        assert_eq!(c.ga.plateau_generations, Some(50));
+        assert_eq!(
+            PnConfig {
+                ga: GaConfig::default(),
+                ..c
+            },
+            PnConfig::paper(),
+            "the plateau is the only difference"
+        );
     }
 
     #[test]

@@ -415,7 +415,10 @@ mod tests {
     fn time_limited_plan_stops_within_budget() {
         let b = batch(&[100.0; 40]);
         let p = procs(&[100.0, 150.0, 80.0, 120.0]);
-        let cfg = quick_config(u32::MAX);
+        let mut cfg = quick_config(u32::MAX);
+        // The subject is the wall-clock stop; a converged run would end
+        // on the default plateau first.
+        cfg.ga.plateau_generations = None;
         let budget = Duration::from_millis(15);
         let started = std::time::Instant::now();
         let planned = plan_batch(
@@ -431,6 +434,34 @@ mod tests {
         );
         // The plan is still complete and valid.
         assert_places_every_task_once(&planned, 40);
+    }
+
+    /// The default plateau stop draws no random numbers, so at the serve
+    /// shape (30 tasks onto 10 loaded processors) the default run is the
+    /// paper's run cut short: same history, generation for generation.
+    #[test]
+    fn plateau_run_is_a_prefix_of_the_paper_run() {
+        let b = varied(30);
+        let p: Vec<ProcessorState> = (0..10)
+            .map(|j| ProcessorState {
+                rate: 75.0 + 7.5 * j as f64,
+                existing_load_mflops: 400.0 * (j % 3) as f64,
+                comm_cost: 0.1,
+            })
+            .collect();
+        let mut cfg = PnConfig::default();
+        cfg.ga.record_history = true;
+        let short = run(&b, &p, &cfg, 17);
+        let mut paper = PnConfig::paper();
+        paper.ga.record_history = true;
+        let full = run(&b, &p, &paper, 17);
+
+        assert_eq!(short.ga.stop_reason, StopReason::Plateau);
+        assert_eq!(full.ga.stop_reason, StopReason::MaxGenerations);
+        assert!(short.generations < full.generations);
+        let n = short.generations as usize + 1;
+        assert_eq!(short.ga.history.len(), n);
+        assert_eq!(short.ga.history[..], full.ga.history[..n]);
     }
 
     fn run(batch: &[Task], procs: &[ProcessorState], config: &PnConfig, seed: u64) -> BatchOutcome {

@@ -216,7 +216,10 @@ pub struct GaConfig {
     /// in the best makespan (a convergence plateau). Composes with
     /// [`GaConfig::max_generations`] and the external §3.4 idle-horizon
     /// budget: whichever limit is hit first stops the run. `None` (the
-    /// default) disables the plateau check; `Some(0)` is rejected.
+    /// default here, and in the paper's setup) disables the plateau check;
+    /// `Some(0)` is rejected. The check draws no random numbers, so a run
+    /// that stops on a plateau is an exact prefix of the same run without
+    /// one. `dts_core::PnConfig::default()` sets `Some(50)`.
     pub plateau_generations: Option<u32>,
     /// Record per-generation statistics (needed by Fig. 3; costs memory).
     pub record_history: bool,

@@ -20,7 +20,8 @@
 //! **Record** generates the paper's task mix (normal sizes, Poisson
 //! stream arrivals) for `n` tasks at the given seed and writes the
 //! serialized trace — the same records `ArrivalTrace::record` produces
-//! from any [`dts_sim`] workload spec.
+//! from any [`dts_sim`] workload spec. An `n` or `seed` that does not
+//! parse exits with status 2 and `n=value: <parse error>`.
 //!
 //! Environment knobs (replay mode): `DTS_PROCS` (default 4), `DTS_BATCH`
 //! (8), `DTS_GENS` (100), `DTS_TENANTS` (2), `DTS_SEED` (overrides the PN
@@ -34,22 +35,31 @@ use dts_model::{ArrivalProcess, SizeDistribution, WorkloadSpec};
 use dts_server::{replay_trace, PlanBudget, ProcessorProfile, ServerConfig};
 use dts_sim::arrivals::ArrivalTrace;
 
-/// The knob `key`, or `default` when it is unset. A set value that does
-/// not parse exits with status 2 and `NAME=value: <parse error>`, so a typo
+/// `raw` parsed, or `default` when it is absent. A value that does not
+/// parse exits with status 2 and `NAME=value: <parse error>`, so a typo
 /// never runs the default silently.
+fn parse_or<T>(name: &str, raw: Option<&str>, default: T) -> T
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let Some(raw) = raw else {
+        return default;
+    };
+    raw.parse().unwrap_or_else(|e| {
+        eprintln!("{name}={raw}: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// The knob `key`, or `default` when it is unset ([`parse_or`]).
 fn env_or<T>(key: &str, default: T) -> T
 where
     T: std::str::FromStr,
     T::Err: std::fmt::Display,
 {
-    let Some(raw) = std::env::var_os(key) else {
-        return default;
-    };
-    let raw = raw.to_string_lossy();
-    raw.parse().unwrap_or_else(|e| {
-        eprintln!("{key}={raw}: {e}");
-        std::process::exit(2);
-    })
+    let raw = std::env::var_os(key).map(|v| v.to_string_lossy().into_owned());
+    parse_or(key, raw.as_deref(), default)
 }
 
 fn record(path: &str, n: usize, seed: u64) -> ExitCode {
@@ -141,8 +151,9 @@ fn replay(path: &str) -> ExitCode {
     }
     let s = report.stats;
     eprintln!(
-        "replay: placed {} of {} in {} batches ({} GA generations, peak pending {}, shed {})",
-        s.placed, s.submitted, s.batches, s.generations, s.max_pending, s.shed
+        "replay: placed {} of {} in {} batches ({} GA generations, {} plateau stops, \
+         peak pending {}, shed {})",
+        s.placed, s.submitted, s.batches, s.generations, s.plateau_stops, s.max_pending, s.shed
     );
     ExitCode::SUCCESS
 }
@@ -152,8 +163,8 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("record") => match args.get(1) {
             Some(path) => {
-                let n = args.get(2).and_then(|v| v.parse().ok()).unwrap_or(24);
-                let seed = args.get(3).and_then(|v| v.parse().ok()).unwrap_or(2005);
+                let n = parse_or("n", args.get(2).map(String::as_str), 24);
+                let seed = parse_or("seed", args.get(3).map(String::as_str), 2005);
                 record(path, n, seed)
             }
             None => {

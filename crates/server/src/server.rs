@@ -22,6 +22,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use dts_core::{PlanBudget, Planner, PnConfig, ProcessorState};
+use dts_ga::StopReason;
 use dts_model::{ProcessorId, SimTime, Task, TaskId, TaskQueues};
 
 /// Identifies a submitting tenant (user, job class, ingress shard).
@@ -229,6 +230,9 @@ pub struct ServerStats {
     pub max_pending: usize,
     /// Total GA generations evolved across all plan calls.
     pub generations: u64,
+    /// Plan calls whose GA stopped on its convergence plateau
+    /// (`StopReason::Plateau`) rather than on a generation cap or budget.
+    pub plateau_stops: u64,
 }
 
 /// One admitted-but-unplanned submission.
@@ -520,6 +524,7 @@ impl DtsServer {
         self.stats.batches += 1;
         self.stats.placed += h as u64;
         self.stats.generations += u64::from(outcome.generations);
+        self.stats.plateau_stops += u64::from(outcome.ga.stop_reason == StopReason::Plateau);
         events
     }
 
@@ -691,6 +696,24 @@ mod tests {
         assert_eq!(stats.batches, 2);
         assert!(stats.generations > 0);
         assert_eq!(stats.max_pending, 10, "all ten submitted before planning");
+    }
+
+    /// At the default configuration a converged batch ends on its
+    /// plateau, long before the 1000-generation cap, and the stats say so.
+    #[test]
+    fn default_config_stops_converged_batches_on_a_plateau() {
+        let mut cfg = ServerConfig::uniform(10, 100.0, PnConfig::default());
+        cfg.batch_size = 30;
+        let mut s = DtsServer::new(cfg);
+        for i in 0..90 {
+            s.submit(TenantId(0), 50.0 + 37.0 * (i % 11) as f64, i as f64)
+                .unwrap();
+        }
+        assert_eq!(s.drain().len(), 90);
+        let stats = s.stats();
+        assert_eq!(stats.batches, 3);
+        assert!(stats.plateau_stops > 0, "{stats:?}");
+        assert!(stats.generations < 1000 * stats.batches, "{stats:?}");
     }
 
     #[test]
