@@ -33,7 +33,7 @@
 //! * [`plan`] — the one planning pipeline: [`plan::plan_batch`], the only
 //!   one-shot entry point (one request struct: operators, precedence, an
 //!   explicit latency budget), [`plan::Planner`], the owner of the
-//!   plan-call seed stream that both
+//!   plan-call seed stream and the per-processor queues that both
 //!   [`scheduler::PnScheduler`] and the online `dts-server` plan through,
 //!   and [`plan::BatchOutcome`], what a plan call returns (read directly
 //!   by the Fig. 3 / Fig. 4 experiments).

@@ -11,13 +11,15 @@
 //!   does, which CI checks — and runs it. Figures, ablations and tests
 //!   call it directly.
 //! * [`Planner`] is the **one stateful owner** of what persists across
-//!   plan calls: the plan-call seed stream. Every call seeds its
-//!   population fresh, as the paper does. Both
+//!   plan calls: the plan-call seed stream and the per-processor queues.
+//!   It is the one commit path: it builds the processor states (`Lⱼ` =
+//!   queued plus in-flight MFLOPs), draws the call's seed, runs
+//!   [`plan_batch`] and appends the winner to the queues. Every call
+//!   seeds its population fresh, as the paper does. Both
 //!   [`crate::scheduler::PnScheduler`] (driven by the simulator) and the
 //!   online `dts-server` hold a `Planner` and keep only what is their
-//!   own: how a batch is chosen, what budget it gets and where the
-//!   winning queues are committed. The ZO baseline plans through it too,
-//!   as [`PnConfig::zo_preset`].
+//!   own: how a batch is chosen and what budget it gets. The ZO baseline
+//!   plans through it too, as [`PnConfig::zo_preset`].
 //!
 //! A request's [`PlanBudget`] maps to the two latency regimes of the
 //! system:
@@ -44,7 +46,8 @@ use dts_ga::{
     CrossoverOp, CycleCrossover, GaEngine, GaResult, MutationOp, RouletteWheel, SelectionOp,
     SlotPrecedence, SwapMutation,
 };
-use dts_model::Task;
+use dts_model::sched::ProcessorView;
+use dts_model::{ProcessorId, Task, TaskQueues};
 
 use crate::config::PnConfig;
 use crate::fitness::{BatchProblem, ProcessorState};
@@ -232,31 +235,38 @@ pub fn plan_batch(req: &PlanRequest<'_>, config: &PnConfig) -> BatchOutcome {
 }
 
 /// The stateful half of the planning pipeline: everything that persists
-/// from one plan call to the next, and the one sequence that uses it.
+/// from one plan call to the next — the per-processor queues the paper's
+/// scheduler holds (§3) and the plan-call seed stream
+/// (`Prng::seed_from(config.seed)`) — and the one sequence that uses it.
 ///
-/// Each [`Planner::plan`] call draws one seed from the plan-call stream
-/// (`Prng::seed_from(config.seed)`) and runs [`plan_batch`] with it, so
-/// every plan is a pure function of the seeds. Two `Planner`s built from
-/// equal configurations
-/// and fed equal batches therefore return identical outcomes — which is
+/// Every plan is a pure function of the seeds and the caller's
+/// [`ProcessorView`]s, so two `Planner`s built from equal configurations
+/// and fed equal batches and views return identical outcomes — which is
 /// what lets the replay oracle compare the server against
 /// [`crate::scheduler::PnScheduler`] placement for placement.
 pub struct Planner {
     config: PnConfig,
     /// The plan-call seed stream: one `next_u64` per call.
     rng: Prng,
+    /// Committed placements, with running per-processor MFLOP totals.
+    queues: TaskQueues,
 }
 
 impl Planner {
-    /// Creates a planner.
+    /// Creates a planner for `n_procs` processors.
     ///
     /// # Panics
     ///
-    /// Panics on an invalid configuration.
-    pub fn new(config: PnConfig) -> Self {
+    /// Panics on an invalid configuration or `n_procs == 0`.
+    pub fn new(n_procs: usize, config: PnConfig) -> Self {
+        assert!(n_procs > 0, "need at least one processor");
         config.validate().expect("invalid PnConfig");
         let rng = Prng::seed_from(config.seed);
-        Self { config, rng }
+        Self {
+            config,
+            rng,
+            queues: TaskQueues::new(n_procs),
+        }
     }
 
     /// The configuration in use.
@@ -264,18 +274,52 @@ impl Planner {
         &self.config
     }
 
-    /// Plans one batch under `budget`.
+    /// The committed placements, in dispatch order per processor.
+    pub fn queues(&self) -> &TaskQueues {
+        &self.queues
+    }
+
+    /// Pops the head of `p`'s queue (the reply to a work request),
+    /// releasing its load from `Lⱼ`.
+    pub fn pop(&mut self, p: ProcessorId) -> Option<Task> {
+        self.queues.pop(p)
+    }
+
+    /// Plans one batch under `budget` and appends the winning assignment
+    /// to the queues. `procs` holds one view per processor, indexed by
+    /// [`ProcessorId`]; `Lⱼ` is the MFLOPs queued here for `j` plus its
+    /// `inflight_mflops`, and its `comm_estimate` counts only under
+    /// `config.use_comm_estimates`.
     pub fn plan(
         &mut self,
         batch: &[Task],
-        procs: &[ProcessorState],
+        procs: &[ProcessorView],
         budget: PlanBudget,
     ) -> BatchOutcome {
+        let states: Vec<ProcessorState> = procs
+            .iter()
+            .map(|p| ProcessorState {
+                rate: p.rate_estimate.max(1e-9),
+                existing_load_mflops: self.queues.queued_mflops(p.id) + p.inflight_mflops,
+                comm_cost: if self.config.use_comm_estimates {
+                    p.comm_estimate
+                } else {
+                    0.0
+                },
+            })
+            .collect();
         let seed = self.rng.next_u64();
-        plan_batch(
-            &PlanRequest::new(batch, procs, seed).with_budget(budget),
+        let outcome = plan_batch(
+            &PlanRequest::new(batch, &states, seed).with_budget(budget),
             &self.config,
-        )
+        );
+        for (proc, queue) in outcome.queues.iter().enumerate() {
+            let pid = ProcessorId(proc as u16);
+            for &slot in queue {
+                self.queues.push(pid, batch[slot as usize]);
+            }
+        }
+        outcome
     }
 }
 
@@ -300,6 +344,34 @@ mod tests {
                 rate,
                 existing_load_mflops: 0.0,
                 comm_cost: 0.0,
+            })
+            .collect()
+    }
+
+    /// One view per rate, with in-flight work on every other processor
+    /// and communication dearer the higher the index.
+    fn views(rates: &[f64]) -> Vec<ProcessorView> {
+        rates
+            .iter()
+            .enumerate()
+            .map(|(j, &rate)| ProcessorView {
+                id: ProcessorId(j as u16),
+                rate_estimate: rate,
+                inflight_mflops: 150.0 * (j % 2) as f64,
+                comm_estimate: 2.0 * j as f64,
+            })
+            .collect()
+    }
+
+    /// The processor states [`Planner::plan`] must build from `views`
+    /// given what is already queued.
+    fn states(queues: &TaskQueues, views: &[ProcessorView], comm: bool) -> Vec<ProcessorState> {
+        views
+            .iter()
+            .map(|v| ProcessorState {
+                rate: v.rate_estimate,
+                existing_load_mflops: queues.queued_mflops(v.id) + v.inflight_mflops,
+                comm_cost: if comm { v.comm_estimate } else { 0.0 },
             })
             .collect()
     }
@@ -390,8 +462,8 @@ mod tests {
 
     /// Four plan calls with a shape change (10, 10, 6, 6 tasks).
     fn four_batches(cfg: &PnConfig) -> Vec<BatchOutcome> {
-        let p = procs(&[100.0, 150.0, 80.0]);
-        let mut planner = Planner::new(cfg.clone());
+        let p = views(&[100.0, 150.0, 80.0]);
+        let mut planner = Planner::new(3, cfg.clone());
         [10, 10, 6, 6]
             .into_iter()
             .map(|n| planner.plan(&varied(n), &p, PlanBudget::Generations(25)))
@@ -409,6 +481,51 @@ mod tests {
             assert_eq!(x.generations, y.generations);
             assert_places_every_task_once(x, [10, 10, 6, 6][k]);
         }
+    }
+
+    /// The one commit path: a plan call appends exactly `batch[slot]` for
+    /// each slot of the winning queues, in order, and the next call's
+    /// `Lⱼ` is that committed load plus the view's in-flight work.
+    #[test]
+    fn plan_commits_the_winner_and_charges_it_to_the_next_call() {
+        let cfg = quick_config(40);
+        let v = views(&[100.0, 150.0, 80.0]);
+        let mut planner = Planner::new(3, cfg.clone());
+        let first = varied(10);
+        let out = planner.plan(&first, &v, PlanBudget::Unlimited);
+        assert_places_every_task_once(&out, 10);
+        for ((_, held), slots) in planner.queues().iter().zip(&out.queues) {
+            let want: Vec<Task> = slots.iter().map(|&s| first[s as usize]).collect();
+            assert_eq!(held.iter().copied().collect::<Vec<_>>(), want);
+        }
+
+        let mut seeds = Prng::seed_from(cfg.seed);
+        seeds.next_u64();
+        let seed = seeds.next_u64();
+        let second = varied(6);
+        let want = run(&second, &states(planner.queues(), &v, true), &cfg, seed);
+        let got = planner.plan(&second, &v, PlanBudget::Unlimited);
+        assert_eq!(got.queues, want.queues);
+        assert_eq!(got.best_makespan.to_bits(), want.best_makespan.to_bits());
+        let blind = run(&second, &states(&TaskQueues::new(3), &v, true), &cfg, seed);
+        assert!(
+            got.best_makespan > blind.best_makespan,
+            "first batch's load ignored"
+        );
+        assert_eq!(planner.queues().total_len(), 16);
+    }
+
+    #[test]
+    fn comm_estimates_count_only_when_enabled() {
+        let mut cfg = quick_config(30);
+        cfg.use_comm_estimates = false;
+        let v = views(&[100.0, 150.0, 80.0]);
+        let b = varied(8);
+        let free = states(&TaskQueues::new(3), &v, false);
+        let want = run(&b, &free, &cfg, Prng::seed_from(cfg.seed).next_u64());
+        let got = Planner::new(3, cfg).plan(&b, &v, PlanBudget::Unlimited);
+        assert_eq!(got.queues, want.queues);
+        assert_eq!(got.best_makespan.to_bits(), want.best_makespan.to_bits());
     }
 
     #[test]

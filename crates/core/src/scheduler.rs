@@ -14,27 +14,25 @@
 //! * communication-cost and execution-rate estimates arrive via the
 //!   [`SystemView`], which the simulator maintains with the §3.6 smoothing
 //!   function;
-//! * the GA run itself, and the per-call seed it draws, belongs to the
-//!   [`Planner`] the scheduler holds: the only state that persists across
-//!   `plan` calls besides the queues, and itself a pure function of the
-//!   seeds.
+//! * processor states, the GA run, its per-call seed and the commit to
+//!   the per-processor queues belong to the [`Planner`] the scheduler
+//!   holds, the same one the online server plans through; what is left
+//!   here is the scheduler's own policy: the FCFS queue, the §3.7 sizer
+//!   and the §3.4 budget.
 
 use std::collections::VecDeque;
 
-use dts_model::{PlanOutcome, ProcessorId, Scheduler, SchedulerMode, SystemView, Task, TaskQueues};
+use dts_model::{PlanOutcome, ProcessorId, Scheduler, SchedulerMode, SystemView, Task};
 
 use crate::batching::BatchSizer;
 use crate::config::PnConfig;
-use crate::fitness::ProcessorState;
 use crate::plan::{PlanBudget, Planner};
 
 /// The PN dynamic GA scheduler.
 pub struct PnScheduler {
     planner: Planner,
     unscheduled: VecDeque<Task>,
-    queues: TaskQueues,
     batch_sizer: BatchSizer,
-    batches_planned: u64,
 }
 
 impl PnScheduler {
@@ -44,8 +42,7 @@ impl PnScheduler {
     ///
     /// Panics on an invalid configuration or `n_procs == 0`.
     pub fn new(n_procs: usize, config: PnConfig) -> Self {
-        assert!(n_procs > 0, "need at least one processor");
-        let planner = Planner::new(config);
+        let planner = Planner::new(n_procs, config);
         let config = planner.config();
         let batch_sizer = BatchSizer::new(
             config.batch_nu,
@@ -56,37 +53,13 @@ impl PnScheduler {
         Self {
             planner,
             unscheduled: VecDeque::new(),
-            queues: TaskQueues::new(n_procs),
             batch_sizer,
-            batches_planned: 0,
         }
-    }
-
-    /// Number of batches planned so far.
-    pub fn batches_planned(&self) -> u64 {
-        self.batches_planned
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &PnConfig {
         self.planner.config()
-    }
-
-    /// Builds the per-processor state vector the fitness function needs:
-    /// `Lⱼ` = queued-at-scheduler + in-flight MFLOPs.
-    fn processor_states(&self, view: &SystemView) -> Vec<ProcessorState> {
-        view.processors
-            .iter()
-            .map(|p| ProcessorState {
-                rate: p.rate_estimate.max(1e-9),
-                existing_load_mflops: self.queues.queued_mflops(p.id) + p.inflight_mflops,
-                comm_cost: if self.config().use_comm_estimates {
-                    p.comm_estimate
-                } else {
-                    0.0
-                },
-            })
-            .collect()
     }
 }
 
@@ -140,27 +113,17 @@ impl Scheduler for PnScheduler {
             }
         };
 
-        // --- evolve ------------------------------------------------------
-        let states = self.processor_states(view);
+        // --- evolve and commit -------------------------------------------
         let outcome = self
             .planner
-            .plan(&batch, &states, PlanBudget::Generations(budget));
-
-        // --- commit the winning assignment -------------------------------
-        for (proc, queue) in outcome.queues.iter().enumerate() {
-            let pid = ProcessorId(proc as u16);
-            for &slot in queue {
-                self.queues.push(pid, batch[slot as usize]);
-            }
-        }
-        self.batches_planned += 1;
+            .plan(&batch, &view.processors, PlanBudget::Generations(budget));
 
         // --- update the §3.7 idle-horizon signal -------------------------
         let s_p = view
             .processors
             .iter()
             .map(|p| {
-                let load = self.queues.queued_mflops(p.id) + p.inflight_mflops;
+                let load = self.planner.queues().queued_mflops(p.id) + p.inflight_mflops;
                 load / p.rate_estimate.max(1e-9)
             })
             .fold(f64::INFINITY, f64::min);
@@ -176,15 +139,15 @@ impl Scheduler for PnScheduler {
     }
 
     fn next_task_for(&mut self, p: ProcessorId) -> Option<Task> {
-        self.queues.pop(p)
+        self.planner.pop(p)
     }
 
     fn queued_len(&self, p: ProcessorId) -> usize {
-        self.queues.queued_len(p)
+        self.planner.queues().queued_len(p)
     }
 
     fn queued_mflops(&self, p: ProcessorId) -> f64 {
-        self.queues.queued_mflops(p)
+        self.planner.queues().queued_mflops(p)
     }
 }
 
@@ -284,10 +247,6 @@ mod tests {
             }
         }
         assert_eq!(popped, 100, "every task dispatched exactly once");
-        // The dynamic sizer may grow batches beyond the initial 16, so the
-        // batch count is only bounded, not exact.
-        let batches = s.batches_planned();
-        assert!((1..=7).contains(&batches), "batches = {batches}");
     }
 
     #[test]

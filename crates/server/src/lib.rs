@@ -13,11 +13,12 @@
 //!   pending FCFS queue ──► batching: FCFS prefix, ≤ batch_size
 //!        │
 //!        ▼
-//!   GA plan call (dts_core::Planner → dts_core::plan::plan_batch)
+//!   GA plan call (dts_core::Planner → dts_core::plan::plan_batch;
+//!        │         the winner is appended to the Planner's queues)
 //!        │  PlanBudget::Generations → deterministic replay mode
 //!        │  PlanBudget::TimeLimit   → bounded decision latency
 //!        ▼
-//!   PlacementEvent per task ──► per-processor queues (pull protocol)
+//!   PlacementEvent per task; workers pull from the queues (dispatch)
 //! ```
 //!
 //! # Layers

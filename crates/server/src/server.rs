@@ -5,8 +5,8 @@
 //! (bounded per-tenant queues with backpressure), **batching** (FCFS
 //! prefix of the pending queue, like the paper's §3.7 batch-mode loop),
 //! and **planning** (one GA run per batch through a
-//! [`dts_core::Planner`], which owns the plan-call seed stream), emitting
-//! one [`PlacementEvent`] per task.
+//! [`dts_core::Planner`], which owns the plan-call seed stream and the
+//! per-processor queues), emitting one [`PlacementEvent`] per task.
 //!
 //! The core is deliberately **wall-clock-free**: it never reads a clock,
 //! so with a deterministic [`PlanBudget`] (generations, not wall-time)
@@ -21,9 +21,10 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use dts_core::{PlanBudget, Planner, PnConfig, ProcessorState};
+use dts_core::{PlanBudget, Planner, PnConfig};
 use dts_ga::StopReason;
-use dts_model::{ProcessorId, SimTime, Task, TaskId, TaskQueues};
+use dts_model::sched::ProcessorView;
+use dts_model::{ProcessorId, SimTime, Task, TaskId};
 
 /// Identifies a submitting tenant (user, job class, ingress shard).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -152,8 +153,8 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A small default fleet for examples and tests: `n` workers at the
-    /// given rate, default PN config, one tenant with a large queue.
+    /// A small fleet for examples and tests: `n_procs` workers at the
+    /// given rate, planned with `pn`, one tenant with a large queue.
     pub fn uniform(n_procs: usize, rate: f64, pn: PnConfig) -> Self {
         Self {
             procs: vec![
@@ -256,21 +257,13 @@ pub struct DtsServer {
     pending_per_tenant: Vec<usize>,
     /// Next server-assigned task id.
     next_id: u32,
-    /// Committed placements, with running per-processor MFLOP totals —
-    /// the `Lⱼ` term of the fitness function. [`DtsServer::dispatch`]
-    /// pops from here as workers pull work.
-    queues: TaskQueues,
-    /// The plan-call seed stream — the same pipeline
-    /// [`dts_core::PnScheduler`] plans through.
+    /// The configured fleet as the planner sees it: profile rates and
+    /// comm costs, nothing in flight (the server tracks no dispatches).
+    views: Vec<ProcessorView>,
+    /// The batch core [`dts_core::PnScheduler`] plans through too: seed
+    /// stream, processor states, and the committed per-processor queues
+    /// that [`DtsServer::dispatch`] pops as workers pull work.
     planner: Planner,
-    /// `placed[id]` is true once `id` was committed by a completed plan
-    /// call — the set dependency eligibility is checked against, so a
-    /// dependent task is only batched strictly after the batch that
-    /// placed its predecessors. Server-assigned ids are dense (0, 1, …),
-    /// so this is a plain bitmap rather than a hash set: O(1) lookups
-    /// with no nondeterministic iteration order to leak, one slot pushed
-    /// per admitted submission.
-    placed: Vec<bool>,
     stats: ServerStats,
 }
 
@@ -283,18 +276,26 @@ impl DtsServer {
     pub fn new(config: ServerConfig) -> Self {
         // dts-lint: allow(hot-unwrap, "construction-time config validation with a documented panic contract — not a submit/plan/replay path")
         config.validate().expect("invalid ServerConfig");
-        let planner = Planner::new(config.pn.clone());
-        let n = config.procs.len();
-        let tenants = config.tenants;
+        let planner = Planner::new(config.procs.len(), config.pn.clone());
+        let views = config
+            .procs
+            .iter()
+            .enumerate()
+            .map(|(j, p)| ProcessorView {
+                id: ProcessorId(j as u16),
+                rate_estimate: p.rate,
+                inflight_mflops: 0.0,
+                comm_estimate: p.comm_cost,
+            })
+            .collect();
         Self {
-            config,
             pending: VecDeque::new(),
-            pending_per_tenant: vec![0; tenants],
+            pending_per_tenant: vec![0; config.tenants],
             next_id: 0,
-            queues: TaskQueues::new(n),
+            views,
             planner,
-            placed: Vec::new(),
             stats: ServerStats::default(),
+            config,
         }
     }
 
@@ -325,14 +326,14 @@ impl DtsServer {
     /// (0 for unknown processors).
     pub fn placed_len(&self, p: ProcessorId) -> usize {
         if self.knows(p) {
-            self.queues.queued_len(p)
+            self.planner.queues().queued_len(p)
         } else {
             0
         }
     }
 
-    /// Whether `p` names one of the configured processors; [`TaskQueues`]
-    /// indexes by it unchecked.
+    /// Whether `p` names one of the configured processors; the planner's
+    /// queues index by it unchecked.
     fn knows(&self, p: ProcessorId) -> bool {
         p.index() < self.config.procs.len()
     }
@@ -427,7 +428,6 @@ impl DtsServer {
             .ok_or(SubmitError::IdSpaceExhausted)?;
         let id = TaskId(self.next_id);
         self.next_id = next;
-        self.placed.push(false);
         self.pending.push_back(Pending {
             tenant,
             task: Task::new(id, mflops, SimTime::new(arrival_s)),
@@ -439,37 +439,15 @@ impl DtsServer {
         Ok(id)
     }
 
-    /// Builds the per-processor state vector for the fitness function,
-    /// mirroring [`dts_core::PnScheduler`]: `Lⱼ` is the MFLOPs already
-    /// placed on `j` and not yet pulled.
-    fn processor_states(&self) -> Vec<ProcessorState> {
-        self.config
-            .procs
-            .iter()
-            .enumerate()
-            .map(|(j, p)| ProcessorState {
-                rate: p.rate.max(1e-9),
-                existing_load_mflops: self.queues.queued_mflops(ProcessorId(j as u16)),
-                comm_cost: if self.config.pn.use_comm_estimates {
-                    p.comm_cost
-                } else {
-                    0.0
-                },
-            })
-            .collect()
-    }
-
     /// Plans one batch: takes the FCFS prefix of the pending queue (at
-    /// most `batch_size` tasks), runs the GA under the configured budget,
-    /// commits the winning assignment to the per-processor queues, and
-    /// returns one [`PlacementEvent`] per task (processors in ascending
-    /// order, queue order within a processor).
+    /// most `batch_size` tasks), hands it to the [`Planner`] under the
+    /// configured budget, which commits the winning assignment to its
+    /// per-processor queues, and returns one [`PlacementEvent`] per task
+    /// (processors in ascending order, queue order within a processor).
     ///
-    /// Returns an empty vector when nothing is pending. The GA run is the
-    /// [`Planner`]'s, shared with [`dts_core::PnScheduler`]; what the two
-    /// still write separately — processor states, load accumulated
-    /// through [`TaskQueues`], the commit — the oracle equivalence test
-    /// verifies placement-for-placement.
+    /// Returns an empty vector when nothing is pending. The planner is the
+    /// one [`dts_core::PnScheduler`] plans through; the two differ only in
+    /// how a batch is chosen and what budget it gets.
     pub fn plan(&mut self) -> Vec<PlacementEvent> {
         if self.pending.is_empty() {
             return Vec::new();
@@ -480,11 +458,17 @@ impl DtsServer {
         // task eligible, so this drains exactly the plain prefix. The
         // queue is in id order and dependencies point backwards, so the
         // head is always eligible and each call places at least one task.
+        // For the same reason a dependency is unplaced exactly when this
+        // scan has already moved it to `drained` or `kept`, both id-sorted.
         let cap = self.config.batch_size;
         let mut drained: Vec<Pending> = Vec::with_capacity(cap.min(self.pending.len()));
         let mut kept: VecDeque<Pending> = VecDeque::new();
         for p in self.pending.drain(..) {
-            let eligible = drained.len() < cap && p.deps.iter().all(|&d| self.placed[d as usize]);
+            let unplaced = |d: &u32| {
+                drained.binary_search_by_key(d, |q| q.task.id.0).is_ok()
+                    || kept.binary_search_by_key(d, |q| q.task.id.0).is_ok()
+            };
+            let eligible = drained.len() < cap && !p.deps.iter().any(unplaced);
             if eligible {
                 drained.push(p);
             } else {
@@ -499,8 +483,7 @@ impl DtsServer {
         }
         let batch: Vec<Task> = drained.iter().map(|p| p.task).collect();
 
-        let states = self.processor_states();
-        let outcome = self.planner.plan(&batch, &states, self.config.budget);
+        let outcome = self.planner.plan(&batch, &self.views, self.config.budget);
 
         let batch_no = self.stats.batches;
         let mut events = Vec::with_capacity(h);
@@ -508,7 +491,6 @@ impl DtsServer {
             let pid = ProcessorId(proc as u16);
             for &slot in queue {
                 let placed = &drained[slot as usize];
-                self.queues.push(pid, placed.task);
                 events.push(PlacementEvent {
                     task: placed.task,
                     tenant: placed.tenant,
@@ -517,9 +499,6 @@ impl DtsServer {
                     makespan_estimate: outcome.best_makespan,
                 });
             }
-        }
-        for p in &drained {
-            self.placed[p.task.id.0 as usize] = true;
         }
         self.stats.batches += 1;
         self.stats.placed += h as u64;
@@ -543,7 +522,7 @@ impl DtsServer {
     /// unknown processors.
     pub fn dispatch(&mut self, p: ProcessorId) -> Option<Task> {
         if self.knows(p) {
-            self.queues.pop(p)
+            self.planner.pop(p)
         } else {
             None
         }
@@ -770,6 +749,25 @@ mod tests {
         assert_eq!(second.len(), 1);
         assert_eq!(second[0].task.id, b);
         assert_eq!(second[0].batch, 1);
+    }
+
+    /// Eligibility needs no record of placed ids: a dependency on a task
+    /// placed long ago lets its dependant into the very next batch.
+    #[test]
+    fn dependency_on_a_long_placed_task_is_eligible_at_once() {
+        let mut cfg = small_config();
+        cfg.tenant_capacity = 100;
+        let mut s = DtsServer::new(cfg);
+        for i in 0..100 {
+            s.submit(TenantId(0), 100.0, i as f64).unwrap();
+        }
+        assert_eq!(s.drain().len(), 100);
+        let late = s
+            .submit_with_deps(TenantId(0), 100.0, 100.0, &[TaskId(0)])
+            .unwrap();
+        let next = s.plan();
+        assert_eq!(next.len(), 1);
+        assert_eq!(next[0].task.id, late);
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! Oracle equivalence: the online server replaying a recorded trace must
 //! place every task exactly where the batch pipeline places it.
 //!
-//! The oracle is the existing, simulator-proven [`PnScheduler`] driven
-//! directly through the [`Scheduler`] trait: every task enqueued up
-//! front, planned batch by batch against a static [`SystemView`] whose
-//! rates and communication estimates equal the server's
-//! [`ProcessorProfile`]s, queues drained only at the end (matching a
-//! replay, where nothing is dispatched between plan calls). With the
-//! batch size pinned (`initial_batch == max_batch == batch_size`) and an
-//! effectively unbounded idle horizon, both pipelines see identical
-//! batches, identical processor states, and identical per-call seeds —
-//! so their placements must be **bit-identical**, at any evaluator
-//! worker count.
+//! Both front ends plan and commit through one [`dts_core::Planner`], so
+//! what this test proves is that their own policies hand it the same
+//! inputs: the server's FCFS-plus-eligibility batching and the
+//! [`PnScheduler`]'s §3.7 batching, pinned here
+//! (`initial_batch == max_batch == batch_size`), produce the same
+//! batches, and the server's [`ProcessorProfile`]s yield the same views
+//! as a static [`SystemView`] with equal rates and communication
+//! estimates. The scheduler is driven directly through the [`Scheduler`]
+//! trait: every task enqueued up front, an effectively unbounded idle
+//! horizon, queues drained only at the end (matching a replay, where
+//! nothing is dispatched between plan calls). Equal batches, views and
+//! per-call seeds make the placements **bit-identical**, at any
+//! evaluator worker count.
 
 use dts_core::{PnConfig, PnScheduler};
 use dts_model::sched::ProcessorView;

@@ -11,6 +11,13 @@
 # Regenerate the golden file after a change that moves the science:
 #   DTS_REPS=1 DTS_TASKS=20 DTS_PROCS=4 cargo run --release -p dts-bench --bin repro
 #   bash tests/golden/figures.sh > tests/golden/figures.sha256
+#
+# `tests/golden/figures_default.sha256` pins the scenario figures at default
+# scale (no DTS_* variables); regenerate it from a results directory that
+# holds only their CSVs:
+#   rm -f results/*.csv
+#   cargo run --release -p dts-bench --bin repro -- fig5 fig6 fig7 fig8 fig9 fig10 fig11
+#   bash tests/golden/figures.sh > tests/golden/figures_default.sha256
 set -euo pipefail
 export LC_ALL=C
 dir="${1:-results}"
