@@ -142,8 +142,6 @@ pub struct BatchProblem<'a> {
     /// ZO's normaliser `Σt/ΣP + max δⱼ`, read by
     /// [`Fitness::MakespanRatio`] only.
     makespan_norm: f64,
-    /// Whether Γc enters the fitness (PN: yes; the `no-comm` ablation: no).
-    use_comm: bool,
     /// Rebalance attempts per improve() call (R in Fig. 3/4; 0 disables).
     rebalances: u32,
     /// Probes per rebalance attempt (paper: 5).
@@ -234,7 +232,6 @@ impl<'a> BatchProblem<'a> {
             psi,
             fitness: config.fitness,
             makespan_norm: total_mflops / total_rate + max_delta,
-            use_comm: config.use_comm_estimates,
             rebalances: config.rebalances_per_generation,
             rebalance_probes: config.rebalance_probes,
             mflops,
@@ -567,7 +564,8 @@ impl Problem for BatchProblem<'_> {
     }
 
     /// The full walk, exporting the completion times for the engine's
-    /// incremental machinery (delta-evaluation, memo, §3.5 rebalance).
+    /// incremental machinery (delta-evaluation, inheritance by parent
+    /// copies, §3.5 rebalance).
     fn evaluate_into(&self, c: &Chromosome, completions: &mut Vec<f64>) -> (f64, f64) {
         self.completion_times(c, completions);
         self.score_completions(completions)
@@ -627,42 +625,6 @@ impl Problem for BatchProblem<'_> {
             completions[q_hi] = self.queue_cost(genes, q_hi, start_hi);
         }
         Some(self.score_completions(completions))
-    }
-
-    /// Digest of everything evaluation depends on besides the chromosome:
-    /// ψ, the comm flag, every task size, every processor's rate/δ/comm
-    /// estimate, and the objective. Equal keys ⇒ identical evaluation context,
-    /// which is the fitness memo's invalidation rule.
-    fn epoch_key(&self) -> u64 {
-        fn mix(h: u64, v: u64) -> u64 {
-            let mut x = (h ^ v).wrapping_add(0x9E37_79B9_7F4A_7C15);
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
-        }
-        let mut h = mix(0x5049_5053_3230_3035, self.mflops.len() as u64);
-        h = mix(h, self.rate.len() as u64);
-        h = mix(h, self.psi.to_bits());
-        h = mix(h, self.use_comm as u64);
-        for &m in &self.mflops {
-            h = mix(h, m.to_bits());
-        }
-        for j in 0..self.rate.len() {
-            h = mix(h, self.rate[j].to_bits());
-            h = mix(h, self.delta[j].to_bits());
-            h = mix(h, self.comm[j].to_bits());
-        }
-        // Precedence constraints change what a chromosome evaluates to, so
-        // they are part of the evaluation context. The unconstrained case
-        // folds nothing — bit-identical to the pre-DAG key.
-        if let Some(prec) = self.precedence {
-            h = mix(h, prec.digest());
-        }
-        // So is the objective; the default folds nothing, keeping PN's key.
-        if self.fitness == Fitness::MakespanRatio {
-            h = mix(h, self.makespan_norm.to_bits());
-        }
-        h
     }
 
     /// Topological gene repair ([`repair_topological`]) when the batch is
@@ -1049,10 +1011,6 @@ mod tests {
         let prec = SlotPrecedence::unconstrained(2);
         let p = BatchProblem::new(&batch, &procs, &config()).with_precedence(&prec);
         assert!(p.precedence().is_none(), "edge-free table must be dropped");
-        // Identical epoch key to a problem never given a table: the memo
-        // epoch is part of the no-edges bit-identity contract.
-        let plain = BatchProblem::new(&batch, &procs, &config());
-        assert_eq!(p.epoch_key(), plain.epoch_key());
     }
 
     #[test]

@@ -223,12 +223,12 @@ mod tests {
         let pop = initial_population(&b, &p, 20, (0.5, 1.0), &mut rng);
         assert_eq!(pop.len(), 20);
         assert!(pop.iter().all(|c| c.validate().is_ok()));
-        // Distinctness via the content digest (sort + dedup): no hash-set,
+        // Distinctness via sort + dedup of the gene strings: no hash-set,
         // so the diversity count is iteration-order-free.
-        let mut digests: Vec<u128> = pop.iter().map(|c| c.content_hash()).collect();
-        digests.sort_unstable();
-        digests.dedup();
-        assert!(digests.len() > 10, "population should be diverse");
+        let mut genomes: Vec<&[dts_ga::Gene]> = pop.iter().map(|c| c.genes()).collect();
+        genomes.sort_unstable();
+        genomes.dedup();
+        assert!(genomes.len() > 10, "population should be diverse");
     }
 
     #[test]

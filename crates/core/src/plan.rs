@@ -180,7 +180,7 @@ pub struct BatchOutcome {
     pub best_makespan: f64,
     /// Generations evolved.
     pub generations: u32,
-    /// Full GA result: the winning chromosome and its fitness, memo
+    /// Full GA result: the winning chromosome and its fitness, evaluation
     /// counters, and the history when `config.ga.record_history` is set.
     pub ga: GaResult,
 }
@@ -326,7 +326,7 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dts_ga::StopReason;
+    use dts_ga::{Chromosome, Parent, StopReason};
     use dts_model::{SimTime, TaskId};
 
     fn batch(sizes: &[f64]) -> Vec<Task> {
@@ -433,11 +433,33 @@ mod tests {
         assert!(out.generations > 0);
     }
 
-    /// The real PN `BatchProblem` (its `epoch_key`, the Zobrist digest)
-    /// must serve memo hits through `plan_batch` at the micro-GA shape —
-    /// an epoch key that never matches or a digest that never repeats
-    /// would leave every other test green — and serving them must not
-    /// change the plan.
+    /// Cycle crossover that reports no parentage, so the engine evaluates
+    /// every child it breeds.
+    struct UnreportedCycle;
+
+    impl CrossoverOp for UnreportedCycle {
+        fn cross_into(
+            &self,
+            a: &Chromosome,
+            b: &Chromosome,
+            out_a: &mut Chromosome,
+            out_b: &mut Chromosome,
+            rng: &mut Prng,
+        ) -> [Option<Parent>; 2] {
+            CycleCrossover.cross_into(a, b, out_a, out_b, rng);
+            [None, None]
+        }
+
+        fn label(&self) -> &'static str {
+            "cycle, parentage unreported"
+        }
+    }
+
+    /// The real PN `BatchProblem` through `plan_batch` at the micro-GA
+    /// shape: a converged population breeds parent copies, which inherit
+    /// their parent's evaluation (`memo_hits`) — a crossover that never
+    /// reported a copy would leave every other test green — and
+    /// inheriting must not change the plan.
     #[test]
     fn converged_micro_ga_serves_memo_hits_without_changing_the_plan() {
         let b = varied(30);
@@ -446,18 +468,23 @@ mod tests {
         ]);
         let mut cfg = quick_config(200);
         cfg.ga.population_size = 20;
-        let memoised = plan_batch(&PlanRequest::new(&b, &p, 11), &cfg);
-        assert!(memoised.ga.memo_hits > 0, "the memo served nothing");
+        let inheriting = plan_batch(&PlanRequest::new(&b, &p, 11), &cfg);
+        assert!(inheriting.ga.memo_hits > 0, "no child inherited");
 
-        cfg.ga.memo_capacity = 0;
-        let plain = plan_batch(&PlanRequest::new(&b, &p, 11), &cfg);
+        let req =
+            PlanRequest::new(&b, &p, 11).with_ops(&RouletteWheel, &UnreportedCycle, &SwapMutation);
+        let plain = plan_batch(&req, &cfg);
         assert_eq!(plain.ga.memo_hits, 0);
-        assert_eq!(plain.queues, memoised.queues);
+        assert_eq!(plain.queues, inheriting.queues);
         assert_eq!(
             plain.best_makespan.to_bits(),
-            memoised.best_makespan.to_bits()
+            inheriting.best_makespan.to_bits()
         );
-        assert_eq!(plain.generations, memoised.generations);
+        assert_eq!(plain.generations, inheriting.generations);
+        assert_eq!(
+            plain.ga.memo_misses,
+            inheriting.ga.memo_hits + inheriting.ga.memo_misses
+        );
     }
 
     /// Four plan calls with a shape change (10, 10, 6, 6 tasks).

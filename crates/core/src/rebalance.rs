@@ -244,7 +244,7 @@ mod tests {
     fn maintained_completions_match_fresh_walk_bitwise() {
         // The in-place updates on commit must track the full walk exactly:
         // any drift here would silently desynchronise the delta-evaluation
-        // and memo paths from the oracle.
+        // and inheritance paths from the oracle.
         let batch = tasks(&[
             512.0, 480.0, 300.0, 250.0, 200.0, 130.0, 90.0, 60.0, 30.0, 10.0,
         ]);

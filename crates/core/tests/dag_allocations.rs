@@ -87,7 +87,7 @@ fn layered_dag(h: usize, rng: &mut Prng) -> SlotPrecedence {
 
 /// Heap allocations made by `measured` `GaRun::step` calls that follow
 /// `warm_up` steps, on a 120-task × 6-processor layered-DAG batch.
-fn allocations_in_steps(memo_capacity: usize, warm_up: u32, measured: u32) -> u64 {
+fn allocations_in_steps(warm_up: u32, measured: u32) -> u64 {
     let (h, m) = (120usize, 6usize);
     let mut rng = Prng::seed_from(0xDA6_A110C);
     let batch: Vec<Task> = (0..h)
@@ -121,7 +121,6 @@ fn allocations_in_steps(memo_capacity: usize, warm_up: u32, measured: u32) -> u6
         .collect();
     let config = GaConfig {
         max_generations: warm_up + measured,
-        memo_capacity,
         ..GaConfig::default()
     };
     let engine = GaEngine::new(&RouletteWheel, &CycleCrossover, &SwapMutation, config);
@@ -146,11 +145,6 @@ fn allocations_in_steps(memo_capacity: usize, warm_up: u32, measured: u32) -> u6
     ignore = "debug-build invariant checks allocate; run with --release"
 )]
 fn dag_generation_allocates_nothing_after_warm_up() {
-    for memo_capacity in [0, 4096] {
-        let made = allocations_in_steps(memo_capacity, 20, 100);
-        assert_eq!(
-            made, 0,
-            "memo capacity {memo_capacity}: {made} heap allocations in 100 DAG generations"
-        );
-    }
+    let made = allocations_in_steps(20, 100);
+    assert_eq!(made, 0, "{made} heap allocations in 100 DAG generations");
 }

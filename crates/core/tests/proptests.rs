@@ -6,10 +6,35 @@ use dts_core::fitness::{BatchProblem, ProcessorState};
 use dts_core::init::{initial_population, list_scheduled_individual};
 use dts_core::rebalance::rebalance_once;
 use dts_core::{plan_batch, PlanRequest, PnConfig};
-use dts_distributions::Prng;
-use dts_ga::Problem;
+use dts_distributions::{Prng, Rng};
+use dts_ga::{
+    Chromosome, CrossoverOp, CycleCrossover, Evaluator, Parent, Problem, RouletteWheel,
+    SlotPrecedence, SwapMutation,
+};
 use dts_model::{SimTime, Task, TaskId};
 use proptest::prelude::*;
+
+/// Cycle crossover that reports no parentage, so the engine evaluates every
+/// child it breeds.
+struct UnreportedCycle;
+
+impl CrossoverOp for UnreportedCycle {
+    fn cross_into(
+        &self,
+        a: &Chromosome,
+        b: &Chromosome,
+        out_a: &mut Chromosome,
+        out_b: &mut Chromosome,
+        rng: &mut Prng,
+    ) -> [Option<Parent>; 2] {
+        CycleCrossover.cross_into(a, b, out_a, out_b, rng);
+        [None, None]
+    }
+
+    fn label(&self) -> &'static str {
+        "cycle, parentage unreported"
+    }
+}
 
 fn tasks_strategy() -> impl Strategy<Value = Vec<Task>> {
     proptest::collection::vec(1.0..5000.0f64, 1..60).prop_map(|sizes| {
@@ -140,27 +165,66 @@ proptest! {
         }
     }
 
-    /// The fitness memo changes nothing observable: a batch run with the
-    /// memo disabled is bit-identical to one with it enabled, at one worker
-    /// or several.
+    /// Inheritance changes nothing observable: a batch run whose parent
+    /// copies inherit their evaluation is bit-identical — plan, best
+    /// fitness, generations, per-generation history — to one whose
+    /// crossover reports no parentage, so that every child is evaluated,
+    /// for PN and ZO fitness, independent and DAG batches, at one worker
+    /// and at two.
     #[test]
     fn memo_on_off_and_workers_bit_identical(
         batch in tasks_strategy(),
         procs in procs_strategy(),
+        zo in 0usize..2,
+        dag in prop::bool::ANY,
         seed in 0u64..u64::MAX,
     ) {
-        let mut base = PnConfig::default();
-        base.ga.max_generations = 8;
-        let mut memo_off = base.clone();
-        memo_off.ga.memo_capacity = 0;
-        let mut memo_on_parallel = base.clone();
-        memo_on_parallel.ga.evaluator = dts_ga::Evaluator::ThreadPool { workers: 4 };
-        let reference = plan_batch(&PlanRequest::new(&batch, &procs, seed), &base);
-        for cfg in [&memo_off, &memo_on_parallel] {
-            let run = plan_batch(&PlanRequest::new(&batch, &procs, seed), cfg);
+        let mut base = objective(zo);
+        base.ga.max_generations = 40;
+        base.ga.record_history = true;
+        let mut rng = Prng::seed_from(seed);
+        let prec = dag.then(|| {
+            SlotPrecedence::new(
+                (0..batch.len())
+                    .map(|s| {
+                        if s > 0 && rng.chance(0.4) {
+                            vec![rng.below(s) as u32]
+                        } else {
+                            Vec::new()
+                        }
+                    })
+                    .collect(),
+            )
+        });
+        let request = || {
+            let req = PlanRequest::new(&batch, &procs, seed);
+            match &prec {
+                Some(prec) => req.with_precedence(prec),
+                None => req,
+            }
+        };
+        let every_child = request().with_ops(&RouletteWheel, &UnreportedCycle, &SwapMutation);
+        let reference = plan_batch(&every_child, &base);
+        prop_assert_eq!(reference.ga.memo_hits, 0);
+        for evaluator in [Evaluator::Serial, Evaluator::ThreadPool { workers: 2 }] {
+            let mut cfg = base.clone();
+            cfg.ga.evaluator = evaluator;
+            let run = plan_batch(&request(), &cfg);
             prop_assert_eq!(&run.queues, &reference.queues);
+            prop_assert_eq!(&run.ga.best, &reference.ga.best);
             prop_assert_eq!(run.ga.best_fitness.to_bits(), reference.ga.best_fitness.to_bits());
             prop_assert_eq!(run.best_makespan.to_bits(), reference.best_makespan.to_bits());
+            prop_assert_eq!(run.generations, reference.generations);
+            prop_assert_eq!(run.ga.history.len(), reference.ga.history.len());
+            for (a, b) in run.ga.history.iter().zip(&reference.ga.history) {
+                prop_assert_eq!(a.best_makespan.to_bits(), b.best_makespan.to_bits());
+                prop_assert_eq!(a.best_fitness.to_bits(), b.best_fitness.to_bits());
+                prop_assert_eq!(a.mean_fitness.to_bits(), b.mean_fitness.to_bits());
+            }
+            prop_assert_eq!(
+                run.ga.memo_hits + run.ga.memo_misses,
+                reference.ga.memo_misses
+            );
         }
     }
 

@@ -16,15 +16,11 @@
 //! the scheduler that owns the batch maps slots back to tasks. This keeps
 //! the GA engine independent of the task model.
 //!
-//! # Content hashing
+//! # Equality
 //!
-//! Every chromosome carries a 128-bit position-sensitive content digest
-//! ([`Chromosome::content_hash`]), maintained *incrementally*: a
-//! [`Chromosome::genes_swap`] updates it in O(1) by XOR-ing out the two old
-//! (position, gene) terms and XOR-ing in the two new ones (a Zobrist
-//! hash). This is what makes the engine's fitness memo cheaper than the
-//! evaluation it short-circuits — a memo lookup is a table probe, not a
-//! walk over `H + M − 1` genes.
+//! Chromosomes compare by gene string and shape. The engine never hashes
+//! them: it learns which offspring are copies of a parent from the
+//! crossover that bred them ([`crate::crossover::Parent`]).
 
 /// One symbol of the permutation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -66,50 +62,6 @@ impl Gene {
     pub fn is_task(self) -> bool {
         matches!(self, Gene::Task(_))
     }
-
-    /// A unique integer code for the gene: task slots map to `0..2³²`,
-    /// delimiters to `2³²..`. Input to the content hash.
-    #[inline]
-    fn code(self) -> u64 {
-        match self {
-            Gene::Task(t) => t as u64,
-            Gene::Delim(k) => (1u64 << 32) | k as u64,
-        }
-    }
-}
-
-/// The 64-bit finaliser of splitmix64 — a cheap, well-mixed permutation of
-/// `u64` used to derive the per-(position, gene) Zobrist terms.
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Salts for the two independent 64-bit halves of the content digest.
-/// Two halves put an accidental collision at ~2⁻¹²⁸·n² for n distinct
-/// genomes — beyond reach of any GA run.
-const HASH_SALTS: [u64; 2] = [0xA076_1D64_78BD_642F, 0xE703_7ED1_A0B4_28DB];
-
-/// The Zobrist term of one `(position, gene)` pair. `(pos << 33) | code`
-/// is injective (codes fit in 33 bits), so distinct pairs get independent
-/// pseudo-random terms.
-#[inline]
-fn position_term(pos: usize, g: Gene, salt: u64) -> u64 {
-    splitmix64(((pos as u64) << 33 | g.code()) ^ salt)
-}
-
-/// The change to a content digest when the gene at `pos` is replaced:
-/// XOR-ing it in takes the digest of a gene string holding `old` there to
-/// the digest of the same string holding `new`. Deltas of distinct
-/// positions XOR together, so an operator that rewrites a known set of
-/// positions pays for those positions only (cycle crossover; see
-/// [`Chromosome::rewrite_genes`]).
-#[inline]
-pub(crate) fn substitution_delta(pos: usize, old: Gene, new: Gene) -> [u64; 2] {
-    HASH_SALTS.map(|salt| position_term(pos, old, salt) ^ position_term(pos, new, salt))
 }
 
 /// A schedule encoding: a permutation of `H` task slots and `M − 1`
@@ -128,25 +80,6 @@ pub struct Chromosome {
     genes: Vec<Gene>,
     n_tasks: u32,
     n_procs: u16,
-    /// Position-sensitive 128-bit content digest (two independent 64-bit
-    /// Zobrist hashes). A pure function of `(genes, n_tasks, n_procs)`,
-    /// maintained incrementally by the mutating operations.
-    content_hash: [u64; 2],
-}
-
-/// The full-recompute form of the content digest: XOR of one Zobrist term
-/// per `(position, gene)` pair over a shape-derived base value.
-fn compute_content_hash(genes: &[Gene], n_tasks: u32, n_procs: u16) -> [u64; 2] {
-    let shape = ((n_tasks as u64) << 16) | n_procs as u64;
-    let mut h = [0u64; 2];
-    for (half, &salt) in h.iter_mut().zip(&HASH_SALTS) {
-        let mut acc = splitmix64(shape ^ salt);
-        for (pos, &g) in genes.iter().enumerate() {
-            acc ^= position_term(pos, g, salt);
-        }
-        *half = acc;
-    }
-    h
 }
 
 /// `clone_from` reuses the destination's gene buffer, so the engine can
@@ -158,7 +91,6 @@ impl Clone for Chromosome {
             genes: self.genes.clone(),
             n_tasks: self.n_tasks,
             n_procs: self.n_procs,
-            content_hash: self.content_hash,
         }
     }
 
@@ -166,17 +98,6 @@ impl Clone for Chromosome {
         self.genes.clone_from(&source.genes);
         self.n_tasks = source.n_tasks;
         self.n_procs = source.n_procs;
-        self.content_hash = source.content_hash;
-    }
-}
-
-/// `Hash` feeds the cached content digest, so hashing a chromosome is O(1)
-/// instead of a walk over `H + M − 1` genes. Consistent with the derived
-/// `Eq`: equal chromosomes have equal digests by construction.
-impl std::hash::Hash for Chromosome {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.content_hash[0]);
-        state.write_u64(self.content_hash[1]);
     }
 }
 
@@ -209,12 +130,10 @@ impl Chromosome {
     /// Panics if the genes are not a valid permutation of `H` task slots
     /// and `M − 1` distinct delimiters.
     pub fn from_genes(genes: Vec<Gene>, n_tasks: u32, n_procs: u16) -> Self {
-        let content_hash = compute_content_hash(&genes, n_tasks, n_procs);
         let c = Self {
             genes,
             n_tasks,
             n_procs,
-            content_hash,
         };
         if let Err(e) = c.validate() {
             panic!("invalid chromosome: {e}");
@@ -230,52 +149,28 @@ impl Chromosome {
             genes: Vec::new(),
             n_tasks: 0,
             n_procs: 1,
-            content_hash: compute_content_hash(&[], 0, 1),
         }
     }
 
-    /// Rewrites the gene string in place for an operator that knows which
-    /// positions it changes and that the result is still a permutation:
-    /// `f` returns the XOR of [`substitution_delta`] over every position it
-    /// rewrote, and that delta is folded into the digest, so neither the
-    /// O(H + M) re-hash nor the re-validation of
-    /// [`Chromosome::from_genes`] is repeated. Both obligations are checked
-    /// in debug builds.
-    pub(crate) fn rewrite_genes(&mut self, f: impl FnOnce(&mut [Gene]) -> [u64; 2]) {
-        let delta = f(&mut self.genes);
-        self.content_hash = [
-            self.content_hash[0] ^ delta[0],
-            self.content_hash[1] ^ delta[1],
-        ];
+    /// Rewrites the gene string in place, for operators that know the
+    /// result is still a permutation (crossover, insert, inversion,
+    /// repair): the re-validation of [`Chromosome::from_genes`] is not
+    /// repeated, but checked in debug builds.
+    pub(crate) fn rewrite_genes<R>(&mut self, f: impl FnOnce(&mut [Gene]) -> R) -> R {
+        let out = f(&mut self.genes);
         debug_assert!(self.validate().is_ok(), "{:?}", self.validate());
-        debug_assert_eq!(
-            self.content_hash,
-            compute_content_hash(&self.genes, self.n_tasks, self.n_procs),
-            "digest delta diverged from the from-scratch digest"
-        );
+        out
     }
 
     /// Builds a (possibly invalid) chromosome without any validation, for
     /// tests that exercise the checks themselves.
     #[cfg(test)]
     pub(crate) fn unchecked(genes: Vec<Gene>, n_tasks: u32, n_procs: u16) -> Self {
-        let content_hash = compute_content_hash(&genes, n_tasks, n_procs);
         Self {
             genes,
             n_tasks,
             n_procs,
-            content_hash,
         }
-    }
-
-    /// The 128-bit position-sensitive content digest: a pure function of
-    /// the gene string and shape, equal for equal chromosomes. The
-    /// engine's fitness memo keys on it; an accidental collision between
-    /// distinct genomes has probability ~`n²/2¹²⁸` for `n` genomes seen —
-    /// negligible against any run length.
-    #[inline]
-    pub fn content_hash(&self) -> u128 {
-        ((self.content_hash[0] as u128) << 64) | self.content_hash[1] as u128
     }
 
     /// Number of task slots `H`.
@@ -296,39 +191,16 @@ impl Chromosome {
         &self.genes
     }
 
-    /// Mutable access for operators that rewrite arbitrary gene spans
-    /// (insert, inversion). The content digest is recomputed from scratch
-    /// after `f` returns — operators that only transpose two genes should
-    /// use [`Chromosome::genes_swap`], which maintains it in O(1).
-    /// Invariants are re-checked by [`Chromosome::validate`] in debug
-    /// builds after each operator.
-    pub(crate) fn with_genes_mut<R>(&mut self, f: impl FnOnce(&mut [Gene]) -> R) -> R {
-        let out = f(&mut self.genes);
-        self.content_hash = compute_content_hash(&self.genes, self.n_tasks, self.n_procs);
-        out
-    }
-
     /// Swaps the genes at positions `i` and `j`. Any transposition of a
     /// permutation is a permutation, so the invariant holds by
     /// construction; external local-search heuristics (the PN rebalancer)
-    /// use this to make and revert tentative moves. The content digest is
-    /// updated in O(1).
+    /// use this to make and revert tentative moves.
     ///
     /// # Panics
     ///
     /// Panics if either index is out of bounds.
     #[inline]
     pub fn genes_swap(&mut self, i: usize, j: usize) {
-        let (gi, gj) = (self.genes[i], self.genes[j]);
-        if i == j {
-            return;
-        }
-        for (half, &salt) in self.content_hash.iter_mut().zip(&HASH_SALTS) {
-            *half ^= position_term(i, gi, salt)
-                ^ position_term(i, gj, salt)
-                ^ position_term(j, gj, salt)
-                ^ position_term(j, gi, salt);
-        }
         self.genes.swap(i, j);
     }
 
@@ -490,91 +362,12 @@ mod tests {
     }
 
     #[test]
-    fn substitution_deltas_compose_to_the_from_scratch_digest() {
-        let a = Chromosome::from_queues(&[vec![0, 3], vec![1], vec![2, 4, 5]]);
-        let b = Chromosome::from_queues(&[vec![5, 0], vec![4, 2], vec![3, 1]]);
-        let mut delta = [0u64; 2];
-        for (pos, (&old, &new)) in a.genes().iter().zip(b.genes()).enumerate() {
-            let d = substitution_delta(pos, old, new);
-            delta = [delta[0] ^ d[0], delta[1] ^ d[1]];
-        }
-        let mut rebuilt = a.clone();
-        rebuilt.rewrite_genes(|genes| {
-            genes.copy_from_slice(b.genes());
-            delta
-        });
-        assert_eq!(rebuilt, b);
-        assert_eq!(rebuilt.content_hash(), b.content_hash());
-    }
-
-    #[test]
     fn checked_dense_index_rejects_aliasing_genes() {
         // H = 2, M = 2: the symbols are Task(0), Task(1), Delim(0).
         assert_eq!(Gene::Task(1).checked_dense_index(2, 3), Some(1));
         assert_eq!(Gene::Delim(0).checked_dense_index(2, 3), Some(2));
         assert_eq!(Gene::Task(2).checked_dense_index(2, 3), None);
         assert_eq!(Gene::Delim(1).checked_dense_index(2, 3), None);
-    }
-
-    #[test]
-    fn content_hash_is_incrementally_maintained_across_swaps() {
-        use dts_distributions::{Prng, Rng};
-        let mut c = Chromosome::from_queues(&[vec![0, 3], vec![1], vec![2, 4, 5]]);
-        let mut rng = Prng::seed_from(99);
-        for _ in 0..500 {
-            let n = c.genes().len();
-            c.genes_swap(rng.below(n), rng.below(n));
-            let fresh = compute_content_hash(c.genes(), c.n_tasks(), c.n_procs());
-            assert_eq!(c.content_hash, fresh, "incremental hash diverged");
-        }
-    }
-
-    #[test]
-    fn swap_and_swap_back_restores_hash() {
-        let mut c = Chromosome::from_queues(&[vec![0, 1], vec![2, 3]]);
-        let before = c.content_hash();
-        c.genes_swap(0, 3);
-        assert_ne!(c.content_hash(), before, "swap should change the digest");
-        c.genes_swap(0, 3);
-        assert_eq!(c.content_hash(), before, "revert should restore it");
-    }
-
-    #[test]
-    fn equal_chromosomes_hash_equal_regardless_of_construction() {
-        let a = Chromosome::from_queues(&[vec![1, 0], vec![2]]);
-        let b = Chromosome::from_genes(
-            vec![Gene::Task(1), Gene::Task(0), Gene::Delim(0), Gene::Task(2)],
-            3,
-            2,
-        );
-        assert_eq!(a, b);
-        assert_eq!(a.content_hash(), b.content_hash());
-    }
-
-    #[test]
-    fn hash_is_position_sensitive() {
-        // Same queue *membership* after reordering within a queue must
-        // still change the digest: the fitness depends on queue order.
-        let a = Chromosome::from_queues(&[vec![0, 1], vec![2]]);
-        let b = Chromosome::from_queues(&[vec![1, 0], vec![2]]);
-        assert_ne!(a.content_hash(), b.content_hash());
-    }
-
-    #[test]
-    fn hash_distinguishes_shapes() {
-        // One task on one processor vs. one task on the first of two: same
-        // gene prefix, different shape, different digest.
-        let a = Chromosome::from_queues(&[vec![0]]);
-        let b = Chromosome::from_queues(&[vec![0], vec![]]);
-        assert_ne!(a.content_hash(), b.content_hash());
-    }
-
-    #[test]
-    fn with_genes_mut_rehashes() {
-        let mut c = Chromosome::from_queues(&[vec![0, 1, 2], vec![3]]);
-        c.with_genes_mut(|genes| genes[0..3].reverse());
-        let fresh = compute_content_hash(c.genes(), c.n_tasks(), c.n_procs());
-        assert_eq!(c.content_hash, fresh);
     }
 
     #[test]

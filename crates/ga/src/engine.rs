@@ -19,9 +19,9 @@
 //! # Evaluation pipeline
 //!
 //! Each generation is organised into phases so that fitness evaluation —
-//! the GA's hot spot — is batched, memoised, and delta-evaluated without
-//! touching the RNG stream (see [`crate::evaluate`] and [`crate::memo`]).
-//! A run owns two populations of the configured size, allocated once in
+//! the GA's hot spot — is batched, skipped for copies, and delta-evaluated
+//! without touching the RNG stream (see [`crate::evaluate`]). A run owns
+//! two populations of the configured size, allocated once in
 //! [`GaEngine::start`]: the current one and a spare one the next
 //! generation is bred into.
 //!
@@ -29,41 +29,43 @@
 //!    selection, crossover. Every spare slot is overwritten in place:
 //!    elites and clones are copied into the slot's own buffers with their
 //!    cached fitness, crossover writes its children straight into the next
-//!    two slots, and fresh offspring are queued by slot. A second child
-//!    with no slot left goes to a scratch chromosome and is dropped.
-//! 2. **evaluate in place** (parallel-safe, no RNG): queued offspring are
-//!    looked up in the fitness memo first — duplicate genomes, common late
-//!    in convergence, are served from cache into the slot's completions
-//!    buffer — and only the misses are evaluated as one batch, each in its
-//!    own slot's buffers. Then the two populations are **swapped**.
+//!    two slots, and a child the crossover reports as a copy of a parent
+//!    ([`crate::crossover::Parent`]) and that repair left unchanged
+//!    inherits the parent's fitness, makespan and completion times — late
+//!    in convergence most cycle-crossover children are such copies. The
+//!    other children are queued by slot. A second child with no slot left
+//!    goes to a scratch chromosome and is dropped.
+//! 2. **evaluate in place** (parallel-safe, no RNG): the queued offspring
+//!    are evaluated as one batch, each in its own slot's buffers. Then the
+//!    two populations are **swapped**.
 //! 3. **mutate** (serial, draws RNG): mutations are applied in place.
 //!    A transposition ([`GeneEdit::Swap`]) is delta-evaluated on the spot
 //!    against the individual's cached per-processor completion times;
 //!    opaque edits mark the individual dirty.
 //! 4. **re-evaluate** (parallel-safe, no RNG): only the dirty individuals
-//!    are re-evaluated (again through the memo) — everything else keeps
-//!    its incrementally maintained fitness, makespan, and completions.
+//!    are re-evaluated — everything else keeps its incrementally
+//!    maintained fitness, makespan, and completions.
 //! 5. **improve** (serial, draws RNG): the §3.5 local-improvement hook,
 //!    fed the maintained completion times so it never re-walks the whole
 //!    chromosome either.
 //!
-//! Because phases 2 and 4 are pure, consult the memo on the coordinating
-//! thread in submission order, and write back by index, the population
-//! ordering and every subsequent RNG draw are bit-identical whichever
-//! [`crate::Evaluator`] executes them — memo on or off, delta or full
-//! path. `tests/determinism.rs` and the engine tests lock this in.
+//! Evaluation is pure, an inherited evaluation is the parent's (debug
+//! builds check it bitwise against a fresh one), and phases 2 and 4 write
+//! back by index, so the population ordering and every subsequent RNG draw
+//! are bit-identical whichever [`crate::Evaluator`] executes them, and
+//! whether a copy inherits or is evaluated afresh. `tests/determinism.rs`
+//! and the engine tests lock this in.
 //!
-//! Once every buffer has grown to its working size — the first generations
-//! and the first memo fill — a generation allocates nothing: chromosomes
-//! and completion times only ever move between a slot and an evaluation
+//! Once every buffer has grown to its working size — the first
+//! generations — a generation allocates nothing: chromosomes and
+//! completion times only ever move between a slot and an evaluation
 //! record, or are copied into buffers that already exist.
 
 use dts_distributions::{Prng, Rng};
 
-use crate::crossover::CrossoverOp;
+use crate::crossover::{CrossoverOp, Parent};
 use crate::encoding::Chromosome;
 use crate::evaluate::{BatchEval, Evaluated, Evaluator};
-use crate::memo::{FitnessMemo, DEFAULT_MEMO_CAPACITY};
 use crate::mutation::{GeneEdit, MutationOp};
 use crate::selection::SelectionOp;
 
@@ -133,18 +135,6 @@ pub trait Problem {
     ) -> Option<(f64, f64)> {
         let _ = (c, i, j, completions);
         None
-    }
-
-    /// A digest of the evaluation context — everything besides the
-    /// chromosome that [`Problem::evaluate`] depends on (for the PN
-    /// problem: ψ, the processor rate/load/communication estimates, and
-    /// the batch's task sizes). Two problem values with equal keys must
-    /// evaluate every chromosome identically: the engine opens its
-    /// fitness-memo epoch with this key, so stale cached values can never
-    /// leak across contexts. The default (0) is sound for the common case
-    /// of one problem value per engine run.
-    fn epoch_key(&self) -> u64 {
-        0
     }
 
     /// Repairs `c` into the problem's feasible region, returning whether
@@ -228,13 +218,6 @@ pub struct GaConfig {
     /// once `population_size × batch` work dwarfs per-generation
     /// synchronisation.
     pub evaluator: Evaluator,
-    /// Capacity (entries) of the per-run fitness memo: duplicate genomes —
-    /// common late in convergence — are evaluated once and then served
-    /// from cache ([`crate::FitnessMemo`]). `0` disables memoisation.
-    /// Memoised and unmemoised runs are bit-identical (the cache stores
-    /// exactly what evaluation returned); hit/miss counts are surfaced in
-    /// [`GaResult::memo_hits`] / [`GaResult::memo_misses`].
-    pub memo_capacity: usize,
 }
 
 impl Default for GaConfig {
@@ -249,7 +232,6 @@ impl Default for GaConfig {
             plateau_generations: None,
             record_history: false,
             evaluator: Evaluator::Serial,
-            memo_capacity: DEFAULT_MEMO_CAPACITY,
         }
     }
 }
@@ -304,12 +286,15 @@ pub struct GaResult {
     pub stop_reason: StopReason,
     /// Per-generation history (empty unless requested).
     pub history: Vec<GenStats>,
-    /// Fitness-memo lookups served from cache (0 when the memo is
-    /// disabled). One lookup happens per queued evaluation job, so
+    /// Offspring that inherited a parent's evaluation instead of being
+    /// evaluated: crossover children reported as copies of a parent. So
     /// `memo_hits + memo_misses` is the number of evaluations the run
-    /// *requested* and `memo_misses` the number actually computed.
+    /// *requested*, and `memo_hits` the share of them that cost no walk.
+    /// (The name predates inheritance, which replaced a fitness cache.)
     pub memo_hits: u64,
-    /// Fitness-memo lookups that required a real evaluation.
+    /// Full evaluations computed: the initial population, offspring that
+    /// are not parent copies, and mutants that could not be
+    /// delta-evaluated.
     pub memo_misses: u64,
 }
 
@@ -338,47 +323,61 @@ impl Clone for Individual {
 
     fn clone_from(&mut self, source: &Self) {
         self.chrom.clone_from(&source.chrom);
-        self.fitness = source.fitness;
-        self.makespan = source.makespan;
-        self.completions.clone_from(&source.completions);
+        self.inherit(source);
+    }
+}
+
+impl Individual {
+    /// Copies `parent`'s evaluation into this individual, whose chromosome
+    /// equals the parent's; the completions buffer is reused.
+    fn inherit(&mut self, parent: &Individual) {
+        self.fitness = parent.fitness;
+        self.makespan = parent.makespan;
+        self.completions.clone_from(&parent.completions);
+    }
+
+    /// Debug builds: the individual's evaluation must be bitwise the one
+    /// a fresh [`Problem::evaluate_into`] computes.
+    #[cfg(debug_assertions)]
+    fn check_against_fresh<P: Problem>(&self, problem: &P) {
+        let mut completions = Vec::new();
+        let (fitness, makespan) = problem.evaluate_into(&self.chrom, &mut completions);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            (fitness.to_bits(), makespan.to_bits(), bits(&completions)),
+            (
+                self.fitness.to_bits(),
+                self.makespan.to_bits(),
+                bits(&self.completions)
+            ),
+            "inherited evaluation differs from a fresh one"
+        );
     }
 }
 
 /// Evaluates the slots of `pop` named by `queue`, writing every result into
-/// the slot's own buffers. The memo is consulted on the calling
-/// (coordinator) thread in queue order — so hit/miss decisions are a pure
-/// function of the job sequence, independent of the evaluator. A hit is
-/// copied into the slot's completions buffer. A miss moves the slot's
-/// chromosome and completions buffer into a record in `misses`; the
-/// records are evaluated in place as one batch, cached in queue order, and
-/// moved back. `misses` is empty on entry and on return; only its capacity
-/// carries over.
+/// the slot's own buffers: each slot's chromosome and completions buffer
+/// move into a record in `jobs`, the records are evaluated in place as one
+/// batch, and move back. `jobs` is empty on entry and on return; only its
+/// capacity carries over.
 fn evaluate_slots(
     eval: &dyn BatchEval,
-    memo: &mut FitnessMemo,
     pop: &mut [Individual],
     queue: &[usize],
-    misses: &mut Vec<Evaluated>,
+    jobs: &mut Vec<Evaluated>,
 ) {
-    debug_assert!(misses.is_empty());
-    for &index in queue {
+    debug_assert!(jobs.is_empty());
+    jobs.extend(queue.iter().map(|&index| {
         let ind = &mut pop[index];
-        match memo.lookup(&ind.chrom, &mut ind.completions) {
-            Some((fitness, makespan)) => {
-                ind.fitness = fitness;
-                ind.makespan = makespan;
-            }
-            None => misses.push(Evaluated {
-                index,
-                chrom: std::mem::replace(&mut ind.chrom, Chromosome::vacant()),
-                completions: std::mem::take(&mut ind.completions),
-                ..Evaluated::vacant()
-            }),
+        Evaluated {
+            index,
+            chrom: std::mem::replace(&mut ind.chrom, Chromosome::vacant()),
+            completions: std::mem::take(&mut ind.completions),
+            ..Evaluated::vacant()
         }
-    }
-    eval.eval_in_place(misses);
-    for e in misses.drain(..) {
-        memo.insert(&e.chrom, e.fitness, e.makespan, &e.completions);
+    }));
+    eval.eval_in_place(jobs);
+    for e in jobs.drain(..) {
         pop[e.index] = Individual {
             chrom: e.chrom,
             fitness: e.fitness,
@@ -543,11 +542,6 @@ impl<'a> GaEngine<'a> {
             .max_generations
             .min(max_generations_override.unwrap_or(u32::MAX));
 
-        // The per-run fitness memo, opened on the problem's evaluation
-        // epoch. All lookups happen on this thread, in submission order.
-        let mut memo = FitnessMemo::new(self.config.memo_capacity);
-        memo.begin_epoch(problem.epoch_key());
-
         // Materialise the working population, cycling the seeds if needed;
         // every seed is repaired into the feasible region (a no-op for
         // problems without constraints) and the whole initial batch is
@@ -565,8 +559,8 @@ impl<'a> GaEngine<'a> {
             })
             .collect();
         let mut queue: Vec<usize> = (0..pop_size).collect();
-        let mut misses = Vec::with_capacity(pop_size);
-        evaluate_slots(eval, &mut memo, &mut pop, &queue, &mut misses);
+        let mut jobs = Vec::with_capacity(pop_size);
+        evaluate_slots(eval, &mut pop, &queue, &mut jobs);
         queue.clear();
 
         let (best_idx, _) = Self::best_of(&pop);
@@ -577,13 +571,12 @@ impl<'a> GaEngine<'a> {
         let mut run = GaRun {
             engine: self,
             problem,
-            memo,
             spare: pop.clone(),
             scratch: pop[0].chrom.clone(),
             pop,
             order: Vec::with_capacity(pop_size),
             queue,
-            misses,
+            jobs,
             dirty: Vec::new(),
             history: Vec::new(),
             best,
@@ -591,6 +584,8 @@ impl<'a> GaEngine<'a> {
             best_fitness,
             generations: 0,
             stale_generations: 0,
+            inherited: 0,
+            evaluated: pop_size as u64,
             max_gens,
             fitness_buf: Vec::with_capacity(pop_size),
             stopped: None,
@@ -654,7 +649,6 @@ pub enum GaStep {
 pub struct GaRun<'r, P: Problem> {
     engine: &'r GaEngine<'r>,
     problem: &'r P,
-    memo: FitnessMemo,
     /// The current generation.
     pop: Vec<Individual>,
     /// The next generation is bred here, slot by slot over the previous
@@ -667,8 +661,9 @@ pub struct GaRun<'r, P: Problem> {
     order: Vec<usize>,
     /// Slots of the generation being bred that await evaluation.
     queue: Vec<usize>,
-    /// Evaluation records of memo misses; empty between evaluations.
-    misses: Vec<Evaluated>,
+    /// Evaluation records of the slots being evaluated; empty between
+    /// evaluations.
+    jobs: Vec<Evaluated>,
     /// Mutants whose cached evaluation is stale.
     dirty: Vec<usize>,
     history: Vec<GenStats>,
@@ -677,6 +672,10 @@ pub struct GaRun<'r, P: Problem> {
     best_fitness: f64,
     generations: u32,
     stale_generations: u32,
+    /// Offspring that inherited a parent's evaluation so far.
+    inherited: u64,
+    /// Full evaluations computed so far.
+    evaluated: u64,
     max_gens: u32,
     fitness_buf: Vec<f64>,
     stopped: Option<StopReason>,
@@ -753,16 +752,18 @@ impl<'r, P: Problem> GaRun<'r, P> {
             scratch,
             order,
             queue,
-            misses,
+            jobs,
             dirty,
-            memo,
             fitness_buf,
+            inherited,
+            evaluated,
             ..
         } = self;
 
         // --- breed into the spare buffer: elitism + selection + crossover
-        // (draws RNG). Every slot is overwritten in place. Clones keep their
-        // cached evaluation; fresh offspring are queued by slot.
+        // (draws RNG). Every slot is overwritten in place. Clones and
+        // children that copy a parent keep or inherit its evaluation; the
+        // other offspring are queued by slot.
         queue.clear();
         let mut next = 0;
         if config.elitism > 0 {
@@ -796,24 +797,36 @@ impl<'r, P: Problem> GaRun<'r, P> {
                 // Offspring are repaired into the feasible region before
                 // evaluation (identity for unconstrained problems); clones
                 // need no repair because their parents already live there.
-                // A second child with no slot left lands in the scratch
-                // chromosome and is dropped unrepaired: repair draws no
-                // RNG, so skipping it changes nothing.
-                let (a, b) = (&pop[pa].chrom, &pop[pb].chrom);
-                if let [first, second, ..] = &mut spare[next..] {
+                // A child reported as a copy of a parent, and left alone by
+                // repair, inherits that parent's evaluation; the others are
+                // queued. A second child with no slot left lands in the
+                // scratch chromosome and is dropped unrepaired: repair
+                // draws no RNG, so skipping it changes nothing.
+                let (a, b) = (&pop[pa], &pop[pb]);
+                let end = (next + 2).min(pop_size);
+                let parentage = if let [first, second] = &mut spare[next..end] {
                     let (ca, cb) = (&mut first.chrom, &mut second.chrom);
-                    engine.crossover.cross_into(a, b, ca, cb, rng);
-                    problem.repair(ca);
-                    problem.repair(cb);
-                    queue.extend([next, next + 1]);
-                    next += 2;
+                    engine.crossover.cross_into(&a.chrom, &b.chrom, ca, cb, rng)
                 } else {
                     let ca = &mut spare[next].chrom;
-                    engine.crossover.cross_into(a, b, ca, scratch, rng);
-                    problem.repair(ca);
-                    queue.push(next);
-                    next += 1;
+                    engine
+                        .crossover
+                        .cross_into(&a.chrom, &b.chrom, ca, scratch, rng)
+                };
+                for (slot, parent) in (next..end).zip(parentage) {
+                    let child = &mut spare[slot];
+                    let repaired = problem.repair(&mut child.chrom);
+                    match parent.filter(|_| !repaired) {
+                        Some(parent) => {
+                            child.inherit(if parent == Parent::A { a } else { b });
+                            #[cfg(debug_assertions)]
+                            child.check_against_fresh(problem);
+                            *inherited += 1;
+                        }
+                        None => queue.push(slot),
+                    }
                 }
+                next = end;
             } else {
                 spare[next].clone_from(&pop[pa]);
                 next += 1;
@@ -821,7 +834,8 @@ impl<'r, P: Problem> GaRun<'r, P> {
         }
 
         // --- evaluate the fresh offspring in their slots, then swap -----
-        evaluate_slots(eval, memo, spare, queue, misses);
+        *evaluated += queue.len() as u64;
+        evaluate_slots(eval, spare, queue, jobs);
         std::mem::swap(pop, spare);
 
         // --- random mutation (draws RNG) -------------------------------
@@ -858,9 +872,6 @@ impl<'r, P: Problem> GaRun<'r, P> {
                     let ind = &mut pop[idx];
                     ind.fitness = fitness;
                     ind.makespan = makespan;
-                    // The delta result is bit-identical to a full
-                    // evaluation, so it is safe to cache.
-                    memo.insert(&ind.chrom, fitness, makespan, &ind.completions);
                 }
                 None if !already_dirty => dirty.push(idx),
                 None => {}
@@ -869,7 +880,8 @@ impl<'r, P: Problem> GaRun<'r, P> {
         // Only dirty individuals are re-evaluated, in slot order; the rest
         // keep their incrementally maintained values.
         dirty.sort_unstable();
-        evaluate_slots(eval, memo, pop, dirty, misses);
+        *evaluated += dirty.len() as u64;
+        evaluate_slots(eval, pop, dirty, jobs);
 
         // --- local improvement (rebalancing heuristic, §3.5) -----------
         for ind in pop.iter_mut() {
@@ -926,8 +938,8 @@ impl<'r, P: Problem> GaRun<'r, P> {
             generations: self.generations,
             stop_reason: self.stopped.unwrap_or(StopReason::MaxGenerations),
             history: self.history,
-            memo_hits: self.memo.hits(),
-            memo_misses: self.memo.misses(),
+            memo_hits: self.inherited,
+            memo_misses: self.evaluated,
         }
     }
 }
@@ -1135,21 +1147,32 @@ mod tests {
         }
     }
 
+    /// Inheritance is invisible: the real cycle crossover, whose parent
+    /// copies inherit their evaluation, and one that reports no parentage,
+    /// so that every child is evaluated, give bit-identical runs. The
+    /// counters show the difference: the same evaluations are requested,
+    /// and inheritance serves some of them without a walk.
     #[test]
     fn memo_on_and_off_are_bit_identical() {
-        let run = |memo_capacity: usize| {
-            let e = engine(GaConfig {
+        let run = |crossover: &'static dyn CrossoverOp| {
+            static SEL: RouletteWheel = RouletteWheel;
+            static MU: SwapMutation = SwapMutation;
+            let config = GaConfig {
                 max_generations: 60,
                 mutations_per_generation: 4,
                 record_history: true,
-                memo_capacity,
                 ..GaConfig::default()
-            });
+            };
             let mut rng = Prng::seed_from(53);
-            e.run(&Balance, skewed_initial(20), None, &mut rng)
+            GaEngine::new(&SEL, crossover, &MU, config).run(
+                &Balance,
+                skewed_initial(20),
+                None,
+                &mut rng,
+            )
         };
-        let off = run(0);
-        let on = run(crate::memo::DEFAULT_MEMO_CAPACITY);
+        let off = run(&crate::crossover::UnreportedCycle);
+        let on = run(&CycleCrossover);
         assert_eq!(on.best, off.best);
         assert_eq!(on.best_makespan.to_bits(), off.best_makespan.to_bits());
         assert_eq!(on.best_fitness.to_bits(), off.best_fitness.to_bits());
@@ -1160,13 +1183,12 @@ mod tests {
             assert_eq!(a.best_fitness.to_bits(), b.best_fitness.to_bits());
             assert_eq!(a.mean_fitness.to_bits(), b.mean_fitness.to_bits());
         }
-        assert_eq!(off.memo_hits, 0, "disabled memo must never hit");
-        assert!(off.memo_misses > 0);
+        assert_eq!(off.memo_hits, 0, "unreported parentage must never inherit");
         assert!(
             on.memo_hits > 0,
-            "identical seeds and clone-heavy breeding must produce hits"
+            "identical seeds and a converging population must breed parent copies"
         );
-        assert!(on.memo_misses < off.memo_misses);
+        assert_eq!(on.memo_hits + on.memo_misses, off.memo_misses);
     }
 
     #[test]
@@ -1464,7 +1486,9 @@ mod tests {
 #[cfg(test)]
 mod equivalence_tests {
     use super::*;
-    use crate::crossover::{CycleCrossover, OnePointOrder, OrderCrossover, PartiallyMapped};
+    use crate::crossover::{
+        CycleCrossover, OnePointOrder, OrderCrossover, PartiallyMapped, UnreportedCycle,
+    };
     use crate::encoding::Gene;
     use crate::evaluate::Evaluator;
     use crate::mutation::{InsertMutation, InversionMutation, SwapMutation};
@@ -1589,13 +1613,14 @@ mod equivalence_tests {
 
     /// The generation loop as it was before the double-buffered
     /// population — a fresh population vector, offspring list and
-    /// evaluation batch every generation — kept verbatim but for the memo
-    /// lookup, which now fills a caller's buffer. History and stopping
-    /// rules are left out: the equivalence test never stops a run.
+    /// evaluation batch every generation — and before inheritance: every
+    /// offspring and every dirty mutant is evaluated afresh. History and
+    /// stopping rules are left out: the equivalence test never stops a run.
     struct ReferenceRun<'r, P: Problem> {
         engine: &'r GaEngine<'r>,
         problem: &'r P,
-        memo: FitnessMemo,
+        /// Full evaluations computed.
+        evaluated: u64,
         pop: Vec<Individual>,
         best: Chromosome,
         best_makespan: f64,
@@ -1605,29 +1630,11 @@ mod equivalence_tests {
 
     fn reference_eval_indexed(
         eval: &dyn BatchEval,
-        memo: &mut FitnessMemo,
+        evaluated: &mut u64,
         jobs: Vec<(usize, Chromosome)>,
     ) -> Vec<Evaluated> {
-        let mut ready: Vec<Evaluated> = Vec::with_capacity(jobs.len());
-        let mut misses: Vec<(usize, Chromosome)> = Vec::new();
-        for (index, chrom) in jobs {
-            let mut completions = Vec::new();
-            match memo.lookup(&chrom, &mut completions) {
-                Some((fitness, makespan)) => ready.push(Evaluated {
-                    index,
-                    chrom,
-                    fitness,
-                    makespan,
-                    completions,
-                }),
-                None => misses.push((index, chrom)),
-            }
-        }
-        for e in eval.eval_batch(misses) {
-            memo.insert(&e.chrom, e.fitness, e.makespan, &e.completions);
-            ready.push(e);
-        }
-        ready
+        *evaluated += jobs.len() as u64;
+        eval.eval_batch(jobs)
     }
 
     fn from_eval(e: Evaluated) -> Individual {
@@ -1647,8 +1654,7 @@ mod equivalence_tests {
             initial: &[Chromosome],
         ) -> Self {
             let pop_size = engine.config.population_size;
-            let mut memo = FitnessMemo::new(engine.config.memo_capacity);
-            memo.begin_epoch(problem.epoch_key());
+            let mut evaluated = 0;
             let init_jobs: Vec<(usize, Chromosome)> = (0..pop_size)
                 .map(|i| {
                     let mut c = initial[i % initial.len()].clone();
@@ -1657,7 +1663,7 @@ mod equivalence_tests {
                 })
                 .collect();
             let mut init_slots: Vec<Option<Individual>> = (0..pop_size).map(|_| None).collect();
-            for e in reference_eval_indexed(eval, &mut memo, init_jobs) {
+            for e in reference_eval_indexed(eval, &mut evaluated, init_jobs) {
                 let i = e.index;
                 init_slots[i] = Some(from_eval(e));
             }
@@ -1669,7 +1675,7 @@ mod equivalence_tests {
             Self {
                 engine,
                 problem,
-                memo,
+                evaluated,
                 best: pop[best_idx].chrom.clone(),
                 best_makespan: pop[best_idx].makespan,
                 best_fitness: pop[best_idx].fitness,
@@ -1737,7 +1743,7 @@ mod equivalence_tests {
                 }
             }
 
-            for e in reference_eval_indexed(eval, &mut self.memo, offspring) {
+            for e in reference_eval_indexed(eval, &mut self.evaluated, offspring) {
                 let i = e.index;
                 next[i] = Some(from_eval(e));
             }
@@ -1765,8 +1771,6 @@ mod equivalence_tests {
                         let ind = &mut pop[idx];
                         ind.fitness = fitness;
                         ind.makespan = makespan;
-                        self.memo
-                            .insert(&ind.chrom, fitness, makespan, &ind.completions);
                     }
                     None if !already_dirty => dirty.push(idx),
                     None => {}
@@ -1784,7 +1788,7 @@ mod equivalence_tests {
                         (i, chrom)
                     })
                     .collect();
-                for e in reference_eval_indexed(eval, &mut self.memo, jobs) {
+                for e in reference_eval_indexed(eval, &mut self.evaluated, jobs) {
                     let i = e.index;
                     pop[i] = from_eval(e);
                 }
@@ -1848,10 +1852,11 @@ mod equivalence_tests {
             reference.best_makespan.to_bits()
         );
         prop_assert_eq!(run.best_fitness.to_bits(), reference.best_fitness.to_bits());
-        prop_assert_eq!(run.memo.hits(), reference.memo.hits(), "generation {}", gen);
+        // Every evaluation the reference computes, the run computes or
+        // serves by inheritance.
         prop_assert_eq!(
-            run.memo.misses(),
-            reference.memo.misses(),
+            run.inherited + run.evaluated,
+            reference.evaluated,
             "generation {}",
             gen
         );
@@ -1882,10 +1887,12 @@ mod equivalence_tests {
         #![proptest_config(ProptestConfig::with_cases(160))]
 
         /// Same seed, same operators: after every generation the
-        /// allocation-free loop and the reference loop hold the same
-        /// individuals, the same best-so-far, the same memo counters and
-        /// the same RNG position. Memo capacity 2 forces the clear-on-full
-        /// path; the two-worker pool covers in-place pool evaluation.
+        /// allocation-free, inheriting loop and the reference loop hold
+        /// the same individuals (evaluations bit for bit), the same
+        /// best-so-far, the same number of requested evaluations and the
+        /// same RNG position. The two-worker pool covers in-place pool
+        /// evaluation; `constrained` covers repair, `improve` the hook
+        /// whose results parent copies inherit.
         #[test]
         fn generation_loop_matches_the_reference_loop(
             h in 1u32..40,
@@ -1894,7 +1901,6 @@ mod equivalence_tests {
             elitism in 0usize..3,
             crossover_pick in 0usize..3,
             operator_pick in 0usize..12,
-            memo_pick in 0usize..3,
             mutations_per_generation in 0usize..4,
             constrained in prop::bool::ANY,
             improve in prop::bool::ANY,
@@ -1912,7 +1918,6 @@ mod equivalence_tests {
                 crossover_rate: [0.0, 0.5, 1.0][crossover_pick],
                 mutations_per_generation,
                 max_generations: u32::MAX,
-                memo_capacity: [0, 2, DEFAULT_MEMO_CAPACITY][memo_pick],
                 evaluator: if pool { Evaluator::ThreadPool { workers: 2 } } else { Evaluator::Serial },
                 ..GaConfig::default()
             };
@@ -1962,21 +1967,21 @@ mod equivalence_tests {
 
     /// Past warm-up a generation allocates no population buffer: at the PN
     /// defaults on a 30-task × 10-processor batch, the set of buffers the
-    /// two populations own is the same after 200 more generations, with the
-    /// memo off and on.
+    /// two populations own is the same after 200 more generations, with
+    /// parent copies inheriting and with every child evaluated.
     #[test]
     fn steady_state_generations_recycle_every_buffer() {
         let problem = Cluster::new(30, 10, 11, false, true);
         let mut seeds = Prng::seed_from(12);
         let initial: Vec<Chromosome> = (0..20).map(|_| shuffled(30, 10, &mut seeds)).collect();
-        for memo_capacity in [0, DEFAULT_MEMO_CAPACITY] {
+        let crossovers: [&dyn CrossoverOp; 2] = [&CycleCrossover, &UnreportedCycle];
+        for crossover in crossovers {
             let engine = GaEngine::new(
                 &RouletteWheel,
-                &CycleCrossover,
+                crossover,
                 &SwapMutation,
                 GaConfig {
                     max_generations: u32::MAX,
-                    memo_capacity,
                     ..GaConfig::default()
                 },
             );
@@ -1990,14 +1995,12 @@ mod equivalence_tests {
                 for _ in 0..200 {
                     run.step(eval, &mut rng);
                 }
+                assert_eq!(buffer_addresses(&run), before, "{}", crossover.label());
                 assert_eq!(
-                    buffer_addresses(&run),
-                    before,
-                    "memo capacity {memo_capacity}"
+                    run.inherited > 0,
+                    crossover.label() == CycleCrossover.label(),
+                    "the inheritance path was not exercised"
                 );
-                if memo_capacity > 0 {
-                    assert!(run.memo.hits() > 0, "the memo hit path was not exercised");
-                }
             });
         }
     }

@@ -29,13 +29,12 @@
 //!   [`evaluate::Evaluator`] executes fitness batches either serially or on
 //!   a scoped thread pool, with results written back by chromosome index so
 //!   runs are bit-identical at any worker count.
-//! * [`memo`] — the fitness memo: duplicate genomes (common late in
-//!   convergence) are evaluated once per batch epoch and then served from
-//!   an O(1) cache keyed by the chromosome's incrementally maintained
-//!   content digest. Together with delta-evaluation of swap mutations
-//!   ([`Problem::evaluate_swap_delta`]), this makes a converged generation
-//!   an order of magnitude cheaper than full re-evaluation while staying
-//!   bit-identical to it.
+//! * Incremental evaluation: a crossover child that is a copy of a parent
+//!   (common late in convergence, when cycle crossover pairs identical or
+//!   near-identical parents) inherits that parent's evaluation
+//!   ([`crossover::Parent`]), and a swap mutation is delta-evaluated
+//!   ([`Problem::evaluate_swap_delta`]). A converged generation walks few
+//!   chromosomes in full, and stays bit-identical to one that walks all.
 //!
 //! # Parallel evaluation
 //!
@@ -62,16 +61,16 @@ pub mod crossover;
 pub mod encoding;
 pub mod engine;
 pub mod evaluate;
-pub mod memo;
 pub mod mutation;
 pub mod repair;
 pub mod selection;
 
-pub use crossover::{CrossoverOp, CycleCrossover, OnePointOrder, OrderCrossover, PartiallyMapped};
+pub use crossover::{
+    CrossoverOp, CycleCrossover, OnePointOrder, OrderCrossover, Parent, PartiallyMapped,
+};
 pub use encoding::{Chromosome, Gene};
 pub use engine::{GaConfig, GaEngine, GaResult, GaRun, GaStep, GenStats, Problem, StopReason};
 pub use evaluate::{BatchEval, Evaluated, Evaluator};
-pub use memo::{FitnessMemo, DEFAULT_MEMO_CAPACITY};
 pub use mutation::{GeneEdit, InsertMutation, InversionMutation, MutationOp, SwapMutation};
 pub use repair::{repair_topological, SlotPrecedence};
 pub use selection::{RankSelection, RouletteWheel, SelectionOp, Tournament};

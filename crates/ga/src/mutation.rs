@@ -105,7 +105,7 @@ impl MutationOp for InsertMutation {
         if from == to {
             return GeneEdit::Unchanged;
         }
-        c.with_genes_mut(|genes| {
+        c.rewrite_genes(|genes| {
             let g = genes[from];
             if from < to {
                 genes.copy_within(from + 1..=to, from);
@@ -114,7 +114,6 @@ impl MutationOp for InsertMutation {
             }
             genes[to] = g;
         });
-        debug_assert!(c.validate().is_ok());
         GeneEdit::Opaque
     }
 
@@ -151,8 +150,7 @@ impl MutationOp for InversionMutation {
                 GeneEdit::Swap { i: lo, j: hi }
             }
             _ => {
-                c.with_genes_mut(|genes| genes[lo..=hi].reverse());
-                debug_assert!(c.validate().is_ok());
+                c.rewrite_genes(|genes| genes[lo..=hi].reverse());
                 GeneEdit::Opaque
             }
         }

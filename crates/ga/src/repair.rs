@@ -25,10 +25,8 @@
 //!   the cursor advance. Cost: O(H + M + pairs) plus the bitset scan, which
 //!   is one word per 64 genes except where a newly ready slot rewinds the
 //!   low-water word. Emissions never outrun the cursor, so the gene string
-//!   is rewritten in place and the content digest moves by the
-//!   substitution delta of the positions that changed — nothing is
-//!   re-hashed. The kernel's buffers are per-thread scratch: repair
-//!   allocates nothing once they have grown to the batch size.
+//!   is rewritten in place. The kernel's buffers are per-thread scratch:
+//!   repair allocates nothing once they have grown to the batch size.
 //! * The result is the *identity* on already-feasible chromosomes and is a
 //!   pure function of the input — no RNG, so repairing preserves the
 //!   engine's bit-determinism contract verbatim.
@@ -44,7 +42,7 @@
 
 use std::cell::RefCell;
 
-use crate::encoding::{substitution_delta, Chromosome, Gene};
+use crate::encoding::{Chromosome, Gene};
 
 /// Batch-local precedence constraints over the `H` task slots of a
 /// chromosome: `preds_of(s)` lists the slots that must complete before
@@ -70,17 +68,6 @@ pub struct SlotPrecedence {
     succs: Vec<u32>,
     /// Number of predecessors of each slot.
     in_degree: Vec<u32>,
-    /// Content digest, folded into the problem's fitness-memo epoch key.
-    digest: u64,
-}
-
-/// The 64-bit finaliser of splitmix64.
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl SlotPrecedence {
@@ -149,11 +136,6 @@ impl SlotPrecedence {
         let s = slot as usize;
         &self.succs[self.succ_start[s]..self.succ_start[s + 1]]
     }
-
-    /// A digest of the constraint set, for fitness-memo epoch keys.
-    pub fn digest(&self) -> u64 {
-        self.digest
-    }
 }
 
 /// Collects one predecessor iterator per slot (item `s` yields the slots
@@ -176,7 +158,6 @@ impl<P: IntoIterator<Item = u32>> FromIterator<P> for SlotPrecedence {
         }
 
         let h = in_degree.len();
-        let mut digest = mix(0x534C_4F54_5052_4543 ^ h as u64);
         // Out-degree of slot `p` is counted at `succ_start[p + 1]`.
         let mut succ_start = vec![0usize; h + 1];
         for s in 0..h {
@@ -186,7 +167,6 @@ impl<P: IntoIterator<Item = u32>> FromIterator<P> for SlotPrecedence {
                     "slot {s} has out-of-range predecessor {p} (H = {h})"
                 );
                 assert!(p as usize != s, "slot {s} cannot depend on itself");
-                digest = mix(digest ^ ((s as u64) << 32 | p as u64));
                 succ_start[p as usize + 1] += 1;
             }
         }
@@ -211,7 +191,6 @@ impl<P: IntoIterator<Item = u32>> FromIterator<P> for SlotPrecedence {
             succ_start,
             succs,
             in_degree,
-            digest,
         };
         assert!(table.is_acyclic(), "precedence table contains a cycle");
         table
@@ -251,8 +230,7 @@ thread_local! {
 /// Rewrites the task genes of `genes` in place into the greedy stable
 /// topological order: repeatedly emit the earliest remaining slot whose
 /// predecessors are all emitted. Delimiters stay where they are. Returns
-/// the content-digest delta of the rewrite, or `None` when every gene is
-/// already in place.
+/// whether any gene moved.
 ///
 /// The remaining slots are the ones at or after the cursor plus the parked
 /// ones before it, so the earliest ready slot is the lowest ready parked
@@ -268,7 +246,7 @@ fn topological_reorder(
     genes: &mut [Gene],
     prec: &SlotPrecedence,
     scratch: &mut RepairScratch,
-) -> Option<[u64; 2]> {
+) -> bool {
     let RepairScratch {
         remaining,
         parked_at,
@@ -282,7 +260,6 @@ fn topological_reorder(
     ready.clear();
     ready.resize(genes.len().div_ceil(64), 0);
 
-    let mut delta = [0u64; 2];
     let mut changed = false;
     let mut cursor = 0usize;
     let mut write = 0usize;
@@ -322,8 +299,6 @@ fn topological_reorder(
         }
         let new = Gene::Task(slot);
         if genes[write] != new {
-            let d = substitution_delta(write, genes[write], new);
-            delta = [delta[0] ^ d[0], delta[1] ^ d[1]];
             genes[write] = new;
             changed = true;
         }
@@ -339,7 +314,7 @@ fn topological_reorder(
             }
         }
     }
-    changed.then_some(delta)
+    changed
 }
 
 /// Repairs `c` into a topologically valid gene order under `prec`:
@@ -373,15 +348,9 @@ pub fn repair_topological(c: &mut Chromosome, prec: &SlotPrecedence) -> bool {
     if prec.is_unconstrained() {
         return false;
     }
-    let mut changed = false;
     REPAIR_SCRATCH.with_borrow_mut(|scratch| {
-        c.rewrite_genes(|genes| {
-            let delta = topological_reorder(genes, prec, scratch);
-            changed = delta.is_some();
-            delta.unwrap_or([0, 0])
-        });
-    });
-    changed
+        c.rewrite_genes(|genes| topological_reorder(genes, prec, scratch))
+    })
 }
 
 #[cfg(test)]
@@ -446,19 +415,6 @@ mod tests {
         let before = c.clone();
         assert!(!repair_topological(&mut c, &prec));
         assert_eq!(c, before);
-    }
-
-    #[test]
-    fn digest_tracks_constraints() {
-        let a = SlotPrecedence::new(vec![vec![], vec![0], vec![]]);
-        let b = SlotPrecedence::new(vec![vec![], vec![0], vec![]]);
-        let c = SlotPrecedence::new(vec![vec![], vec![], vec![0]]);
-        assert_eq!(a.digest(), b.digest());
-        assert_ne!(a.digest(), c.digest());
-        assert_ne!(
-            SlotPrecedence::unconstrained(3).digest(),
-            SlotPrecedence::unconstrained(4).digest()
-        );
     }
 
     #[test]
@@ -546,8 +502,8 @@ mod tests {
         /// a random layered DAG, a chain, one wide layer feeding the next,
         /// or a dense layered DAG (every edge between adjacent layers);
         /// `h` runs past 64 so the ready bitset spans several words and
-        /// the low-water word rewinds. The repaired genes, the `changed`
-        /// flag and the incrementally kept digest all match, queue lengths
+        /// the low-water word rewinds. The repaired genes and the `changed`
+        /// flag match, queue lengths
         /// survive, the output is feasible, feasible input comes back
         /// untouched, and `preds_of` is the sorted, deduplicated input.
         #[test]
@@ -593,10 +549,6 @@ mod tests {
             let repaired = task_slots(&c);
             prop_assert_eq!(&repaired, &want);
             prop_assert_eq!(c.queue_lengths(), lengths);
-            prop_assert_eq!(
-                c.content_hash(),
-                Chromosome::from_queues(&c.to_queues()).content_hash()
-            );
 
             let mut seen = vec![false; h];
             for &slot in &repaired {
@@ -623,15 +575,5 @@ mod tests {
         let mut c = Chromosome::from_queues(&[vec![2, 0, 3, 1]]);
         assert!(repair_topological(&mut c, &prec));
         assert_eq!(c.to_queues(), vec![vec![0, 1, 2, 3]]);
-    }
-
-    #[test]
-    fn content_hash_stays_consistent_after_repair() {
-        let prec = chain4();
-        let mut c = Chromosome::from_queues(&[vec![3, 1], vec![2, 0]]);
-        repair_topological(&mut c, &prec);
-        let rebuilt = Chromosome::from_queues(&c.to_queues());
-        assert_eq!(c, rebuilt);
-        assert_eq!(c.content_hash(), rebuilt.content_hash());
     }
 }

@@ -5,10 +5,32 @@
 use dts_distributions::Prng;
 use dts_ga::{
     repair_topological, Chromosome, CrossoverOp, CycleCrossover, Evaluator, GaConfig, GaEngine,
-    Gene, InsertMutation, MutationOp, OnePointOrder, OrderCrossover, Problem, RankSelection,
-    RouletteWheel, SelectionOp, SlotPrecedence, SwapMutation, Tournament,
+    Gene, InsertMutation, MutationOp, OnePointOrder, OrderCrossover, Parent, Problem,
+    RankSelection, RouletteWheel, SelectionOp, SlotPrecedence, SwapMutation, Tournament,
 };
 use proptest::prelude::*;
+
+/// Cycle crossover that reports no parentage, so the engine evaluates every
+/// child it breeds.
+struct UnreportedCycle;
+
+impl CrossoverOp for UnreportedCycle {
+    fn cross_into(
+        &self,
+        a: &Chromosome,
+        b: &Chromosome,
+        out_a: &mut Chromosome,
+        out_b: &mut Chromosome,
+        rng: &mut Prng,
+    ) -> [Option<Parent>; 2] {
+        CycleCrossover.cross_into(a, b, out_a, out_b, rng);
+        [None, None]
+    }
+
+    fn label(&self) -> &'static str {
+        "cycle, parentage unreported"
+    }
+}
 
 /// Strategy: a random chromosome with `h` tasks over `m` processors, built
 /// by dealing slots into random queues.
@@ -112,46 +134,10 @@ proptest! {
             "GA returned something worse than its seeds");
     }
 
-    /// The cached content digest is a pure function of the gene sequence:
-    /// any chromosome reaching the same genes through a different history
-    /// (here: arbitrary swap sequences vs. reconstruction from queues)
-    /// hashes identically, and differing gene sequences hash differently.
-    #[test]
-    fn content_hash_tracks_content_not_history(
-        (a, b, seed) in chromosome_strategy(),
-        swaps in proptest::collection::vec((0usize..4096, 0usize..4096), 0..32),
-    ) {
-        let _ = seed;
-        let len = a.genes().len();
-        let mut mutated = a.clone();
-        let mut mirrored = a.clone();
-        for &(i, j) in &swaps {
-            mutated.genes_swap(i % len, j % len);
-            // Same transposition, arguments reversed: a different call
-            // history that must land on the same content and hash.
-            mirrored.genes_swap(j % len, i % len);
-        }
-        prop_assert_eq!(mutated.genes(), mirrored.genes());
-        prop_assert_eq!(mutated.content_hash(), mirrored.content_hash(),
-            "equal gene sequences must hash equally");
-        // Undoing the swaps in reverse order must restore both the genes
-        // and the incrementally maintained hash exactly.
-        for &(i, j) in swaps.iter().rev() {
-            mutated.genes_swap(i % len, j % len);
-        }
-        prop_assert_eq!(mutated.genes(), a.genes());
-        prop_assert_eq!(mutated.content_hash(), a.content_hash(),
-            "incremental hash failed to round-trip");
-        prop_assert_eq!(
-            a.genes() == b.genes(),
-            a.content_hash() == b.content_hash(),
-            "hash equality must coincide with gene equality"
-        );
-    }
-
-    /// The fitness memo is invisible: an engine run with the memo disabled
-    /// (capacity 0) is bit-identical, generation by generation, to one with
-    /// it enabled.
+    /// Inheritance is invisible: a run whose parent copies inherit their
+    /// evaluation is bit-identical, generation by generation, to one whose
+    /// crossover reports no parentage, so that every child is evaluated —
+    /// serially and on a two-worker pool.
     #[test]
     fn engine_memo_is_invisible((a, b, seed) in chromosome_strategy()) {
         struct Balance;
@@ -164,29 +150,34 @@ proptest! {
             }
         }
         let sel = RouletteWheel;
-        let cx = CycleCrossover;
         let mu = SwapMutation;
-        let run = |memo_capacity: usize| {
-            let engine = GaEngine::new(&sel, &cx, &mu, GaConfig {
+        let run = |cx: &dyn CrossoverOp, evaluator: Evaluator| {
+            let engine = GaEngine::new(&sel, cx, &mu, GaConfig {
                 population_size: 8,
                 max_generations: 10,
-                memo_capacity,
+                record_history: true,
+                evaluator,
                 ..GaConfig::default()
             });
             let mut rng = Prng::seed_from(seed);
             engine.run(&Balance, vec![a.clone(), b.clone()], None, &mut rng)
         };
-        let off = run(0);
-        let on = run(dts_ga::DEFAULT_MEMO_CAPACITY);
-        prop_assert_eq!(&on.best, &off.best);
-        prop_assert_eq!(on.best_fitness.to_bits(), off.best_fitness.to_bits());
-        prop_assert_eq!(on.best_makespan.to_bits(), off.best_makespan.to_bits());
-        prop_assert_eq!(on.generations, off.generations);
-        for (sa, sb) in on.history.iter().zip(&off.history) {
-            prop_assert_eq!(sa.best_fitness.to_bits(), sb.best_fitness.to_bits());
-            prop_assert_eq!(sa.mean_fitness.to_bits(), sb.mean_fitness.to_bits());
+        let off = run(&UnreportedCycle, Evaluator::Serial);
+        prop_assert_eq!(off.memo_hits, 0, "unreported parentage must never inherit");
+        for evaluator in [Evaluator::Serial, Evaluator::ThreadPool { workers: 2 }] {
+            let on = run(&CycleCrossover, evaluator);
+            prop_assert_eq!(&on.best, &off.best);
+            prop_assert_eq!(on.best_fitness.to_bits(), off.best_fitness.to_bits());
+            prop_assert_eq!(on.best_makespan.to_bits(), off.best_makespan.to_bits());
+            prop_assert_eq!(on.generations, off.generations);
+            prop_assert_eq!(on.history.len(), off.history.len());
+            for (sa, sb) in on.history.iter().zip(&off.history) {
+                prop_assert_eq!(sa.best_makespan.to_bits(), sb.best_makespan.to_bits());
+                prop_assert_eq!(sa.best_fitness.to_bits(), sb.best_fitness.to_bits());
+                prop_assert_eq!(sa.mean_fitness.to_bits(), sb.mean_fitness.to_bits());
+            }
+            prop_assert_eq!(on.memo_hits + on.memo_misses, off.memo_misses);
         }
-        prop_assert_eq!(off.memo_hits, 0, "capacity 0 must never hit");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! determinism contract (ARCHITECTURE.md, "Determinism contract").
 //!
 //! The repo's core claim — bit-identical schedules across evaluator
-//! worker counts and memo settings — is enforced
+//! worker counts, with or without evaluation shortcuts — is enforced
 //! dynamically by the regression suites, but a single `Instant::now()`
 //! or `HashMap` iteration added to a hot path survives silently until a
 //! determinism test happens to cover it. This crate rejects the known

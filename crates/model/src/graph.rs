@@ -269,9 +269,8 @@ impl TaskGraph {
 
     /// A 64-bit digest of the full graph content (edges, priorities,
     /// deadlines): two graphs with equal digests constrain evaluation
-    /// identically for all practical purposes. The GA folds this into its
-    /// fitness-memo epoch key so cached values never leak across different
-    /// precedence contexts.
+    /// identically for all practical purposes. The arrival-trace round-trip
+    /// test compares graphs by it.
     pub fn digest(&self) -> u64 {
         let mut h = mix(0x5441_534B_4752_5048 ^ self.n as u64);
         for (t, preds) in self.preds.iter().enumerate() {

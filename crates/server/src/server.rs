@@ -246,6 +246,39 @@ struct Pending {
     deps: Vec<u32>,
 }
 
+/// Takes the next batch off `pending`: the FCFS prefix of at most `cap`
+/// tasks, skipping tasks whose dependencies have not all been placed by an
+/// earlier plan call; skipped tasks keep their queue position.
+/// Dependency-free submissions make every task eligible, so this takes
+/// exactly the plain prefix. The queue is in id order and dependencies
+/// point backwards, so the head is always eligible and each call takes at
+/// least one task. For the same reason a dependency is unplaced exactly
+/// when this scan has already moved it to `drained` or `kept`, both
+/// id-sorted, and the scan can stop once the batch is full: the unscanned
+/// tail holds no dependency of a scanned task, and it stays where it is,
+/// so a call costs the scanned prefix, not the whole backlog.
+fn take_batch(pending: &mut VecDeque<Pending>, cap: usize) -> Vec<Pending> {
+    let mut drained: Vec<Pending> = Vec::with_capacity(cap.min(pending.len()));
+    let mut kept: Vec<Pending> = Vec::new();
+    while drained.len() < cap {
+        let Some(p) = pending.pop_front() else { break };
+        let unplaced = |d: &u32| {
+            drained.binary_search_by_key(d, |q| q.task.id.0).is_ok()
+                || kept.binary_search_by_key(d, |q| q.task.id.0).is_ok()
+        };
+        if p.deps.iter().any(unplaced) {
+            kept.push(p);
+        } else {
+            drained.push(p);
+        }
+    }
+    // Put the held-back tasks back in front of the unscanned tail.
+    while let Some(p) = kept.pop() {
+        pending.push_front(p);
+    }
+    drained
+}
+
 /// The event-driven scheduler service core. See the module docs for the
 /// data flow; [`crate::service`] wraps it in a channel API and
 /// [`crate::replay`] drives it from recorded arrival traces.
@@ -452,30 +485,13 @@ impl DtsServer {
         if self.pending.is_empty() {
             return Vec::new();
         }
-        // Batch the FCFS prefix, skipping tasks whose dependencies have
-        // not all been placed by an earlier plan call; skipped tasks keep
-        // their queue position. Dependency-free submissions make every
-        // task eligible, so this drains exactly the plain prefix. The
-        // queue is in id order and dependencies point backwards, so the
-        // head is always eligible and each call places at least one task.
-        // For the same reason a dependency is unplaced exactly when this
-        // scan has already moved it to `drained` or `kept`, both id-sorted.
-        let cap = self.config.batch_size;
-        let mut drained: Vec<Pending> = Vec::with_capacity(cap.min(self.pending.len()));
-        let mut kept: VecDeque<Pending> = VecDeque::new();
-        for p in self.pending.drain(..) {
-            let unplaced = |d: &u32| {
-                drained.binary_search_by_key(d, |q| q.task.id.0).is_ok()
-                    || kept.binary_search_by_key(d, |q| q.task.id.0).is_ok()
-            };
-            let eligible = drained.len() < cap && !p.deps.iter().any(unplaced);
-            if eligible {
-                drained.push(p);
-            } else {
-                kept.push_back(p);
-            }
-        }
-        self.pending = kept;
+        let drained = take_batch(&mut self.pending, self.config.batch_size);
+        self.place(drained)
+    }
+
+    /// Plans `drained` (a batch just taken off the pending queue) and
+    /// emits its placements; the second half of [`DtsServer::plan`].
+    fn place(&mut self, drained: Vec<Pending>) -> Vec<PlacementEvent> {
         debug_assert!(!drained.is_empty(), "queue head must always be eligible");
         let h = drained.len();
         for p in &drained {
@@ -561,6 +577,72 @@ mod tests {
             batch_size: 6,
             budget: PlanBudget::Unlimited,
         }
+    }
+
+    /// The batch-taking scan as it was before it stopped at a full batch:
+    /// every pending submission moves through `drained` or `kept`, and
+    /// `kept` becomes the new queue.
+    fn take_batch_full_scan(pending: &mut VecDeque<Pending>, cap: usize) -> Vec<Pending> {
+        let mut drained: Vec<Pending> = Vec::with_capacity(cap.min(pending.len()));
+        let mut kept: VecDeque<Pending> = VecDeque::new();
+        for p in pending.drain(..) {
+            let unplaced = |d: &u32| {
+                drained.binary_search_by_key(d, |q| q.task.id.0).is_ok()
+                    || kept.binary_search_by_key(d, |q| q.task.id.0).is_ok()
+            };
+            let eligible = drained.len() < cap && !p.deps.iter().any(unplaced);
+            if eligible {
+                drained.push(p);
+            } else {
+                kept.push_back(p);
+            }
+        }
+        *pending = kept;
+        drained
+    }
+
+    /// Draining a 20 000-task backlog in which about a third of the tasks
+    /// depend on a recent one — so many batches hold dependants back —
+    /// emits exactly the placements the full scan emits.
+    #[test]
+    fn drain_that_stops_at_a_full_batch_matches_the_full_scan() {
+        use dts_distributions::{Prng, Rng};
+        let config = ServerConfig {
+            pn: quick_pn(1),
+            tenants: 1,
+            tenant_capacity: 20_000,
+            batch_size: 50,
+            ..small_config()
+        };
+        let mut fast = DtsServer::new(config.clone());
+        let mut full = DtsServer::new(config);
+        let mut rng = Prng::seed_from(46);
+        for i in 0..20_000u32 {
+            let deps = if i > 0 && rng.chance(0.3) {
+                vec![TaskId(i - 1 - rng.below(i.min(120) as usize) as u32)]
+            } else {
+                Vec::new()
+            };
+            let mflops = 50.0 + rng.below(500) as f64;
+            for server in [&mut fast, &mut full] {
+                server
+                    .submit_with_deps(TenantId(0), mflops, i as f64, &deps)
+                    .unwrap();
+            }
+        }
+        let got = fast.drain();
+        let mut want = Vec::new();
+        while !full.pending.is_empty() {
+            let drained = take_batch_full_scan(&mut full.pending, full.config.batch_size);
+            want.extend(full.place(drained));
+        }
+        assert_eq!(got.len(), 20_000);
+        assert!(
+            fast.stats().batches > 20_000 / 50,
+            "no batch held a dependant back"
+        );
+        assert_eq!(got, want);
+        assert_eq!(fast.stats(), full.stats());
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! force-plans the final partial batch (end of stream), and
 //! [`ServiceHandle::shutdown`] drains and stops the thread.
 
+use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -173,22 +174,57 @@ pub fn spawn(config: ServerConfig) -> (ServiceHandle, JoinHandle<()>) {
     (ServiceHandle { tx }, join)
 }
 
+/// Admission timestamps of tasks not yet placed, indexed by the dense
+/// server-assigned task id: entry `k` belongs to task `base + k`. A stamp
+/// is taken when its task is placed, and taken entries leave from the
+/// front, so the window spans the oldest unplaced task to the newest
+/// admitted one — not every task the service ever admitted. No hash
+/// table, nothing iterated.
+#[derive(Debug, Default)]
+struct AdmissionWindow {
+    base: u32,
+    stamps: VecDeque<Option<Instant>>,
+}
+
+impl AdmissionWindow {
+    /// Records task `id`'s admission time. Ids arrive in increasing order.
+    fn admit(&mut self, id: TaskId, at: Instant) {
+        if self.stamps.is_empty() {
+            self.base = id.0;
+        }
+        let slot = (id.0 - self.base) as usize;
+        if self.stamps.len() <= slot {
+            self.stamps.resize(slot + 1, None);
+        }
+        self.stamps[slot] = Some(at);
+    }
+
+    /// Takes task `id`'s admission time, if it is still held.
+    fn take(&mut self, id: TaskId) -> Option<Instant> {
+        let slot = id.0.checked_sub(self.base)? as usize;
+        let at = self.stamps.get_mut(slot)?.take();
+        while let Some(None) = self.stamps.front() {
+            self.stamps.pop_front();
+            self.base += 1;
+        }
+        at
+    }
+}
+
 fn service_loop(mut server: DtsServer, rx: Receiver<Request>) {
-    // Admission timestamps of tasks not yet placed (slot-indexed by the
-    // dense server-assigned task id — no hash table, nothing iterated),
-    // and placements not yet taken by a Poll/Drain.
-    let mut admitted_at: Vec<Option<Instant>> = Vec::new();
+    // Admission timestamps of tasks not yet placed, and placements not yet
+    // taken by a Poll/Drain.
+    let mut admitted_at = AdmissionWindow::default();
     let mut outbox: Vec<TimedPlacement> = Vec::new();
 
     let stamp = |events: Vec<PlacementEvent>,
-                 admitted_at: &mut Vec<Option<Instant>>,
+                 admitted_at: &mut AdmissionWindow,
                  outbox: &mut Vec<TimedPlacement>| {
         // dts-lint: allow(wall-clock, "the service layer is the single documented wall-clock boundary: decision-latency stamping only; the deterministic core below never reads a clock")
         let now = Instant::now();
         for event in events {
             let decision_latency = admitted_at
-                .get_mut(event.task.id.0 as usize)
-                .and_then(Option::take)
+                .take(event.task.id)
                 .map(|t0| now.duration_since(t0))
                 .unwrap_or_default();
             outbox.push(TimedPlacement {
@@ -209,12 +245,8 @@ fn service_loop(mut server: DtsServer, rx: Receiver<Request>) {
             } => {
                 let result = server.submit_with_deps(tenant, mflops, arrival_s, &deps);
                 if let Ok(id) = result {
-                    let slot = id.0 as usize;
-                    if admitted_at.len() <= slot {
-                        admitted_at.resize(slot + 1, None);
-                    }
                     // dts-lint: allow(wall-clock, "admission timestamp for decision-latency reporting; never feeds the planning core")
-                    admitted_at[slot] = Some(Instant::now());
+                    admitted_at.admit(id, Instant::now());
                 }
                 // The submitter learns the admission verdict immediately;
                 // planning happens after the reply so admission latency
@@ -269,6 +301,44 @@ mod tests {
             batch_size: 5,
             budget: crate::PlanBudget::Unlimited,
         }
+    }
+
+    /// The admission window holds no stamp of a placed task for long:
+    /// after every submit/plan round it is no longer than the number of
+    /// tasks admitted but not yet placed, and every placement finds its
+    /// stamp.
+    #[test]
+    fn admission_window_shrinks_as_tasks_are_placed() {
+        let mut server = DtsServer::new(quick_config());
+        let mut window = AdmissionWindow::default();
+        let now = Instant::now();
+        let mut next = 0u32;
+        for round in 0..200u32 {
+            for _ in 0..round % 7 {
+                let id = server
+                    .submit(TenantId((next % 2) as u16), 100.0, next as f64)
+                    .unwrap();
+                window.admit(id, now);
+                next += 1;
+            }
+            let events = if round % 10 == 9 {
+                server.drain()
+            } else if server.ready_to_plan() {
+                server.plan()
+            } else {
+                Vec::new()
+            };
+            for event in events {
+                assert!(window.take(event.task.id).is_some(), "stamp lost");
+            }
+            assert!(
+                window.stamps.len() <= server.pending_len(),
+                "round {round}: {} stamps for {} unplaced tasks",
+                window.stamps.len(),
+                server.pending_len()
+            );
+        }
+        assert!(next > 500);
     }
 
     #[test]

@@ -11,11 +11,14 @@
 //! paper's figures.
 //!
 //! ZO is `PnConfig::zo_preset` on the same pipeline as PN, so the matrices
-//! below (workers, memo, DAG) run on PN alone;
+//! below (workers, inheritance, DAG) run on PN alone;
 //! `zomaya_is_deterministic` is ZO's end-to-end row.
 
-use dts::core::{PnConfig, PnScheduler};
-use dts::ga::Evaluator;
+use dts::core::{plan_batch, PlanRequest, PnConfig, PnScheduler, ProcessorState};
+use dts::distributions::Prng;
+use dts::ga::{
+    Chromosome, CrossoverOp, CycleCrossover, Evaluator, Parent, RouletteWheel, SwapMutation,
+};
 use dts::model::{ClusterSpec, Scheduler, SizeDistribution, WorkloadSpec};
 use dts::schedulers::{EarliestFinish, LightestLoaded, MaxMin, MinMin, RoundRobin};
 use dts::sim::{SimConfig, SimReport, Simulation};
@@ -173,30 +176,83 @@ fn pn_parallel_evaluation_is_bit_identical() {
     }
 }
 
-/// The fitness memo's core guarantee: enabling or disabling the cache is
-/// observationally invisible. A cached value is exactly the value a fresh
-/// evaluation would produce (evaluation is pure and the memo is epoch-
-/// guarded), so memo {on, off} × workers {1, 4} must all yield the same
-/// schedule bit for bit.
-fn run_once_memo(evaluator: Evaluator, memo_capacity: usize) -> SimReport {
-    let mut cfg = pn_config(evaluator);
-    cfg.ga.memo_capacity = memo_capacity;
-    simulate(SEED, Box::new(PnScheduler::new(PROCS, cfg)))
+/// Cycle crossover that reports no parentage, so the engine evaluates every
+/// child it breeds.
+struct UnreportedCycle;
+
+impl CrossoverOp for UnreportedCycle {
+    fn cross_into(
+        &self,
+        a: &Chromosome,
+        b: &Chromosome,
+        out_a: &mut Chromosome,
+        out_b: &mut Chromosome,
+        rng: &mut Prng,
+    ) -> [Option<Parent>; 2] {
+        CycleCrossover.cross_into(a, b, out_a, out_b, rng);
+        [None, None]
+    }
+
+    fn label(&self) -> &'static str {
+        "cycle, parentage unreported"
+    }
 }
 
+/// Inheritance's core guarantee: a crossover child that copies a parent
+/// takes the parent's evaluation, which is exactly what a fresh evaluation
+/// produces (evaluation is pure), so inheritance {on, off} × workers
+/// {1, 4} must all yield the same schedule bit for bit. The simulator runs
+/// the worker axis end to end; the planner runs both axes on the
+/// workload's own 8-task batches, where a crossover that reports no
+/// parentage can be swapped in.
 #[test]
 fn memo_on_off_and_worker_counts_are_bit_identical() {
-    let reference = run_once_memo(Evaluator::Serial, 0);
-    for memo_capacity in [0usize, dts::ga::DEFAULT_MEMO_CAPACITY] {
+    let reference = run_once_seeded("PN", Evaluator::Serial, SEED);
+    let pooled = run_once_seeded("PN", Evaluator::ThreadPool { workers: 4 }, SEED);
+    assert_identical("PN/workers=4", &reference, &pooled);
+
+    let procs: Vec<ProcessorState> = [100.0, 150.0, 80.0, 120.0]
+        .iter()
+        .map(|&rate| ProcessorState {
+            rate,
+            existing_load_mflops: 0.0,
+            comm_cost: 0.1,
+        })
+        .collect();
+    let tasks = workload().generate(SEED);
+    let mut inherited = 0;
+    for (k, batch) in tasks.chunks(8).enumerate() {
+        let request = PlanRequest::new(batch, &procs, SEED + k as u64);
+        let every_child = request.with_ops(&RouletteWheel, &UnreportedCycle, &SwapMutation);
+        let plain = plan_batch(&every_child, &pn_config(Evaluator::Serial));
+        assert_eq!(
+            plain.ga.memo_hits, 0,
+            "batch {k}: unreported parentage inherited"
+        );
         for evaluator in [Evaluator::Serial, Evaluator::ThreadPool { workers: 4 }] {
-            let run = run_once_memo(evaluator, memo_capacity);
-            assert_identical(
-                &format!("PN/memo={memo_capacity}/{evaluator:?}"),
-                &reference,
-                &run,
+            let run = plan_batch(&request, &pn_config(evaluator));
+            let name = format!("batch {k}/{evaluator:?}");
+            assert_eq!(run.queues, plain.queues, "{name}: queues");
+            assert_eq!(
+                run.best_makespan.to_bits(),
+                plain.best_makespan.to_bits(),
+                "{name}: makespan"
             );
+            assert_eq!(
+                run.ga.best_fitness.to_bits(),
+                plain.ga.best_fitness.to_bits(),
+                "{name}: fitness"
+            );
+            assert_eq!(run.generations, plain.generations, "{name}: generations");
+            assert_eq!(
+                run.ga.memo_hits + run.ga.memo_misses,
+                plain.ga.memo_misses,
+                "{name}: requested evaluations"
+            );
+            inherited += run.ga.memo_hits;
         }
     }
+    assert!(inherited > 0, "no batch bred a parent copy");
 }
 
 /// DAG determinism: precedence-constrained workloads must satisfy the
@@ -236,7 +292,7 @@ fn dag_runs_are_bit_identical_across_worker_counts() {
 /// workload must take exactly the pre-DAG code path. Both the simulator
 /// (edge-free graph vs no graph) and the planner (unconstrained
 /// precedence table vs none) must produce bit-identical results — GA
-/// internals included, down to the fitness-memo hit/miss counters.
+/// internals included, down to the inherited / evaluated counters.
 #[test]
 fn empty_dag_is_bit_identical_to_independent_path() {
     // Simulator level: Simulation::new vs an explicit edge-free graph.
@@ -258,8 +314,8 @@ fn empty_dag_is_bit_identical_to_independent_path() {
 
     // Planner level: a precedence table with no constraints must be
     // structurally dropped — same queues, makespan bits, generation
-    // count, and memo counters as a plain plan call.
-    use dts::core::{plan_batch, slot_precedence, PlanRequest, ProcessorState};
+    // count, and evaluation counters as a plain plan call.
+    use dts::core::slot_precedence;
     use dts::model::{SimTime, Task, TaskGraph, TaskId};
     let batch: Vec<Task> = (0..12)
         .map(|i| Task::new(TaskId(i), 100.0 + 53.0 * i as f64, SimTime::ZERO))
