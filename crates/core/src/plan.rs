@@ -326,7 +326,8 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dts_ga::{Chromosome, Parent, StopReason};
+    use dts_ga::crossover::UnreportedCycle;
+    use dts_ga::StopReason;
     use dts_model::{SimTime, TaskId};
 
     fn batch(sizes: &[f64]) -> Vec<Task> {
@@ -431,28 +432,6 @@ mod tests {
         assert_places_every_task_once(&out, 12);
         assert!(out.ga.best.validate().is_ok());
         assert!(out.generations > 0);
-    }
-
-    /// Cycle crossover that reports no parentage, so the engine evaluates
-    /// every child it breeds.
-    struct UnreportedCycle;
-
-    impl CrossoverOp for UnreportedCycle {
-        fn cross_into(
-            &self,
-            a: &Chromosome,
-            b: &Chromosome,
-            out_a: &mut Chromosome,
-            out_b: &mut Chromosome,
-            rng: &mut Prng,
-        ) -> [Option<Parent>; 2] {
-            CycleCrossover.cross_into(a, b, out_a, out_b, rng);
-            [None, None]
-        }
-
-        fn label(&self) -> &'static str {
-            "cycle, parentage unreported"
-        }
     }
 
     /// The real PN `BatchProblem` through `plan_batch` at the micro-GA

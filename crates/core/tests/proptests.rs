@@ -7,34 +7,10 @@ use dts_core::init::{initial_population, list_scheduled_individual};
 use dts_core::rebalance::rebalance_once;
 use dts_core::{plan_batch, PlanRequest, PnConfig};
 use dts_distributions::{Prng, Rng};
-use dts_ga::{
-    Chromosome, CrossoverOp, CycleCrossover, Evaluator, Parent, Problem, RouletteWheel,
-    SlotPrecedence, SwapMutation,
-};
+use dts_ga::crossover::UnreportedCycle;
+use dts_ga::{Evaluator, Problem, RouletteWheel, SlotPrecedence, SwapMutation};
 use dts_model::{SimTime, Task, TaskId};
 use proptest::prelude::*;
-
-/// Cycle crossover that reports no parentage, so the engine evaluates every
-/// child it breeds.
-struct UnreportedCycle;
-
-impl CrossoverOp for UnreportedCycle {
-    fn cross_into(
-        &self,
-        a: &Chromosome,
-        b: &Chromosome,
-        out_a: &mut Chromosome,
-        out_b: &mut Chromosome,
-        rng: &mut Prng,
-    ) -> [Option<Parent>; 2] {
-        CycleCrossover.cross_into(a, b, out_a, out_b, rng);
-        [None, None]
-    }
-
-    fn label(&self) -> &'static str {
-        "cycle, parentage unreported"
-    }
-}
 
 fn tasks_strategy() -> impl Strategy<Value = Vec<Task>> {
     proptest::collection::vec(1.0..5000.0f64, 1..60).prop_map(|sizes| {

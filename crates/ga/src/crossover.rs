@@ -5,6 +5,11 @@
 //! delimiters are unique symbols (see [`crate::encoding`]), every classical
 //! permutation crossover applies directly; [`OrderCrossover`] and
 //! [`OnePointOrder`] are provided for the `ablate_crossover` study.
+//!
+//! [`CycleCrossover`] does work in proportion to how far apart its parents
+//! are: every position where they agree is a cycle of one, which the
+//! children copy, so its tables and its walk cover only the positions where
+//! they differ. A converged population differs at a few per cent of them.
 
 use std::cell::RefCell;
 
@@ -56,32 +61,56 @@ pub trait CrossoverOp: Send + Sync {
     fn label(&self) -> &'static str;
 }
 
-/// The two tables of one [`CycleCrossover`] call. The operators stay `&self`
+/// The tables of one [`CycleCrossover`] call. The operators stay `&self`
 /// for easy sharing, so the tables live per thread instead of in the
 /// operator: breeding a generation into reused children allocates nothing.
-/// Both are resized and overwritten at the start of every call, so no call
-/// reads anything an earlier call (or another chromosome shape) left behind.
+/// No call reads anything an earlier call (or another chromosome shape)
+/// left behind: `diff` and `next` are written before they are read, and
+/// `slot` is all [`UNSEEN`] whenever a walk starts.
 struct CxScratch {
-    /// `pos_in_a[s]` = position of dense symbol `s` in parent `a`.
-    pos_in_a: Vec<u32>,
-    /// `next[p]` = position that follows `p` on its cycle; [`VISITED`] once
-    /// the walk has passed `p`.
+    /// The positions where the parents differ, ascending, in its first
+    /// entries; the rest is stale.
+    diff: Vec<u32>,
+    /// `slot[s]` = index in the walked list of the position that holds
+    /// dense symbol `s` in parent `a`; [`UNSEEN`] for the other symbols.
+    /// A walk over the differing positions resets the entries it wrote; a
+    /// walk over every position refills the whole table first.
+    slot: Vec<u32>,
+    /// False while `slot` may hold an earlier call's entries (after a walk
+    /// over every position, or one that panicked); the next walk over the
+    /// differing positions then clears it first.
+    slot_clean: bool,
+    /// `next[k]` = list index that follows `k` on its cycle; [`VISITED`]
+    /// once the walk has passed `k`.
     next: Vec<u32>,
 }
 
 thread_local! {
     static CX_SCRATCH: RefCell<CxScratch> = const {
         RefCell::new(CxScratch {
-            pos_in_a: Vec::new(),
+            diff: Vec::new(),
+            slot: Vec::new(),
+            slot_clean: true,
             next: Vec::new(),
         })
     };
 }
 
-/// Marks a symbol of `a` not yet met while the position table is built.
+/// Marks a symbol of `a` that the walked positions do not hold.
 const UNSEEN: u32 = u32::MAX;
 /// Marks a position the cycle walk has already assigned to a cycle.
 const VISITED: u32 = u32::MAX;
+
+/// The positions whose differences decide alone whether a pair is walked
+/// in full.
+const PROBE: usize = 16;
+
+/// Whether `d` differing positions are most of `n`: enough that a walk over
+/// every position costs less than listing and walking the differing ones.
+#[inline(always)]
+fn mostly(d: usize, n: usize) -> bool {
+    4 * d > 3 * n
+}
 
 #[cold]
 #[inline(never)]
@@ -96,29 +125,41 @@ fn not_a_permutation(parent: char, pos: usize, g: Gene) -> ! {
 /// parental cycles, guaranteeing each child is a valid permutation and each
 /// allele comes from one of its parents at the same position.
 ///
-/// One pass over the cycles builds both children, the proof that they are
-/// permutations, and their parentage:
+/// Cycles are numbered by their first position, and the odd ones are
+/// swapped. One pass over the cycles builds both children, the proof that
+/// they are permutations, and their parentage, and it costs what the
+/// parents' difference costs:
 ///
-/// * Child A is parent A with parent B's genes at the positions of the odd
-///   cycles and child B is the mirror image, so both children start as
-///   copies of their parents and only the swapped positions are written.
-/// * A cycle of one position is a position where the parents agree. Child A
-///   equals `a` iff no longer cycle was swapped, and equals `b` iff every
-///   longer cycle was; child B mirrors it. A converged population breeds
-///   mostly such copies, and the engine inherits their evaluations.
-/// * Building the position table checks that every symbol occurs once in
-///   `a`; the walk checks that it never steps onto a position another cycle
-///   already owns, which holds iff `b` is a permutation of the same symbols.
-///   The children of two such parents are permutations (the CX theorem), so
-///   they are not validated again.
+/// * A position where the parents agree is a cycle of one position, which
+///   changes nothing whichever way it goes. Child A is parent A with parent
+///   B's genes at the positions of the odd longer cycles and child B is the
+///   mirror image, so both children start as copies of their parents and
+///   only the swapped positions are written.
+/// * The walk runs over the list of positions where the parents differ.
+///   The longer cycle that starts at the `i`-th of them, position `p`,
+///   follows `p − i` one-position cycles, so it is odd iff `p − i` plus the
+///   number of longer cycles before it is odd. A converged population
+///   differs at a few positions of each pair; when the parents differ at
+///   most positions, the walk runs over all of them instead, where every
+///   position is on the list and that count is zero.
+/// * Child A equals `a` iff no longer cycle was swapped, and equals `b` iff
+///   every longer cycle was; child B mirrors it. A converged population
+///   breeds mostly such copies, and the engine inherits their evaluations.
+/// * The walk checks what it reads: building the position table checks
+///   that every walked symbol of `a` is in range and occurs once, and the
+///   walk checks that each symbol of `b` it meets is one of them and never
+///   leads onto a position another cycle already owns. Positions where the
+///   parents agree are copied, not checked: that both parents are
+///   permutations of one symbol set is [`Chromosome`]'s constructor
+///   invariant, and the children of two such parents are permutations (the
+///   CX theorem). Debug builds validate both children again.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CycleCrossover;
 
 impl CycleCrossover {
-    /// The fused pass over the cycles: writes `genes_b` into `child_a` and
-    /// `genes_a` into `child_b` at the positions of the odd cycles — the
-    /// children must start as copies of their parents — and returns the
-    /// children's parentage.
+    /// Writes `genes_b` into `child_a` and `genes_a` into `child_b` at the
+    /// positions of the odd cycles — the children must start as copies of
+    /// their parents — and returns the children's parentage.
     fn swap_odd_cycles(
         genes_a: &[Gene],
         genes_b: &[Gene],
@@ -128,68 +169,171 @@ impl CycleCrossover {
     ) -> [Option<Parent>; 2] {
         let n = genes_a.len();
         // Whether any cycle longer than one position was kept / swapped.
-        let (mut kept, mut swapped) = (false, false);
-        CX_SCRATCH.with_borrow_mut(|scratch| {
-            let CxScratch { pos_in_a, next } = scratch;
-            pos_in_a.clear();
-            pos_in_a.resize(n, UNSEEN);
-            for (i, &g) in genes_a.iter().enumerate() {
-                match g.checked_dense_index(h, n) {
-                    Some(s) if pos_in_a[s] == UNSEEN => pos_in_a[s] = i as u32,
-                    _ => not_a_permutation('a', i, g),
-                }
+        let (kept, swapped) = CX_SCRATCH.with_borrow_mut(|scratch| {
+            let CxScratch {
+                diff,
+                slot,
+                slot_clean,
+                next,
+            } = scratch;
+            if diff.len() < n {
+                diff.resize(n, 0);
             }
-            // The symbol b has at a position sits somewhere in a; that
-            // position continues the cycle.
-            next.clear();
-            next.extend(genes_b.iter().enumerate().map(
-                |(i, &g)| match g.checked_dense_index(h, n) {
-                    Some(s) => pos_in_a[s],
-                    None => not_a_permutation('b', i, g),
-                },
-            ));
-
-            // Every position is walked exactly once: it is either already
-            // `VISITED` when the outer loop reaches it or starts a cycle,
-            // and the walk only ever moves onto unvisited positions.
-            let mut swap = false; // even cycles keep the own parent's genes
-            for start in 0..n {
-                if next[start] == VISITED {
-                    continue;
+            // The positions where the parents differ, unless they are most
+            // of them: then the walk runs over every position. Parents that
+            // differ at most of the first `PROBE` positions are taken to
+            // differ at most positions without scanning the rest.
+            let mut d = 0;
+            let mut scan = |from: usize, to: usize| {
+                let pairs = genes_a[from..to].iter().zip(&genes_b[from..to]);
+                for (p, (&x, &y)) in (from..).zip(pairs) {
+                    diff[d] = p as u32;
+                    d += usize::from(x != y);
                 }
-                // A position is its own successor iff the parents agree
-                // there; such a cycle changes nothing whichever way it goes.
-                if next[start] as usize != start {
-                    if swap {
-                        swapped = true;
-                    } else {
-                        kept = true;
-                    }
-                }
-                let mut p = start;
-                loop {
-                    let step = next[p] as usize;
-                    next[p] = VISITED;
-                    if swap && step != p {
-                        child_a[p] = genes_b[p];
-                        child_b[p] = genes_a[p];
-                    }
-                    if step == start {
-                        break;
-                    }
-                    if next[step] == VISITED {
-                        not_a_permutation('b', p, genes_b[p]);
-                    }
-                    p = step;
-                }
-                swap = !swap;
+                d
+            };
+            let probe = n.min(PROBE);
+            if mostly(scan(0, probe), probe) || mostly(scan(probe, n), n) {
+                *slot_clean = false;
+                slot.clear();
+                slot.resize(n, UNSEEN);
+                let cycles = Walk {
+                    genes_a,
+                    genes_b,
+                    h,
+                    slot,
+                    next,
+                };
+                return cycles.swap_odd(n, |k| k, child_a, child_b);
             }
+            if d == 0 {
+                return (false, false);
+            }
+            let diff = &diff[..d];
+            if !*slot_clean {
+                slot.clear();
+            }
+            if slot.len() < n {
+                slot.resize(n, UNSEEN);
+            }
+            *slot_clean = false;
+            let at = |k: usize| diff[k] as usize;
+            let cycles = Walk {
+                genes_a,
+                genes_b,
+                h,
+                slot,
+                next,
+            };
+            let flags = cycles.swap_odd(d, at, child_a, child_b);
+            for &p in diff {
+                slot[genes_a[p as usize].dense_index(h)] = UNSEEN;
+            }
+            *slot_clean = true;
+            flags
         });
         match (kept, swapped) {
             (_, false) => [Some(Parent::A), Some(Parent::B)],
             (false, true) => [Some(Parent::B), Some(Parent::A)],
             (true, true) => [None, None],
         }
+    }
+}
+
+/// One cycle walk over a list of positions: the parents, the number of
+/// task slots, and the two tables.
+struct Walk<'s> {
+    genes_a: &'s [Gene],
+    genes_b: &'s [Gene],
+    h: usize,
+    slot: &'s mut [u32],
+    next: &'s mut Vec<u32>,
+}
+
+impl Walk<'_> {
+    /// Swaps the odd cycles over the `len` positions `at(0) < at(1) < …`,
+    /// which must include every position where the parents differ, and
+    /// returns whether a cycle longer than one position was kept /
+    /// swapped.
+    #[inline(always)]
+    fn swap_odd(
+        self,
+        len: usize,
+        at: impl Fn(usize) -> usize,
+        child_a: &mut [Gene],
+        child_b: &mut [Gene],
+    ) -> (bool, bool) {
+        let Self {
+            genes_a,
+            genes_b,
+            h,
+            slot,
+            next,
+        } = self;
+        let n = genes_a.len();
+        for k in 0..len {
+            let p = at(k);
+            match genes_a[p].checked_dense_index(h, n) {
+                Some(s) if slot[s] == UNSEEN => slot[s] = k as u32,
+                _ => not_a_permutation('a', p, genes_a[p]),
+            }
+        }
+        // The symbol b has at a position sits somewhere in a; that
+        // position continues the cycle.
+        next.clear();
+        next.extend((0..len).map(|k| {
+            let p = at(k);
+            match genes_b[p].checked_dense_index(h, n) {
+                Some(s) if slot[s] != UNSEEN => slot[s],
+                _ => not_a_permutation('b', p, genes_b[p]),
+            }
+        }));
+
+        // Every listed position is walked exactly once: it is either
+        // already `VISITED` when the outer loop reaches it or starts a
+        // cycle, and the walk only ever moves onto unvisited positions.
+        let (mut kept, mut swapped) = (false, false);
+        let mut cycles = 0; // walked so far
+        for start in 0..len {
+            if next[start] == VISITED {
+                continue;
+            }
+            // Before this cycle come the `at(start) − start` unlisted
+            // positions, each a cycle of one, and the walked cycles; even
+            // cycles keep the own parent's genes.
+            let swap = (at(start) - start + cycles) % 2 == 1;
+            cycles += 1;
+            // A position is its own successor iff the parents agree
+            // there; such a cycle changes nothing whichever way it goes.
+            if next[start] as usize != start {
+                if swap {
+                    swapped = true;
+                } else {
+                    kept = true;
+                }
+            }
+            let mut k = start;
+            loop {
+                let step = next[k] as usize;
+                next[k] = VISITED;
+                // On a cycle of one this rewrites the gene both parents
+                // share, which is cheaper than a branch on it.
+                if swap {
+                    let p = at(k);
+                    child_a[p] = genes_b[p];
+                    child_b[p] = genes_a[p];
+                }
+                if step == start {
+                    break;
+                }
+                if next[step] == VISITED {
+                    let p = at(k);
+                    not_a_permutation('b', p, genes_b[p]);
+                }
+                k = step;
+            }
+        }
+        (kept, swapped)
     }
 }
 
@@ -391,11 +535,16 @@ impl CrossoverOp for PartiallyMapped {
 
 /// Cycle crossover that reports no parentage, so the engine evaluates every
 /// child it breeds: the oracle the inheriting engine is checked against.
-#[cfg(test)]
+/// Its children are [`CycleCrossover`]'s, drawn from the same RNG stream.
+///
+/// A test fixture, not an operator to schedule with: a run with it plans
+/// exactly what a run with [`CycleCrossover`] plans and evaluates more.
+/// It is public, but hidden from the docs, so the tests of every crate
+/// share this one definition.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct UnreportedCycle;
+pub struct UnreportedCycle;
 
-#[cfg(test)]
 impl CrossoverOp for UnreportedCycle {
     fn cross_into(
         &self,
@@ -563,6 +712,71 @@ mod tests {
         )
     }
 
+    /// The fused walk over every position that this module shipped before
+    /// the walk over the differing positions, with its own tables: the
+    /// oracle the kernel must match exactly, genes and parentage.
+    fn full_walk_reference(
+        a: &Chromosome,
+        b: &Chromosome,
+    ) -> ([Vec<Gene>; 2], [Option<Parent>; 2]) {
+        let (genes_a, genes_b) = (a.genes(), b.genes());
+        let (mut child_a, mut child_b) = (genes_a.to_vec(), genes_b.to_vec());
+        let n = genes_a.len();
+        let h = a.n_tasks() as usize;
+        let (mut kept, mut swapped) = (false, false);
+        let mut pos_in_a = vec![UNSEEN; n];
+        for (i, &g) in genes_a.iter().enumerate() {
+            match g.checked_dense_index(h, n) {
+                Some(s) if pos_in_a[s] == UNSEEN => pos_in_a[s] = i as u32,
+                _ => not_a_permutation('a', i, g),
+            }
+        }
+        let mut next: Vec<u32> = genes_b
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| match g.checked_dense_index(h, n) {
+                Some(s) => pos_in_a[s],
+                None => not_a_permutation('b', i, g),
+            })
+            .collect();
+        let mut swap = false;
+        for start in 0..n {
+            if next[start] == VISITED {
+                continue;
+            }
+            if next[start] as usize != start {
+                if swap {
+                    swapped = true;
+                } else {
+                    kept = true;
+                }
+            }
+            let mut p = start;
+            loop {
+                let step = next[p] as usize;
+                next[p] = VISITED;
+                if swap && step != p {
+                    child_a[p] = genes_b[p];
+                    child_b[p] = genes_a[p];
+                }
+                if step == start {
+                    break;
+                }
+                if next[step] == VISITED {
+                    not_a_permutation('b', p, genes_b[p]);
+                }
+                p = step;
+            }
+            swap = !swap;
+        }
+        let parentage = match (kept, swapped) {
+            (_, false) => [Some(Parent::A), Some(Parent::B)],
+            (false, true) => [Some(Parent::B), Some(Parent::A)],
+            (true, true) => [None, None],
+        };
+        ([child_a, child_b], parentage)
+    }
+
     /// A uniformly shuffled chromosome of `h` tasks over `m` processors.
     fn shuffled(h: u32, m: u16, rng: &mut Prng) -> Chromosome {
         let mut genes: Vec<Gene> = (0..h)
@@ -650,6 +864,52 @@ mod tests {
             if a == b {
                 prop_assert_eq!(parentage, [Some(Parent::A), Some(Parent::B)]);
             }
+        }
+
+        /// The walk over the differing positions against the full walk:
+        /// same genes in both children, same parentage. `distance` picks
+        /// the second parent: 0 → the first parent itself, 1..=4 → that
+        /// many transpositions away (a converged population), 5 → about
+        /// 13 % of the positions shuffled among themselves, else an
+        /// independent shuffle. `h` reaches 0 and `m` exceeds `h` (the
+        /// simulator plans 1-task batches over 50 processors).
+        #[test]
+        fn differing_positions_walk_matches_the_full_walk(
+            h in 0u32..300,
+            m in 1u16..60,
+            small in 0u32..4,
+            distance in 0usize..7,
+            seed in 0u64..u64::MAX,
+        ) {
+            // One case in four has a batch of at most three tasks.
+            let h = if small == 0 { h % 4 } else { h };
+            let mut rng = Prng::seed_from(seed);
+            let a = shuffled(h, m, &mut rng);
+            let n = a.genes().len();
+            let mut b = a.clone();
+            match distance {
+                0..=4 => {
+                    for _ in 0..distance.min(n) {
+                        b.genes_swap(rng.below(n), rng.below(n));
+                    }
+                }
+                5 => {
+                    let mut picked: Vec<usize> = (0..n).filter(|_| rng.chance(0.13)).collect();
+                    for i in (1..picked.len()).rev() {
+                        let j = rng.below(i + 1);
+                        b.genes_swap(picked[i], picked[j]);
+                        picked.swap(i, j);
+                    }
+                }
+                _ => b = shuffled(h, m, &mut rng),
+            }
+            let ([want_c, want_d], want_parentage) = full_walk_reference(&a, &b);
+            let mut out = [Chromosome::vacant(), Chromosome::vacant()];
+            let [out_a, out_b] = &mut out;
+            let parentage = CycleCrossover.cross_into(&a, &b, out_a, out_b, &mut rng);
+            prop_assert_eq!(out[0].genes(), &want_c[..]);
+            prop_assert_eq!(out[1].genes(), &want_d[..]);
+            prop_assert_eq!(parentage, want_parentage);
         }
     }
 

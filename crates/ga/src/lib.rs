@@ -35,6 +35,9 @@
 //!   ([`crossover::Parent`]), and a swap mutation is delta-evaluated
 //!   ([`Problem::evaluate_swap_delta`]). A converged generation walks few
 //!   chromosomes in full, and stays bit-identical to one that walks all.
+//!   Breeding it is cheap too: cycle crossover walks only the positions
+//!   where its parents differ, and the roulette wheel is built once per
+//!   generation ([`SelectionOp::prepare`]).
 //!
 //! # Parallel evaluation
 //!

@@ -3,34 +3,13 @@
 //! loses tasks.
 
 use dts_distributions::Prng;
+use dts_ga::crossover::UnreportedCycle;
 use dts_ga::{
     repair_topological, Chromosome, CrossoverOp, CycleCrossover, Evaluator, GaConfig, GaEngine,
-    Gene, InsertMutation, MutationOp, OnePointOrder, OrderCrossover, Parent, Problem,
-    RankSelection, RouletteWheel, SelectionOp, SlotPrecedence, SwapMutation, Tournament,
+    Gene, InsertMutation, MutationOp, OnePointOrder, OrderCrossover, Problem, RankSelection,
+    RouletteWheel, SelectionOp, SlotPrecedence, SwapMutation, Tournament,
 };
 use proptest::prelude::*;
-
-/// Cycle crossover that reports no parentage, so the engine evaluates every
-/// child it breeds.
-struct UnreportedCycle;
-
-impl CrossoverOp for UnreportedCycle {
-    fn cross_into(
-        &self,
-        a: &Chromosome,
-        b: &Chromosome,
-        out_a: &mut Chromosome,
-        out_b: &mut Chromosome,
-        rng: &mut Prng,
-    ) -> [Option<Parent>; 2] {
-        CycleCrossover.cross_into(a, b, out_a, out_b, rng);
-        [None, None]
-    }
-
-    fn label(&self) -> &'static str {
-        "cycle, parentage unreported"
-    }
-}
 
 /// Strategy: a random chromosome with `h` tasks over `m` processors, built
 /// by dealing slots into random queues.

@@ -15,10 +15,8 @@
 //! `zomaya_is_deterministic` is ZO's end-to-end row.
 
 use dts::core::{plan_batch, PlanRequest, PnConfig, PnScheduler, ProcessorState};
-use dts::distributions::Prng;
-use dts::ga::{
-    Chromosome, CrossoverOp, CycleCrossover, Evaluator, Parent, RouletteWheel, SwapMutation,
-};
+use dts::ga::crossover::UnreportedCycle;
+use dts::ga::{Evaluator, RouletteWheel, SwapMutation};
 use dts::model::{ClusterSpec, Scheduler, SizeDistribution, WorkloadSpec};
 use dts::schedulers::{EarliestFinish, LightestLoaded, MaxMin, MinMin, RoundRobin};
 use dts::sim::{SimConfig, SimReport, Simulation};
@@ -173,28 +171,6 @@ fn pn_parallel_evaluation_is_bit_identical() {
                 &par,
             );
         }
-    }
-}
-
-/// Cycle crossover that reports no parentage, so the engine evaluates every
-/// child it breeds.
-struct UnreportedCycle;
-
-impl CrossoverOp for UnreportedCycle {
-    fn cross_into(
-        &self,
-        a: &Chromosome,
-        b: &Chromosome,
-        out_a: &mut Chromosome,
-        out_b: &mut Chromosome,
-        rng: &mut Prng,
-    ) -> [Option<Parent>; 2] {
-        CycleCrossover.cross_into(a, b, out_a, out_b, rng);
-        [None, None]
-    }
-
-    fn label(&self) -> &'static str {
-        "cycle, parentage unreported"
     }
 }
 
