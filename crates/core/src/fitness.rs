@@ -169,11 +169,6 @@ thread_local! {
     static DAG_FINISH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Stack buffer size for per-processor completion times: clusters up to
-/// this many processors evaluate without heap allocation. The paper's
-/// largest experiments use 100 processors.
-const STACK_PROCS: usize = 128;
-
 impl<'a> BatchProblem<'a> {
     /// Builds the problem for a batch and processor set.
     ///
@@ -443,6 +438,13 @@ impl<'a> BatchProblem<'a> {
         acc
     }
 
+    /// `(fitness, makespan)` of `c` through [`Problem::evaluate_into`]:
+    /// how the tests read a schedule's scores.
+    #[cfg(test)]
+    pub(crate) fn scores(&self, c: &Chromosome) -> (f64, f64) {
+        self.evaluate_into(c, &mut Vec::new())
+    }
+
     /// Scores a completion-time vector as `(fitness, makespan)`. Every
     /// evaluation path — full walk, swap delta, rebalance substitution —
     /// funnels through the same j-ordered loop, which is what keeps their
@@ -485,22 +487,6 @@ impl<'a> BatchProblem<'a> {
         self.fitness_of(sum_sq, max)
     }
 
-    /// Computes the completion times into a stack buffer (clusters of up
-    /// to [`STACK_PROCS`] processors never touch the heap) and hands them
-    /// to `f`.
-    fn with_completions<R>(&self, c: &Chromosome, f: impl FnOnce(&[f64]) -> R) -> R {
-        let m = self.procs.len();
-        if m <= STACK_PROCS {
-            let mut buf = [0.0f64; STACK_PROCS];
-            self.fill_completions(c, &mut buf[..m]);
-            f(&buf[..m])
-        } else {
-            let mut buf = vec![0.0f64; m];
-            self.fill_completions(c, &mut buf);
-            f(&buf)
-        }
-    }
-
     /// Fitness from a relative error: `F = 1/(1 + E)` — range `(0, 1]`,
     /// `F(0) = 1` exactly, strictly monotone decreasing. See the module
     /// docs for why this deviates from the paper's clamped `1/E` (which
@@ -523,49 +509,15 @@ impl<'a> BatchProblem<'a> {
             Fitness::MakespanRatio => (self.makespan_norm / makespan).min(1.0),
         }
     }
-
-    /// The relative error `E` of a schedule (§3.2). Zero means every
-    /// processor finishes exactly at ψ.
-    pub fn relative_error(&self, c: &Chromosome) -> f64 {
-        self.with_completions(c, |completions| {
-            let sum_sq: f64 = completions
-                .iter()
-                .map(|&cj| {
-                    let d = self.psi - cj;
-                    d * d
-                })
-                .sum();
-            sum_sq.sqrt()
-        })
-    }
 }
 
 impl Problem for BatchProblem<'_> {
-    /// The configured [`Fitness`]: `F = 1/(1 + E)` (`E = 0` maps to the
-    /// perfect score 1), or ZO's makespan ratio.
-    fn fitness(&self, c: &Chromosome) -> f64 {
-        self.evaluate(c).0
-    }
-
-    /// Estimated makespan: the largest per-processor completion time.
-    fn makespan(&self, c: &Chromosome) -> f64 {
-        self.with_completions(c, |completions| {
-            completions.iter().copied().fold(0.0, f64::max)
-        })
-    }
-
-    /// Fast path: fitness and makespan both derive from the per-processor
-    /// completion times, so one fill serves both — separate
-    /// [`Problem::fitness`] + [`Problem::makespan`] calls would walk the
-    /// chromosome twice. Bit-identical to the two-call form because the
-    /// completions are computed by the same pass either way.
-    fn evaluate(&self, c: &Chromosome) -> (f64, f64) {
-        self.with_completions(c, |completions| self.score_completions(completions))
-    }
-
-    /// The full walk, exporting the completion times for the engine's
-    /// incremental machinery (delta-evaluation, inheritance by parent
-    /// copies, §3.5 rebalance).
+    /// The full walk: the configured [`Fitness`] (`F = 1/(1 + E)`, where
+    /// `E = 0` maps to the perfect score 1, or ZO's makespan ratio) and the
+    /// estimated makespan, the largest per-processor completion time. The
+    /// completion times are exported for the engine's incremental
+    /// machinery (delta-evaluation, inheritance by parent copies, §3.5
+    /// rebalance).
     fn evaluate_into(&self, c: &Chromosome, completions: &mut Vec<f64>) -> (f64, f64) {
         self.completion_times(c, completions);
         self.score_completions(completions)
@@ -770,8 +722,7 @@ mod tests {
         let procs = [proc(100.0, 0.0, 0.0), proc(100.0, 0.0, 0.0)];
         let p = BatchProblem::new(&batch, &procs, &config());
         let balanced = Chromosome::from_queues(&[vec![0], vec![1]]);
-        assert!(p.relative_error(&balanced) < 1e-12);
-        assert_eq!(p.fitness(&balanced), 1.0);
+        assert_eq!(p.scores(&balanced).0, 1.0);
     }
 
     #[test]
@@ -781,8 +732,8 @@ mod tests {
         let p = BatchProblem::new(&batch, &procs, &config());
         let balanced = Chromosome::from_queues(&[vec![0], vec![1]]);
         let skewed = Chromosome::from_queues(&[vec![0, 1], vec![]]);
-        assert!(p.fitness(&balanced) > p.fitness(&skewed));
-        assert!(p.makespan(&skewed) > p.makespan(&balanced));
+        assert!(p.scores(&balanced).0 > p.scores(&skewed).0);
+        assert!(p.scores(&skewed).1 > p.scores(&balanced).1);
     }
 
     #[test]
@@ -792,7 +743,7 @@ mod tests {
         let p = BatchProblem::new(&batch, &procs, &config());
         // Terrible schedule: everything on the slow machine.
         let all_slow = Chromosome::from_queues(&[(0..20).collect(), vec![]]);
-        let f = p.fitness(&all_slow);
+        let f = p.scores(&all_slow).0;
         assert!(f > 0.0 && f <= 1.0, "fitness {f} out of (0,1]");
     }
 
@@ -803,8 +754,8 @@ mod tests {
         let p = BatchProblem::new(&batch, &procs, &config());
         let on_slow = Chromosome::from_queues(&[vec![0], vec![]]);
         let on_fast = Chromosome::from_queues(&[vec![], vec![0]]);
-        assert!((p.makespan(&on_slow) - 10.0).abs() < 1e-12);
-        assert!((p.makespan(&on_fast) - 2.0).abs() < 1e-12);
+        assert!((p.scores(&on_slow).1 - 10.0).abs() < 1e-12);
+        assert!((p.scores(&on_fast).1 - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -816,7 +767,7 @@ mod tests {
         let p = BatchProblem::new(&batch, &procs, &config());
         let expensive = Chromosome::from_queues(&[vec![0], vec![]]);
         let cheap = Chromosome::from_queues(&[vec![], vec![0]]);
-        assert!(p.fitness(&cheap) > p.fitness(&expensive));
+        assert!(p.scores(&cheap).0 > p.scores(&expensive).0);
     }
 
     /// Both objectives, for the equivalence tests below.
@@ -830,41 +781,20 @@ mod tests {
     }
 
     #[test]
-    fn combined_evaluate_matches_separate_calls() {
-        let batch: Vec<Task> = (0..30).map(|i| task(i, 50.0 + 37.0 * i as f64)).collect();
-        let procs = [
-            proc(100.0, 250.0, 0.5),
-            proc(200.0, 0.0, 0.25),
-            proc(55.0, 10.0, 1.5),
-        ];
-        for fitness in OBJECTIVES {
-            let p = BatchProblem::new(&batch, &procs, &config_with(fitness));
-            let c = Chromosome::from_queues(&[
-                (0..10).collect::<Vec<_>>(),
-                (10..25).collect(),
-                (25..30).collect(),
-            ]);
-            let (f, ms) = p.evaluate(&c);
-            assert_eq!(f.to_bits(), p.fitness(&c).to_bits(), "{fitness:?}");
-            assert_eq!(ms.to_bits(), p.makespan(&c).to_bits(), "{fitness:?}");
-        }
-    }
-
-    #[test]
     fn zo_problem_makespan_by_hand() {
         let batch = [task(0, 100.0), task(1, 200.0)];
         let procs = [proc(100.0, 0.0, 0.5), proc(50.0, 50.0, 0.5)];
         let p = BatchProblem::new(&batch, &procs, &PnConfig::zo_preset());
         // Everything on processor 1: 50/50 + 300/50 = 7 (comm is off).
         let c = Chromosome::from_queues(&[vec![], vec![0, 1]]);
-        assert!((p.makespan(&c) - 7.0).abs() < 1e-12);
+        assert!((p.scores(&c).1 - 7.0).abs() < 1e-12);
         // Split: max(100/100, 50/50 + 200/50) = 5.
         let c2 = Chromosome::from_queues(&[vec![0], vec![1]]);
-        assert!((p.makespan(&c2) - 5.0).abs() < 1e-12);
-        assert!(p.fitness(&c2) > p.fitness(&c));
+        assert!((p.scores(&c2).1 - 5.0).abs() < 1e-12);
+        assert!(p.scores(&c2).0 > p.scores(&c).0);
         // Normaliser 300/150 + 1 = 3: F = 3/5 and 3/7.
-        assert!((p.fitness(&c2) - 0.6).abs() < 1e-12);
-        assert!((p.fitness(&c) - 3.0 / 7.0).abs() < 1e-12);
+        assert!((p.scores(&c2).0 - 0.6).abs() < 1e-12);
+        assert!((p.scores(&c).0 - 3.0 / 7.0).abs() < 1e-12);
     }
 
     /// ZO's normaliser `Σt/ΣP + max δⱼ` is not a lower bound (a recorded
@@ -878,25 +808,27 @@ mod tests {
         let p = BatchProblem::new(&batch, &procs, &PnConfig::zo_preset());
         let optimal = Chromosome::from_queues(&[vec![], vec![0, 1]]);
         let worse = Chromosome::from_queues(&[vec![0], vec![1]]);
-        assert_eq!(p.makespan(&optimal), 100.0);
-        assert_eq!(p.makespan(&worse), 105.0);
-        assert_eq!(p.fitness(&optimal), 1.0);
-        assert_eq!(p.fitness(&worse), 1.0, "105 s ties with the 100 s optimum");
+        assert_eq!(p.scores(&optimal).1, 100.0);
+        assert_eq!(p.scores(&worse).1, 105.0);
+        assert_eq!(p.scores(&optimal).0, 1.0);
+        assert_eq!(p.scores(&worse).0, 1.0, "105 s ties with the 100 s optimum");
         let worst = Chromosome::from_queues(&[vec![0, 1], vec![]]);
-        assert!(p.fitness(&worst) < 1.0, "past the normaliser F drops");
+        assert!(p.scores(&worst).0 < 1.0, "past the normaliser F drops");
     }
 
     #[test]
     fn large_clusters_spill_to_the_heap_identically() {
-        // One processor past the stack-buffer bound: same answers.
-        let n = super::STACK_PROCS + 1;
+        // 129 processors, past the paper's largest cluster of 100: one
+        // task each is perfectly balanced.
+        let n = 129;
         let batch: Vec<Task> = (0..n as u32).map(|i| task(i, 100.0)).collect();
         let procs: Vec<ProcessorState> = (0..n).map(|_| proc(100.0, 0.0, 0.0)).collect();
         let p = BatchProblem::new(&batch, &procs, &config());
         let queues: Vec<Vec<u32>> = (0..n as u32).map(|i| vec![i]).collect();
         let c = Chromosome::from_queues(&queues);
-        assert!(p.relative_error(&c) < 1e-9, "perfectly balanced");
-        let (f, ms) = p.evaluate(&c);
+        let mut completions = Vec::new();
+        let (f, ms) = p.evaluate_into(&c, &mut completions);
+        assert_eq!(completions.len(), n);
         assert_eq!(f, 1.0);
         assert!((ms - 1.0).abs() < 1e-12);
     }
@@ -922,7 +854,7 @@ mod tests {
             let procs = [proc(1.0, 0.0, 0.0), proc(1.0, 0.0, 0.0)];
             let p = BatchProblem::new(&batch, &procs, &config());
             let c = Chromosome::from_queues(&[vec![0], vec![1]]);
-            p.fitness(&c)
+            p.scores(&c).0
         };
         let (near, far) = (score(0.2), score(0.9));
         assert!(
@@ -1030,7 +962,7 @@ mod tests {
         assert!((out[0] - 2.0).abs() < 1e-12);
         assert!((out[1] - 3.0).abs() < 1e-12);
         // Makespan reflects the precedence stall exactly.
-        assert!((p.makespan(&c) - 3.0).abs() < 1e-12);
+        assert!((p.scores(&c).1 - 3.0).abs() < 1e-12);
     }
 
     #[test]

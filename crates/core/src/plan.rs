@@ -426,7 +426,7 @@ mod tests {
         let req = PlanRequest::new(&b, &p, 9).with_ops(
             &tournament,
             &dts_ga::OrderCrossover,
-            &dts_ga::InversionMutation,
+            &dts_ga::SwapMutation,
         );
         let out = plan_batch(&req, &quick_config(40));
         assert_places_every_task_once(&out, 12);

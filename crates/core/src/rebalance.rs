@@ -164,7 +164,6 @@ mod tests {
     use super::*;
     use crate::config::PnConfig;
     use crate::fitness::{Fitness, ProcessorState};
-    use dts_ga::Problem;
     use dts_model::{SimTime, Task, TaskId};
     use proptest::prelude::*;
 
@@ -200,7 +199,7 @@ mod tests {
         let cfg = PnConfig::default();
         let problem = BatchProblem::new(&batch, &ps, &cfg);
         let mut c = Chromosome::from_queues(&[vec![0, 1], vec![2]]);
-        let f0 = problem.fitness(&c);
+        let f0 = problem.scores(&c).0;
         let mut completions = completions_of(&problem, &c);
         let mut rng = Prng::seed_from(1);
         let mut improved = false;
@@ -226,7 +225,7 @@ mod tests {
         let cfg = PnConfig::default();
         let problem = BatchProblem::new(&batch, &ps, &cfg);
         let mut c = Chromosome::from_queues(&[vec![0, 1], vec![2, 3], vec![4]]);
-        let mut fitness = problem.fitness(&c);
+        let mut fitness = problem.scores(&c).0;
         let mut completions = completions_of(&problem, &c);
         let mut rng = Prng::seed_from(2);
         for _ in 0..200 {
@@ -253,7 +252,7 @@ mod tests {
         let problem = BatchProblem::new(&batch, &ps, &cfg);
         let mut c =
             Chromosome::from_queues(&[vec![0, 1, 2], vec![3, 4], vec![5, 6, 7], vec![8, 9]]);
-        let mut fitness = problem.fitness(&c);
+        let mut fitness = problem.scores(&c).0;
         let mut completions = completions_of(&problem, &c);
         let mut rng = Prng::seed_from(7);
         let mut commits = 0u32;
@@ -270,7 +269,7 @@ mod tests {
             }
             assert_eq!(
                 fitness.to_bits(),
-                problem.fitness(&c).to_bits(),
+                problem.scores(&c).0.to_bits(),
                 "maintained fitness drifted"
             );
         }
@@ -416,7 +415,7 @@ mod tests {
             }
             let mut c = Chromosome::from_queues(&queues);
             let mut want_c = c.clone();
-            let mut fitness = problem.fitness(&c);
+            let mut fitness = problem.scores(&c).0;
             let mut completions = completions_of(&problem, &c);
             let mut want_completions = completions.clone();
             let mut want_rng = rng.clone();
@@ -449,7 +448,7 @@ mod tests {
         let cfg = PnConfig::default();
         let problem = BatchProblem::new(&batch, &ps, &cfg);
         let mut c = Chromosome::from_queues(&[vec![0, 1]]);
-        let f = problem.fitness(&c);
+        let f = problem.scores(&c).0;
         let mut completions = completions_of(&problem, &c);
         let mut rng = Prng::seed_from(3);
         assert!(rebalance_once(&problem, &mut c, f, &mut completions, 5, &mut rng).is_none());
@@ -463,7 +462,7 @@ mod tests {
         let cfg = PnConfig::default();
         let problem = BatchProblem::new(&batch, &ps, &cfg);
         let mut c = Chromosome::from_queues(&[vec![0, 1], vec![]]);
-        let f = problem.fitness(&c);
+        let f = problem.scores(&c).0;
         let mut completions = completions_of(&problem, &c);
         let mut rng = Prng::seed_from(4);
         assert!(rebalance_once(&problem, &mut c, f, &mut completions, 5, &mut rng).is_none());
@@ -478,7 +477,7 @@ mod tests {
         let cfg = PnConfig::default();
         let problem = BatchProblem::new(&batch, &ps, &cfg);
         let mut c = Chromosome::from_queues(&[vec![0, 1], vec![2]]);
-        let f = problem.fitness(&c);
+        let f = problem.scores(&c).0;
         let mut completions = completions_of(&problem, &c);
         let mut rng = Prng::seed_from(5);
         for _ in 0..50 {

@@ -64,9 +64,8 @@ proptest! {
         let problem = BatchProblem::new(&batch, &procs, &cfg);
         let mut rng = Prng::seed_from(seed);
         let c = list_scheduled_individual(&batch, &procs, frac, &mut rng);
-        let f = problem.fitness(&c);
+        let (f, ms) = problem.evaluate_into(&c, &mut Vec::new());
         prop_assert!(f.is_finite() && f > 0.0 && f <= 1.0, "fitness {f}");
-        let ms = problem.makespan(&c);
         let max_delta = procs.iter().map(ProcessorState::delta).fold(0.0f64, f64::max);
         prop_assert!(ms + 1e-9 >= max_delta, "makespan {ms} below existing load {max_delta}");
         prop_assert!(ms.is_finite());
@@ -84,9 +83,8 @@ proptest! {
         let problem = BatchProblem::new(&batch, &procs, &cfg);
         let mut rng = Prng::seed_from(seed);
         let mut c = list_scheduled_individual(&batch, &procs, 0.8, &mut rng);
-        let mut fitness = problem.fitness(&c);
         let mut completions = Vec::new();
-        problem.completion_times(&c, &mut completions);
+        let (mut fitness, _) = problem.evaluate_into(&c, &mut completions);
         for _ in 0..16 {
             if let Some(nf) = rebalance_once(&problem, &mut c, fitness, &mut completions, 5, &mut rng) {
                 prop_assert!(nf >= fitness);
@@ -94,7 +92,7 @@ proptest! {
             }
             prop_assert!(c.validate().is_ok());
             // The maintained completion times must track the full walk
-            // bit-for-bit — they feed the fitness memo and delta paths.
+            // bit-for-bit — they feed inheritance and the delta paths.
             let mut fresh = Vec::new();
             problem.completion_times(&c, &mut fresh);
             for (a, b) in completions.iter().zip(&fresh) {

@@ -471,68 +471,6 @@ impl CrossoverOp for OnePointOrder {
     }
 }
 
-/// Partially-mapped crossover (PMX, Goldberg & Lingle 1985): a random
-/// segment is exchanged between the parents and the conflicts outside the
-/// segment are repaired through the induced symbol mapping. Preserves more
-/// absolute positions than OX; the classic TSP operator.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PartiallyMapped;
-
-impl PartiallyMapped {
-    fn one_child(base: &Chromosome, donor: &Chromosome, lo: usize, hi: usize) -> Chromosome {
-        let n = base.genes().len();
-        let h = base.n_tasks() as usize;
-        let mut child: Vec<Gene> = base.genes().to_vec();
-        // Where does each symbol currently sit in the child?
-        let mut pos = vec![0usize; n];
-        for (i, g) in child.iter().enumerate() {
-            pos[g.dense_index(h)] = i;
-        }
-        // Transplant the donor segment, swapping out conflicts.
-        for i in lo..hi {
-            let incoming = donor.genes()[i];
-            let incoming_idx = incoming.dense_index(h);
-            let current_idx = child[i].dense_index(h);
-            if incoming_idx != current_idx {
-                let j = pos[incoming_idx];
-                child.swap(i, j);
-                pos[current_idx] = j;
-                pos[incoming_idx] = i;
-            }
-        }
-        Chromosome::from_genes(child, base.n_tasks(), base.n_procs())
-    }
-}
-
-impl CrossoverOp for PartiallyMapped {
-    fn cross_into(
-        &self,
-        a: &Chromosome,
-        b: &Chromosome,
-        out_a: &mut Chromosome,
-        out_b: &mut Chromosome,
-        rng: &mut Prng,
-    ) -> [Option<Parent>; 2] {
-        assert!(a.same_symbol_set(b), "parents must share a symbol set");
-        let n = a.genes().len();
-        if n < 2 {
-            out_a.clone_from(a);
-            out_b.clone_from(b);
-            return [None, None];
-        }
-        let i = rng.below(n);
-        let j = rng.below(n);
-        let (lo, hi) = if i <= j { (i, j + 1) } else { (j, i + 1) };
-        *out_a = Self::one_child(a, b, lo, hi);
-        *out_b = Self::one_child(b, a, lo, hi);
-        [None, None]
-    }
-
-    fn label(&self) -> &'static str {
-        "pmx"
-    }
-}
-
 /// Cycle crossover that reports no parentage, so the engine evaluates every
 /// child it breeds: the oracle the inheriting engine is checked against.
 /// Its children are [`CycleCrossover`]'s, drawn from the same RNG stream.
@@ -934,7 +872,6 @@ mod tests {
                 &CycleCrossover as &dyn CrossoverOp,
                 &OrderCrossover,
                 &OnePointOrder,
-                &PartiallyMapped,
             ] {
                 let mut want_rng = rng.clone();
                 let (want_a, want_b) = op.cross(&a, &b, &mut want_rng);
@@ -1022,57 +959,5 @@ mod tests {
         assert_eq!(CycleCrossover.label(), "cycle");
         assert_eq!(OrderCrossover.label(), "order");
         assert_eq!(OnePointOrder.label(), "one-point");
-    }
-}
-
-#[cfg(test)]
-mod pmx_tests {
-    use super::*;
-
-    fn parents() -> (Chromosome, Chromosome) {
-        (
-            Chromosome::from_queues(&[vec![0, 1, 2], vec![3, 4], vec![5, 6]]),
-            Chromosome::from_queues(&[vec![6, 5], vec![4, 3, 2], vec![1, 0]]),
-        )
-    }
-
-    #[test]
-    fn pmx_children_valid() {
-        let (a, b) = parents();
-        let mut rng = Prng::seed_from(8);
-        for _ in 0..100 {
-            let (c, d) = PartiallyMapped.cross(&a, &b, &mut rng);
-            assert!(c.validate().is_ok());
-            assert!(d.validate().is_ok());
-        }
-    }
-
-    #[test]
-    fn pmx_identical_parents_reproduce() {
-        let (a, _) = parents();
-        let mut rng = Prng::seed_from(9);
-        let (c, d) = PartiallyMapped.cross(&a, &a, &mut rng);
-        assert_eq!(c, a);
-        assert_eq!(d, a);
-    }
-
-    #[test]
-    fn pmx_mixes_material() {
-        let (a, b) = parents();
-        let mut rng = Prng::seed_from(10);
-        let mut mixed = false;
-        for _ in 0..20 {
-            let (c, _) = PartiallyMapped.cross(&a, &b, &mut rng);
-            if c != a && c != b {
-                mixed = true;
-                break;
-            }
-        }
-        assert!(mixed, "PMX never produced novel children");
-    }
-
-    #[test]
-    fn pmx_label() {
-        assert_eq!(PartiallyMapped.label(), "pmx");
     }
 }

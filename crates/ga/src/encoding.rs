@@ -153,8 +153,7 @@ impl Chromosome {
     }
 
     /// Rewrites the gene string in place, for operators that know the
-    /// result is still a permutation (crossover, insert, inversion,
-    /// repair): the re-validation of [`Chromosome::from_genes`] is not
+    /// result is still a permutation (crossover, repair): the re-validation of [`Chromosome::from_genes`] is not
     /// repeated, but checked in debug builds.
     pub(crate) fn rewrite_genes<R>(&mut self, f: impl FnOnce(&mut [Gene]) -> R) -> R {
         let out = f(&mut self.genes);

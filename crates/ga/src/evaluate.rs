@@ -7,14 +7,14 @@
 //! output*, regardless of how many threads run. Two facts make that
 //! achievable:
 //!
-//! 1. Evaluation draws no random numbers: [`Problem::evaluate`] is a pure
+//! 1. Evaluation draws no random numbers: [`Problem::evaluate_into`] is a pure
 //!    function of the chromosome, so the RNG stream is untouched by where
 //!    (or in what order) evaluations execute.
 //! 2. Results are written back **by chromosome index**, so the population
 //!    ordering — and therefore selection pressure, crossover pairings, and
 //!    every downstream RNG draw — is independent of thread scheduling.
 //!
-//! The engine never calls [`Problem::fitness`] directly during a
+//! The engine never calls [`Problem::evaluate_into`] directly during a
 //! generation. Instead it moves the chromosomes that need (re)evaluation,
 //! each with its population slot's own completions buffer, into a batch of
 //! [`Evaluated`] records, has a [`BatchEval`] context evaluate the records
@@ -36,9 +36,10 @@
 //!
 //! struct Longest;
 //! impl Problem for Longest {
-//!     fn fitness(&self, c: &Chromosome) -> f64 { 1.0 / (1.0 + self.makespan(c)) }
-//!     fn makespan(&self, c: &Chromosome) -> f64 {
-//!         c.queue_lengths().into_iter().max().unwrap_or(0) as f64
+//!     fn evaluate_into(&self, c: &Chromosome, completions: &mut Vec<f64>) -> (f64, f64) {
+//!         completions.clear();
+//!         let makespan = c.queue_lengths().into_iter().max().unwrap_or(0) as f64;
+//!         (1.0 / (1.0 + makespan), makespan)
 //!     }
 //! }
 //!
@@ -168,7 +169,7 @@ impl Evaluator {
 type Chunk = (usize, Vec<Evaluated>);
 
 /// What a worker sends back per chunk: the evaluated records, or the message
-/// of a panic caught inside `Problem::evaluate` (resurfaced on the calling
+/// of a panic caught inside `Problem::evaluate_into` (resurfaced on the calling
 /// thread).
 type ChunkResult = Result<Chunk, String>;
 
@@ -211,9 +212,9 @@ pub struct Evaluated {
     pub index: usize,
     /// The evaluated chromosome, returned unchanged.
     pub chrom: Chromosome,
-    /// Its fitness ([`Problem::fitness`]).
+    /// Its fitness, as [`Problem::evaluate_into`] returns it.
     pub fitness: f64,
-    /// Its makespan ([`Problem::makespan`]).
+    /// Its makespan, as [`Problem::evaluate_into`] returns it.
     pub makespan: f64,
     /// Per-processor completion times, when the problem exports them via
     /// [`Problem::evaluate_into`] (empty otherwise). The engine keeps them
@@ -327,11 +328,10 @@ mod tests {
 
     struct Balance;
     impl Problem for Balance {
-        fn fitness(&self, c: &Chromosome) -> f64 {
-            1.0 / (1.0 + self.makespan(c))
-        }
-        fn makespan(&self, c: &Chromosome) -> f64 {
-            c.queue_lengths().into_iter().max().unwrap_or(0) as f64
+        fn evaluate_into(&self, c: &Chromosome, completions: &mut Vec<f64>) -> (f64, f64) {
+            completions.clear();
+            let makespan = c.queue_lengths().into_iter().max().unwrap_or(0) as f64;
+            (1.0 / (1.0 + makespan), makespan)
         }
     }
 
@@ -363,8 +363,9 @@ mod tests {
         for (i, e) in out.iter().enumerate() {
             assert_eq!(e.index, i);
             assert_eq!(e.chrom, pop[i]);
-            assert_eq!(e.fitness, Balance.fitness(&pop[i]));
-            assert_eq!(e.makespan, Balance.makespan(&pop[i]));
+            let (fitness, makespan) = Balance.evaluate_into(&pop[i], &mut Vec::new());
+            assert_eq!(e.fitness, fitness);
+            assert_eq!(e.makespan, makespan);
         }
     }
 
@@ -418,11 +419,8 @@ mod tests {
     fn worker_panic_propagates_instead_of_hanging() {
         struct Explosive;
         impl Problem for Explosive {
-            fn fitness(&self, _c: &Chromosome) -> f64 {
+            fn evaluate_into(&self, _c: &Chromosome, _completions: &mut Vec<f64>) -> (f64, f64) {
                 panic!("boom")
-            }
-            fn makespan(&self, _c: &Chromosome) -> f64 {
-                0.0
             }
         }
         let pop = population(8);
@@ -435,11 +433,8 @@ mod tests {
     fn worker_panic_with_structured_payload_stays_diagnosable() {
         struct Structured;
         impl Problem for Structured {
-            fn fitness(&self, _c: &Chromosome) -> f64 {
+            fn evaluate_into(&self, _c: &Chromosome, _completions: &mut Vec<f64>) -> (f64, f64) {
                 std::panic::panic_any(42i32)
-            }
-            fn makespan(&self, _c: &Chromosome) -> f64 {
-                0.0
             }
         }
         let pop = population(8);

@@ -4,7 +4,8 @@
 //! The paper's GA (Fig. 1) repeats *crossover → random mutation → selection*
 //! over a population of schedule encodings until a stopping condition is
 //! met. This crate implements that machinery generically, over any
-//! [`Problem`] that supplies a fitness function; the PN scheduler
+//! [`Problem`] that evaluates a schedule's fitness and makespan
+//! ([`Problem::evaluate_into`]); the PN scheduler
 //! (`dts-core`) plugs in its own, and its ZO preset a second one. One
 //! engine evolves one population per batch:
 //!
@@ -15,7 +16,7 @@
 //!   tournament and rank selection for ablation studies.
 //! * [`crossover`] — cycle crossover (Oliver et al., as used in the paper),
 //!   plus order crossover and a one-point/repair variant for ablations.
-//! * [`mutation`] — random swap (the paper's choice) and insert mutation.
+//! * [`mutation`] — random swap (the paper's choice).
 //! * [`repair`] — deterministic topological gene repair for
 //!   precedence-constrained batches: the engine repairs every chromosome
 //!   it creates ([`Problem::repair`]), making feasibility an invariant of
@@ -68,12 +69,10 @@ pub mod mutation;
 pub mod repair;
 pub mod selection;
 
-pub use crossover::{
-    CrossoverOp, CycleCrossover, OnePointOrder, OrderCrossover, Parent, PartiallyMapped,
-};
+pub use crossover::{CrossoverOp, CycleCrossover, OnePointOrder, OrderCrossover, Parent};
 pub use encoding::{Chromosome, Gene};
 pub use engine::{GaConfig, GaEngine, GaResult, GaRun, GaStep, GenStats, Problem, StopReason};
 pub use evaluate::{BatchEval, Evaluated, Evaluator};
-pub use mutation::{GeneEdit, InsertMutation, InversionMutation, MutationOp, SwapMutation};
+pub use mutation::{GeneEdit, MutationOp, SwapMutation};
 pub use repair::{repair_topological, SlotPrecedence};
 pub use selection::{RankSelection, RouletteWheel, SelectionOp, Tournament};

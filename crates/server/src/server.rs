@@ -18,7 +18,7 @@
 //! (decision latency, time-budgeted planning, the channel API) live one
 //! layer up in [`crate::service`].
 
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use dts_core::{PlanBudget, Planner, PnConfig};
@@ -246,37 +246,72 @@ struct Pending {
     deps: Vec<u32>,
 }
 
-/// Takes the next batch off `pending`: the FCFS prefix of at most `cap`
-/// tasks, skipping tasks whose dependencies have not all been placed by an
-/// earlier plan call; skipped tasks keep their queue position.
-/// Dependency-free submissions make every task eligible, so this takes
-/// exactly the plain prefix. The queue is in id order and dependencies
-/// point backwards, so the head is always eligible and each call takes at
-/// least one task. For the same reason a dependency is unplaced exactly
-/// when this scan has already moved it to `drained` or `kept`, both
-/// id-sorted, and the scan can stop once the batch is full: the unscanned
-/// tail holds no dependency of a scanned task, and it stays where it is,
-/// so a call costs the scanned prefix, not the whole backlog.
-fn take_batch(pending: &mut VecDeque<Pending>, cap: usize) -> Vec<Pending> {
-    let mut drained: Vec<Pending> = Vec::with_capacity(cap.min(pending.len()));
-    let mut kept: Vec<Pending> = Vec::new();
-    while drained.len() < cap {
-        let Some(p) = pending.pop_front() else { break };
-        let unplaced = |d: &u32| {
-            drained.binary_search_by_key(d, |q| q.task.id.0).is_ok()
-                || kept.binary_search_by_key(d, |q| q.task.id.0).is_ok()
-        };
-        if p.deps.iter().any(unplaced) {
-            kept.push(p);
-        } else {
-            drained.push(p);
+/// Admitted-but-unplanned submissions, kept apart by eligibility so that
+/// taking a batch never rescans what is held back.
+///
+/// A submission is *ready* once every dependency it names has been placed
+/// by an earlier plan call. A held-back submission is parked on one of its
+/// unplaced dependencies and looked at again only when that dependency is
+/// placed: it is then parked on another unplaced dependency, or becomes
+/// ready. Dependencies point backwards, so the lowest pending id is always
+/// ready and every plan call makes progress. All three maps hold pending
+/// submissions only; nothing records which tasks were placed.
+#[derive(Default)]
+struct Backlog {
+    /// Ready submissions, in id order: the FCFS queue a batch is cut from.
+    ready: BTreeMap<u32, Pending>,
+    /// Held-back submissions, by id.
+    held: BTreeMap<u32, Pending>,
+    /// Held-back ids by the unplaced dependency each is parked on.
+    parked: BTreeMap<u32, Vec<u32>>,
+}
+
+impl Backlog {
+    fn len(&self) -> usize {
+        self.ready.len() + self.held.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.ready.is_empty() && self.held.is_empty()
+    }
+
+    /// Files `p` as ready, or parks it on its first unplaced dependency.
+    fn push(&mut self, p: Pending) {
+        let id = p.task.id.0;
+        let unplaced = |d: &u32| self.ready.contains_key(d) || self.held.contains_key(d);
+        match p.deps.iter().copied().find(unplaced) {
+            Some(d) => {
+                self.parked.entry(d).or_default().push(id);
+                self.held.insert(id, p);
+            }
+            None => {
+                self.ready.insert(id, p);
+            }
         }
     }
-    // Put the held-back tasks back in front of the unscanned tail.
-    while let Some(p) = kept.pop() {
-        pending.push_front(p);
+
+    /// Takes the next batch: the at most `cap` lowest-id ready
+    /// submissions — the FCFS prefix of the pending queue that skips every
+    /// submission with a dependency still pending, which keeps its queue
+    /// position. Then files again each submission parked on a task of the
+    /// batch, so it can join the next batch but not this one.
+    fn take_batch(&mut self, cap: usize) -> Vec<Pending> {
+        let mut batch = Vec::with_capacity(cap.min(self.ready.len()));
+        while batch.len() < cap {
+            let Some((_, p)) = self.ready.pop_first() else {
+                break;
+            };
+            batch.push(p);
+        }
+        for placed in &batch {
+            for id in self.parked.remove(&placed.task.id.0).unwrap_or_default() {
+                if let Some(p) = self.held.remove(&id) {
+                    self.push(p);
+                }
+            }
+        }
+        batch
     }
-    drained
 }
 
 /// The event-driven scheduler service core. See the module docs for the
@@ -284,8 +319,8 @@ fn take_batch(pending: &mut VecDeque<Pending>, cap: usize) -> Vec<Pending> {
 /// [`crate::replay`] drives it from recorded arrival traces.
 pub struct DtsServer {
     config: ServerConfig,
-    /// Admitted submissions awaiting planning, FCFS.
-    pending: VecDeque<Pending>,
+    /// Admitted submissions awaiting planning.
+    pending: Backlog,
     /// Pending count per tenant (the backpressure bound).
     pending_per_tenant: Vec<usize>,
     /// Next server-assigned task id.
@@ -322,7 +357,7 @@ impl DtsServer {
             })
             .collect();
         Self {
-            pending: VecDeque::new(),
+            pending: Backlog::default(),
             pending_per_tenant: vec![0; config.tenants],
             next_id: 0,
             views,
@@ -461,7 +496,7 @@ impl DtsServer {
             .ok_or(SubmitError::IdSpaceExhausted)?;
         let id = TaskId(self.next_id);
         self.next_id = next;
-        self.pending.push_back(Pending {
+        self.pending.push(Pending {
             tenant,
             task: Task::new(id, mflops, SimTime::new(arrival_s)),
             deps: deps.iter().map(|d| d.0).collect(),
@@ -485,7 +520,7 @@ impl DtsServer {
         if self.pending.is_empty() {
             return Vec::new();
         }
-        let drained = take_batch(&mut self.pending, self.config.batch_size);
+        let drained = self.pending.take_batch(self.config.batch_size);
         self.place(drained)
     }
 
@@ -548,6 +583,8 @@ impl DtsServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn quick_pn(max_gens: u32) -> PnConfig {
         let mut c = PnConfig::default();
@@ -576,6 +613,94 @@ mod tests {
             tenant_capacity: 8,
             batch_size: 6,
             budget: PlanBudget::Unlimited,
+        }
+    }
+
+    /// The batch-taking scan as it was before held-back submissions were
+    /// parked: the FCFS prefix of at most `cap` tasks, skipping tasks whose
+    /// dependencies have not all been placed by an earlier plan call;
+    /// skipped tasks keep their queue position. The queue is in id order
+    /// and dependencies point backwards, so a dependency is unplaced
+    /// exactly when this scan has already moved it to `drained` or `kept`,
+    /// and the scan can stop once the batch is full. It still rescans every
+    /// held-back task on every call.
+    fn take_batch_scan(pending: &mut VecDeque<Pending>, cap: usize) -> Vec<Pending> {
+        let mut drained: Vec<Pending> = Vec::with_capacity(cap.min(pending.len()));
+        let mut kept: Vec<Pending> = Vec::new();
+        while drained.len() < cap {
+            let Some(p) = pending.pop_front() else { break };
+            let unplaced = |d: &u32| {
+                drained.binary_search_by_key(d, |q| q.task.id.0).is_ok()
+                    || kept.binary_search_by_key(d, |q| q.task.id.0).is_ok()
+            };
+            if p.deps.iter().any(unplaced) {
+                kept.push(p);
+            } else {
+                drained.push(p);
+            }
+        }
+        // Put the held-back tasks back in front of the unscanned tail.
+        while let Some(p) = kept.pop() {
+            pending.push_front(p);
+        }
+        drained
+    }
+
+    /// The ids of a batch, for comparing two batch-taking kernels.
+    fn ids(batch: &[Pending]) -> Vec<u32> {
+        batch.iter().map(|p| p.task.id.0).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Parking held-back submissions on a dependency takes exactly the
+        /// batches the scan takes, over interleaved submissions and plan
+        /// calls. Each submission depends on nothing, on its predecessor
+        /// (a chain), on up to four random earlier ids (fan-in, reaching
+        /// tasks placed long ago too) or on one recent id.
+        #[test]
+        fn take_batch_matches_the_full_scan(
+            cap in 1usize..9,
+            ops in 1usize..300,
+            plan_every in 1u64..6,
+            seed in 0u64..u64::MAX,
+        ) {
+            use dts_distributions::{Prng, Rng};
+            let mut rng = Prng::seed_from(seed);
+            let mut backlog = Backlog::default();
+            let mut queue: VecDeque<Pending> = VecDeque::new();
+            let mut next = 0u32;
+            for _ in 0..ops {
+                if next > 0 && rng.below(plan_every as usize) == 0 {
+                    let want = take_batch_scan(&mut queue, cap);
+                    prop_assert_eq!(ids(&backlog.take_batch(cap)), ids(&want));
+                    prop_assert_eq!(backlog.len(), queue.len());
+                    continue;
+                }
+                let mut deps: Vec<u32> = match (next, rng.below(4)) {
+                    (0, _) | (_, 0) => Vec::new(),
+                    (_, 1) => vec![next - 1],
+                    (_, 2) => (0..1 + rng.below(4)).map(|_| rng.below(next as usize) as u32).collect(),
+                    _ => vec![next - 1 - rng.below(next.min(8) as usize) as u32],
+                };
+                deps.sort_unstable();
+                deps.dedup();
+                let p = Pending {
+                    tenant: TenantId(0),
+                    task: Task::new(TaskId(next), 1.0, SimTime::ZERO),
+                    deps,
+                };
+                queue.push_back(p.clone());
+                backlog.push(p);
+                next += 1;
+            }
+            while !queue.is_empty() {
+                let want = take_batch_scan(&mut queue, cap);
+                prop_assert_eq!(ids(&backlog.take_batch(cap)), ids(&want));
+            }
+            prop_assert!(backlog.is_empty());
+            prop_assert!(backlog.parked.is_empty(), "a parked entry outlived its dependency");
         }
     }
 
@@ -631,9 +756,14 @@ mod tests {
             }
         }
         let got = fast.drain();
+        let backlog = std::mem::take(&mut full.pending);
+        let mut queue: Vec<Pending> = backlog.ready.into_values().collect();
+        queue.extend(backlog.held.into_values());
+        queue.sort_by_key(|p| p.task.id.0);
+        let mut queue = VecDeque::from(queue);
         let mut want = Vec::new();
-        while !full.pending.is_empty() {
-            let drained = take_batch_full_scan(&mut full.pending, full.config.batch_size);
+        while !queue.is_empty() {
+            let drained = take_batch_full_scan(&mut queue, full.config.batch_size);
             want.extend(full.place(drained));
         }
         assert_eq!(got.len(), 20_000);
