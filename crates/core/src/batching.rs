@@ -61,11 +61,6 @@ impl BatchSizer {
             }
         }
     }
-
-    /// The smoothed idle-horizon signal Γ(s), if any.
-    pub fn signal(&self) -> Option<f64> {
-        self.smoother.value()
-    }
 }
 
 #[cfg(test)]

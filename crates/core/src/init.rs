@@ -13,7 +13,7 @@
 
 use dts_distributions::{Prng, Rng};
 use dts_ga::Chromosome;
-use dts_model::Task;
+use dts_model::{earliest_finish, Task};
 
 use crate::fitness::ProcessorState;
 
@@ -46,29 +46,16 @@ pub fn list_scheduled_individual(
         let j = if k < n_random {
             rng.below(m)
         } else {
-            earliest_finish_proc(&completion, t, procs)
+            // argminⱼ (completionⱼ + t/Pⱼ + commⱼ), lowest index on ties.
+            earliest_finish(0..m, |j| {
+                completion[j] + t.mflops / procs[j].rate + procs[j].comm_cost
+            })
         };
         completion[j] += t.mflops / procs[j].rate + procs[j].comm_cost;
         queues[j].push(slot);
     }
 
     Chromosome::from_queues(&queues)
-}
-
-/// The §3.3 greedy placement step of [`list_scheduled_individual`]:
-/// index of the processor that would finish `t` earliest —
-/// argminⱼ (completionⱼ + t/Pⱼ + commⱼ), lowest index on ties.
-fn earliest_finish_proc(completion: &[f64], t: &Task, procs: &[ProcessorState]) -> usize {
-    let mut best = 0usize;
-    let mut best_finish = f64::INFINITY;
-    for (j, p) in procs.iter().enumerate() {
-        let finish = completion[j] + t.mflops / p.rate + p.comm_cost;
-        if finish < best_finish {
-            best_finish = finish;
-            best = j;
-        }
-    }
-    best
 }
 
 /// Generates a whole initial population. Each individual draws its own

@@ -1,7 +1,7 @@
 //! Domain model for heterogeneous distributed task scheduling.
 //!
 //! This crate defines the vocabulary shared by the PN scheduler
-//! (`dts-core`), the six baseline schedulers (`dts-schedulers`), and the
+//! (`dts-core`), the eight baseline schedulers (`dts-schedulers`), and the
 //! discrete-event simulator (`dts-sim`):
 //!
 //! * [`time::SimTime`] — simulated seconds with a total order usable in an
@@ -22,9 +22,10 @@
 //! * [`workload`] — task-set generators for the uniform / normal / Poisson
 //!   workloads of §4.3–§4.5 plus dynamic arrival processes.
 //! * [`smoothing`] — the exponential smoothing function Γ of §3.6.
-//! * [`sched`] — the [`sched::Scheduler`] trait implemented by all seven
-//!   schedulers and consumed by the simulator, together with the
-//!   [`sched::TaskQueues`] bookkeeping helper.
+//! * [`sched`] — the [`sched::Scheduler`] trait implemented by every
+//!   scheduler and consumed by the simulator, together with the
+//!   [`sched::TaskQueues`] bookkeeping helper and the
+//!   [`sched::earliest_finish`] step the list-scheduling heuristics share.
 //!
 //! Everything stochastic in this crate is built from an explicit 64-bit
 //! seed — the root of the workspace's determinism contract (same seed ⇒
@@ -61,7 +62,7 @@ pub use cluster::{Cluster, ClusterSpec};
 pub use graph::{DagFamily, GraphError, TaskGraph};
 pub use link::{CommCostSpec, Link};
 pub use processor::{AvailabilityModel, AvailabilityState, Processor, ProcessorId};
-pub use sched::{PlanOutcome, Scheduler, SchedulerMode, SystemView, TaskQueues};
+pub use sched::{earliest_finish, PlanOutcome, Scheduler, SchedulerMode, SystemView, TaskQueues};
 pub use smoothing::Smoother;
 pub use task::{Task, TaskId};
 pub use time::SimTime;

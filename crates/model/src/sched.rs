@@ -1,4 +1,4 @@
-//! The scheduler interface shared by all seven schedulers.
+//! The scheduler interface shared by every scheduler.
 //!
 //! §3 of the paper fixes the operational protocol:
 //!
@@ -15,7 +15,8 @@
 //! [`Scheduler`] captures exactly this protocol; the simulator drives it and
 //! charges the returned [`PlanOutcome::compute_seconds`] against the
 //! dedicated scheduler host. [`TaskQueues`] implements the per-processor
-//! queue bookkeeping every scheduler needs.
+//! queue bookkeeping every scheduler needs, and [`earliest_finish`] the
+//! "processor that will finish it earliest" step most of them share.
 
 use std::collections::VecDeque;
 
@@ -108,7 +109,9 @@ impl SystemView {
 ///
 /// Implementations keep two kinds of internal state: the FCFS unscheduled
 /// queue and the per-processor queues ([`TaskQueues`] does the latter).
-/// The simulator calls the methods in this order:
+/// Two types hold that state: `dts_schedulers::Queued`, which every
+/// heuristic baseline is, and `dts_core::Planner`, through which PN and ZO
+/// commit. The simulator calls the methods in this order:
 ///
 /// 1. [`enqueue`](Scheduler::enqueue) when tasks arrive,
 /// 2. [`plan`](Scheduler::plan) whenever the scheduler host is free and
@@ -229,17 +232,41 @@ impl TaskQueues {
             .enumerate()
             .map(|(i, q)| (ProcessorId(i as u16), q))
     }
+}
 
-    /// Removes every queued task and returns them in FCFS-per-processor
-    /// order. Used by batch schedulers that re-plan whole queues.
-    pub fn drain_all(&mut self) -> Vec<Task> {
-        let mut out = Vec::with_capacity(self.total_len());
-        for q in &mut self.queues {
-            out.extend(q.drain(..));
-        }
-        self.mflops.iter_mut().for_each(|m| *m = 0.0);
-        out
+/// The earliest-finish step: of `candidates`, the one whose `finish` is
+/// smallest — "the processor that will finish it earliest", shared by the
+/// §3.3 initialiser and the EF, MM/MX, LL, OLB and KPB baselines. Each
+/// caller supplies its own finish estimate.
+///
+/// Ties go to the earlier candidate (strict `<`). A NaN or +∞ finish never
+/// wins, and when no finish is below +∞ the first candidate is returned.
+///
+/// # Panics
+///
+/// If `candidates` is empty.
+#[inline]
+pub fn earliest_finish(
+    candidates: impl IntoIterator<Item = usize>,
+    mut finish: impl FnMut(usize) -> f64,
+) -> usize {
+    let mut candidates = candidates.into_iter();
+    let mut best = candidates
+        .next()
+        .expect("earliest_finish needs a candidate");
+    let mut best_finish = f64::INFINITY;
+    let first = finish(best);
+    if first < best_finish {
+        best_finish = first;
     }
+    for j in candidates {
+        let f = finish(j);
+        if f < best_finish {
+            best_finish = f;
+            best = j;
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -272,7 +299,7 @@ mod tests {
         let mut q = TaskQueues::new(1);
         q.push(ProcessorId(0), task(1, 0.1));
         q.push(ProcessorId(0), task(2, 0.2));
-        let drained = q.drain_all();
+        let drained: Vec<Task> = std::iter::from_fn(|| q.pop(ProcessorId(0))).collect();
         assert_eq!(drained.len(), 2);
         assert_eq!(q.total_len(), 0);
         assert_eq!(q.queued_mflops(ProcessorId(0)), 0.0);
@@ -290,6 +317,57 @@ mod tests {
                 (ProcessorId(1), 0),
                 (ProcessorId(2), 1)
             ]
+        );
+    }
+
+    /// The hand-written argmin loop `earliest_finish` must reproduce:
+    /// `best` seeded with the first candidate, `best_finish` with +∞,
+    /// strict `<`.
+    fn reference_loop(candidates: &[usize], finish: &[f64]) -> usize {
+        let mut best = candidates[0];
+        let mut best_finish = f64::INFINITY;
+        for &j in candidates {
+            if finish[j] < best_finish {
+                best_finish = finish[j];
+                best = j;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn earliest_finish_matches_the_reference_loop() {
+        // Every finish vector of length 4 over {1, 2, +∞, NaN}, under
+        // candidate lists that start at 0, start elsewhere, run backwards
+        // or hold one processor.
+        let values = [1.0, 2.0, f64::INFINITY, f64::NAN];
+        let lists: [&[usize]; 5] = [&[0, 1, 2, 3], &[2, 3], &[3, 1, 0], &[1, 3, 2], &[2]];
+        for code in 0..values.len().pow(4) {
+            let finish: Vec<f64> = (0..4)
+                .map(|k| values[code / values.len().pow(k) % values.len()])
+                .collect();
+            for candidates in lists {
+                assert_eq!(
+                    earliest_finish(candidates.iter().copied(), |j| finish[j]),
+                    reference_loop(candidates, &finish),
+                    "candidates {candidates:?}, finish {finish:?}"
+                );
+            }
+        }
+        let inf = f64::INFINITY;
+        let pick = |c: &[usize], f: &[f64]| earliest_finish(c.iter().copied(), |j| f[j]);
+        assert_eq!(
+            pick(&[0, 1, 2], &[3.0, 1.0, 1.0]),
+            1,
+            "exact tie: earlier wins"
+        );
+        assert_eq!(pick(&[0, 1, 2], &[inf, inf, inf]), 0, "all +inf: first");
+        assert_eq!(pick(&[0, 1], &[f64::NAN, 5.0]), 1, "NaN first never wins");
+        assert_eq!(pick(&[2, 1], &[0.0, 7.0, inf]), 1, "list not starting at 0");
+        assert_eq!(
+            pick(&[3, 1], &[0.0, inf, 0.0, inf]),
+            3,
+            "no finite finish: first"
         );
     }
 

@@ -7,97 +7,19 @@
 
 use std::collections::VecDeque;
 
-use dts_model::{PlanOutcome, ProcessorId, Scheduler, SchedulerMode, SystemView, Task, TaskQueues};
+use dts_model::{
+    earliest_finish, PlanOutcome, ProcessorId, SchedulerMode, SystemView, Task, TaskQueues,
+};
 
 use crate::cost::{immediate_scan_cost, round_robin_cost};
-
-/// Shared queue state of the immediate-mode schedulers.
-struct ImmediateBase {
-    unscheduled: VecDeque<Task>,
-    queues: TaskQueues,
-}
-
-impl ImmediateBase {
-    fn new(n_procs: usize) -> Self {
-        assert!(n_procs > 0, "need at least one processor");
-        Self {
-            unscheduled: VecDeque::new(),
-            queues: TaskQueues::new(n_procs),
-        }
-    }
-
-    /// Load visible for processor `p`: queued at the scheduler plus
-    /// in-flight, in MFLOPs.
-    fn load(&self, view: &SystemView, p: usize) -> f64 {
-        self.queues.queued_mflops(ProcessorId(p as u16)) + view.processors[p].inflight_mflops
-    }
-}
+use crate::queued::{MappingRule, Queued};
 
 /// EF — earliest finish.
 ///
 /// "When a task is presented for processing, the scheduler considers the
 /// existing load on each processor and allocates the task to the processor
 /// which will finish processing it the earliest."
-pub struct EarliestFinish {
-    base: ImmediateBase,
-}
-
-impl EarliestFinish {
-    /// Creates an EF scheduler for `n_procs` processors.
-    pub fn new(n_procs: usize) -> Self {
-        Self {
-            base: ImmediateBase::new(n_procs),
-        }
-    }
-}
-
-impl Scheduler for EarliestFinish {
-    fn name(&self) -> &'static str {
-        "EF"
-    }
-    fn mode(&self) -> SchedulerMode {
-        SchedulerMode::Immediate
-    }
-    fn enqueue(&mut self, tasks: &[Task]) {
-        self.base.unscheduled.extend(tasks.iter().copied());
-    }
-    fn unscheduled_len(&self) -> usize {
-        self.base.unscheduled.len()
-    }
-
-    fn plan(&mut self, view: &SystemView) -> PlanOutcome {
-        let m = view.processors.len();
-        let n = self.base.unscheduled.len();
-        while let Some(task) = self.base.unscheduled.pop_front() {
-            let mut best = 0usize;
-            let mut best_finish = f64::INFINITY;
-            for (j, p) in view.processors.iter().enumerate() {
-                let rate = p.rate_estimate.max(1e-9);
-                let finish = (self.base.load(view, j) + task.mflops) / rate;
-                if finish < best_finish {
-                    best_finish = finish;
-                    best = j;
-                }
-            }
-            self.base.queues.push(ProcessorId(best as u16), task);
-        }
-        PlanOutcome {
-            tasks_assigned: n,
-            compute_seconds: immediate_scan_cost(n, m),
-            generations: 0,
-        }
-    }
-
-    fn next_task_for(&mut self, p: ProcessorId) -> Option<Task> {
-        self.base.queues.pop(p)
-    }
-    fn queued_len(&self, p: ProcessorId) -> usize {
-        self.base.queues.queued_len(p)
-    }
-    fn queued_mflops(&self, p: ProcessorId) -> f64 {
-        self.base.queues.queued_mflops(p)
-    }
-}
+pub type EarliestFinish = Queued<Ef>;
 
 /// LL — lightest loaded.
 ///
@@ -105,47 +27,38 @@ impl Scheduler for EarliestFinish {
 /// in our case as MFLOPs. It does not consider the size of a task when
 /// scheduling it" — nor the processors' speeds, which is what separates it
 /// from EF on heterogeneous clusters.
-pub struct LightestLoaded {
-    base: ImmediateBase,
-}
+pub type LightestLoaded = Queued<Ll>;
 
-impl LightestLoaded {
-    /// Creates an LL scheduler for `n_procs` processors.
-    pub fn new(n_procs: usize) -> Self {
-        Self {
-            base: ImmediateBase::new(n_procs),
-        }
-    }
-}
+/// RR — round robin.
+///
+/// "Tasks are assigned to processors in a round robin fashion. No load or
+/// task information is used when making a scheduling decision."
+pub type RoundRobin = Queued<Rr>;
 
-impl Scheduler for LightestLoaded {
-    fn name(&self) -> &'static str {
-        "LL"
-    }
-    fn mode(&self) -> SchedulerMode {
-        SchedulerMode::Immediate
-    }
-    fn enqueue(&mut self, tasks: &[Task]) {
-        self.base.unscheduled.extend(tasks.iter().copied());
-    }
-    fn unscheduled_len(&self) -> usize {
-        self.base.unscheduled.len()
-    }
+/// EF's mapping rule: each task to argminⱼ (queuedⱼ + in-flightⱼ + t)/Pⱼ.
+#[derive(Default)]
+pub struct Ef;
 
-    fn plan(&mut self, view: &SystemView) -> PlanOutcome {
+impl MappingRule for Ef {
+    const NAME: &'static str = "EF";
+    const MODE: SchedulerMode = SchedulerMode::Immediate;
+
+    fn map(
+        &mut self,
+        unscheduled: &mut VecDeque<Task>,
+        queues: &mut TaskQueues,
+        view: &SystemView,
+    ) -> PlanOutcome {
         let m = view.processors.len();
-        let n = self.base.unscheduled.len();
-        while let Some(task) = self.base.unscheduled.pop_front() {
-            let mut best = 0usize;
-            let mut best_load = f64::INFINITY;
-            for j in 0..m {
-                let load = self.base.load(view, j);
-                if load < best_load {
-                    best_load = load;
-                    best = j;
-                }
-            }
-            self.base.queues.push(ProcessorId(best as u16), task);
+        let n = unscheduled.len();
+        while let Some(task) = unscheduled.pop_front() {
+            let best = earliest_finish(0..m, |j| {
+                let p = &view.processors[j];
+                let rate = p.rate_estimate.max(1e-9);
+                (queues.queued_mflops(ProcessorId(j as u16)) + p.inflight_mflops + task.mflops)
+                    / rate
+            });
+            queues.push(ProcessorId(best as u16), task);
         }
         PlanOutcome {
             tasks_assigned: n,
@@ -153,56 +66,59 @@ impl Scheduler for LightestLoaded {
             generations: 0,
         }
     }
-
-    fn next_task_for(&mut self, p: ProcessorId) -> Option<Task> {
-        self.base.queues.pop(p)
-    }
-    fn queued_len(&self, p: ProcessorId) -> usize {
-        self.base.queues.queued_len(p)
-    }
-    fn queued_mflops(&self, p: ProcessorId) -> f64 {
-        self.base.queues.queued_mflops(p)
-    }
 }
 
-/// RR — round robin.
-///
-/// "Tasks are assigned to processors in a round robin fashion. No load or
-/// task information is used when making a scheduling decision."
-pub struct RoundRobin {
-    base: ImmediateBase,
-    next: usize,
-}
+/// LL's mapping rule: each task to argminⱼ (queuedⱼ + in-flightⱼ).
+#[derive(Default)]
+pub struct Ll;
 
-impl RoundRobin {
-    /// Creates an RR scheduler for `n_procs` processors.
-    pub fn new(n_procs: usize) -> Self {
-        Self {
-            base: ImmediateBase::new(n_procs),
-            next: 0,
+impl MappingRule for Ll {
+    const NAME: &'static str = "LL";
+    const MODE: SchedulerMode = SchedulerMode::Immediate;
+
+    fn map(
+        &mut self,
+        unscheduled: &mut VecDeque<Task>,
+        queues: &mut TaskQueues,
+        view: &SystemView,
+    ) -> PlanOutcome {
+        let m = view.processors.len();
+        let n = unscheduled.len();
+        while let Some(task) = unscheduled.pop_front() {
+            let best = earliest_finish(0..m, |j| {
+                queues.queued_mflops(ProcessorId(j as u16)) + view.processors[j].inflight_mflops
+            });
+            queues.push(ProcessorId(best as u16), task);
+        }
+        PlanOutcome {
+            tasks_assigned: n,
+            compute_seconds: immediate_scan_cost(n, m),
+            generations: 0,
         }
     }
 }
 
-impl Scheduler for RoundRobin {
-    fn name(&self) -> &'static str {
-        "RR"
-    }
-    fn mode(&self) -> SchedulerMode {
-        SchedulerMode::Immediate
-    }
-    fn enqueue(&mut self, tasks: &[Task]) {
-        self.base.unscheduled.extend(tasks.iter().copied());
-    }
-    fn unscheduled_len(&self) -> usize {
-        self.base.unscheduled.len()
-    }
+/// RR's mapping rule: each task to the processor after the last one used,
+/// cycling across plan calls.
+#[derive(Default)]
+pub struct Rr {
+    next: usize,
+}
 
-    fn plan(&mut self, view: &SystemView) -> PlanOutcome {
+impl MappingRule for Rr {
+    const NAME: &'static str = "RR";
+    const MODE: SchedulerMode = SchedulerMode::Immediate;
+
+    fn map(
+        &mut self,
+        unscheduled: &mut VecDeque<Task>,
+        queues: &mut TaskQueues,
+        view: &SystemView,
+    ) -> PlanOutcome {
         let m = view.processors.len();
-        let n = self.base.unscheduled.len();
-        while let Some(task) = self.base.unscheduled.pop_front() {
-            self.base.queues.push(ProcessorId(self.next as u16), task);
+        let n = unscheduled.len();
+        while let Some(task) = unscheduled.pop_front() {
+            queues.push(ProcessorId(self.next as u16), task);
             self.next = (self.next + 1) % m;
         }
         PlanOutcome {
@@ -211,22 +127,13 @@ impl Scheduler for RoundRobin {
             generations: 0,
         }
     }
-
-    fn next_task_for(&mut self, p: ProcessorId) -> Option<Task> {
-        self.base.queues.pop(p)
-    }
-    fn queued_len(&self, p: ProcessorId) -> usize {
-        self.base.queues.queued_len(p)
-    }
-    fn queued_mflops(&self, p: ProcessorId) -> f64 {
-        self.base.queues.queued_mflops(p)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dts_model::sched::ProcessorView;
+    use dts_model::Scheduler;
     use dts_model::{SimTime, TaskId};
 
     fn tasks(sizes: &[f64]) -> Vec<Task> {

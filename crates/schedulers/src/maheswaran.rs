@@ -21,9 +21,12 @@
 
 use std::collections::VecDeque;
 
-use dts_model::{PlanOutcome, ProcessorId, Scheduler, SchedulerMode, SystemView, Task, TaskQueues};
+use dts_model::{
+    earliest_finish, PlanOutcome, ProcessorId, SchedulerMode, SystemView, Task, TaskQueues,
+};
 
 use crate::cost::{immediate_scan_cost, sorted_batch_cost};
+use crate::queued::{MappingRule, Queued};
 
 /// OLB — opportunistic load balancing (Maheswaran et al. §3.1).
 ///
@@ -31,70 +34,7 @@ use crate::cost::{immediate_scan_cost, sorted_batch_cost};
 /// (current load drained at the estimated rate), without considering the
 /// task's own cost on that machine. Simple, and notoriously mediocre on
 /// heterogeneous clusters — included as the classic lower-end reference.
-pub struct Olb {
-    unscheduled: VecDeque<Task>,
-    queues: TaskQueues,
-}
-
-impl Olb {
-    /// Creates an OLB scheduler for `n_procs` processors.
-    pub fn new(n_procs: usize) -> Self {
-        assert!(n_procs > 0);
-        Self {
-            unscheduled: VecDeque::new(),
-            queues: TaskQueues::new(n_procs),
-        }
-    }
-}
-
-impl Scheduler for Olb {
-    fn name(&self) -> &'static str {
-        "OLB"
-    }
-    fn mode(&self) -> SchedulerMode {
-        SchedulerMode::Immediate
-    }
-    fn enqueue(&mut self, tasks: &[Task]) {
-        self.unscheduled.extend(tasks.iter().copied());
-    }
-    fn unscheduled_len(&self) -> usize {
-        self.unscheduled.len()
-    }
-
-    fn plan(&mut self, view: &SystemView) -> PlanOutcome {
-        let m = view.processors.len();
-        let n = self.unscheduled.len();
-        while let Some(task) = self.unscheduled.pop_front() {
-            let mut best = 0usize;
-            let mut best_ready = f64::INFINITY;
-            for (j, p) in view.processors.iter().enumerate() {
-                let rate = p.rate_estimate.max(1e-9);
-                let ready =
-                    (self.queues.queued_mflops(ProcessorId(j as u16)) + p.inflight_mflops) / rate;
-                if ready < best_ready {
-                    best_ready = ready;
-                    best = j;
-                }
-            }
-            self.queues.push(ProcessorId(best as u16), task);
-        }
-        PlanOutcome {
-            tasks_assigned: n,
-            compute_seconds: immediate_scan_cost(n, m),
-            generations: 0,
-        }
-    }
-
-    fn next_task_for(&mut self, p: ProcessorId) -> Option<Task> {
-        self.queues.pop(p)
-    }
-    fn queued_len(&self, p: ProcessorId) -> usize {
-        self.queues.queued_len(p)
-    }
-    fn queued_mflops(&self, p: ProcessorId) -> f64 {
-        self.queues.queued_mflops(p)
-    }
-}
+pub type Olb = Queued<EarliestReady>;
 
 /// KPB — k-percent best (Maheswaran et al. §3.1).
 ///
@@ -102,9 +42,52 @@ impl Scheduler for Olb {
 /// machines (by estimated rate), then assign earliest-finish among them.
 /// Keeps fast machines from being clogged by work that slow machines could
 /// absorb, at the risk of starving the slow ones.
-pub struct KPercentBest {
-    unscheduled: VecDeque<Task>,
-    queues: TaskQueues,
+pub type KPercentBest = Queued<Kpb>;
+
+/// Sufferage (Maheswaran et al. §3.2): batch-mode mapping driven by how
+/// much a task loses if it cannot have its best machine.
+///
+/// Per round: for every unassigned task compute its best and second-best
+/// completion times over the machines; assign the task with the largest
+/// *sufferage* (second-best − best) to its best machine; update that
+/// machine's load; repeat. Complexity Θ(n²·M) per batch — the most
+/// expensive heuristic here, and usually the strongest.
+pub type Sufferage = Queued<Suf>;
+
+/// OLB's mapping rule: each task to argminⱼ (queuedⱼ + in-flightⱼ)/Pⱼ.
+#[derive(Default)]
+pub struct EarliestReady;
+
+impl MappingRule for EarliestReady {
+    const NAME: &'static str = "OLB";
+    const MODE: SchedulerMode = SchedulerMode::Immediate;
+
+    fn map(
+        &mut self,
+        unscheduled: &mut VecDeque<Task>,
+        queues: &mut TaskQueues,
+        view: &SystemView,
+    ) -> PlanOutcome {
+        let m = view.processors.len();
+        let n = unscheduled.len();
+        while let Some(task) = unscheduled.pop_front() {
+            let best = earliest_finish(0..m, |j| {
+                let p = &view.processors[j];
+                let rate = p.rate_estimate.max(1e-9);
+                (queues.queued_mflops(ProcessorId(j as u16)) + p.inflight_mflops) / rate
+            });
+            queues.push(ProcessorId(best as u16), task);
+        }
+        PlanOutcome {
+            tasks_assigned: n,
+            compute_seconds: immediate_scan_cost(n, m),
+            generations: 0,
+        }
+    }
+}
+
+/// KPB's mapping rule: EF restricted to the best `k` fraction of machines.
+pub struct Kpb {
     k: f64,
 }
 
@@ -112,33 +95,23 @@ impl KPercentBest {
     /// Creates a KPB scheduler considering the best `k ∈ (0, 1]` fraction
     /// of machines per task (Maheswaran et al. found k ≈ 0.2 effective).
     pub fn new(n_procs: usize, k: f64) -> Self {
-        assert!(n_procs > 0);
         assert!(k > 0.0 && k <= 1.0, "k must be in (0, 1]");
-        Self {
-            unscheduled: VecDeque::new(),
-            queues: TaskQueues::new(n_procs),
-            k,
-        }
+        Self::with_rule(n_procs, Kpb { k })
     }
 }
 
-impl Scheduler for KPercentBest {
-    fn name(&self) -> &'static str {
-        "KPB"
-    }
-    fn mode(&self) -> SchedulerMode {
-        SchedulerMode::Immediate
-    }
-    fn enqueue(&mut self, tasks: &[Task]) {
-        self.unscheduled.extend(tasks.iter().copied());
-    }
-    fn unscheduled_len(&self) -> usize {
-        self.unscheduled.len()
-    }
+impl MappingRule for Kpb {
+    const NAME: &'static str = "KPB";
+    const MODE: SchedulerMode = SchedulerMode::Immediate;
 
-    fn plan(&mut self, view: &SystemView) -> PlanOutcome {
+    fn map(
+        &mut self,
+        unscheduled: &mut VecDeque<Task>,
+        queues: &mut TaskQueues,
+        view: &SystemView,
+    ) -> PlanOutcome {
         let m = view.processors.len();
-        let n = self.unscheduled.len();
+        let n = unscheduled.len();
         // Candidate set: the ⌈k·M⌉ fastest machines by estimated rate.
         let keep = ((self.k * m as f64).ceil() as usize).clamp(1, m);
         let mut by_rate: Vec<usize> = (0..m).collect();
@@ -150,22 +123,14 @@ impl Scheduler for KPercentBest {
         });
         let candidates = &by_rate[..keep];
 
-        while let Some(task) = self.unscheduled.pop_front() {
-            let mut best = candidates[0];
-            let mut best_finish = f64::INFINITY;
-            for &j in candidates {
+        while let Some(task) = unscheduled.pop_front() {
+            let best = earliest_finish(candidates.iter().copied(), |j| {
                 let p = &view.processors[j];
                 let rate = p.rate_estimate.max(1e-9);
-                let finish = (self.queues.queued_mflops(ProcessorId(j as u16))
-                    + p.inflight_mflops
-                    + task.mflops)
-                    / rate;
-                if finish < best_finish {
-                    best_finish = finish;
-                    best = j;
-                }
-            }
-            self.queues.push(ProcessorId(best as u16), task);
+                (queues.queued_mflops(ProcessorId(j as u16)) + p.inflight_mflops + task.mflops)
+                    / rate
+            });
+            queues.push(ProcessorId(best as u16), task);
         }
         PlanOutcome {
             tasks_assigned: n,
@@ -173,79 +138,47 @@ impl Scheduler for KPercentBest {
             generations: 0,
         }
     }
-
-    fn next_task_for(&mut self, p: ProcessorId) -> Option<Task> {
-        self.queues.pop(p)
-    }
-    fn queued_len(&self, p: ProcessorId) -> usize {
-        self.queues.queued_len(p)
-    }
-    fn queued_mflops(&self, p: ProcessorId) -> f64 {
-        self.queues.queued_mflops(p)
-    }
 }
 
-/// Sufferage (Maheswaran et al. §3.2): batch-mode mapping driven by how
-/// much a task loses if it cannot have its best machine.
-///
-/// Per round: for every unassigned task compute its best and second-best
-/// completion times over the machines; assign the task with the largest
-/// *sufferage* (second-best − best) to its best machine; update that
-/// machine's load; repeat. Complexity Θ(n²·M) per batch — the most
-/// expensive heuristic here, and usually the strongest.
-pub struct SufferageSched {
-    unscheduled: VecDeque<Task>,
-    queues: TaskQueues,
+/// Sufferage's mapping rule.
+pub struct Suf {
     batch_size: usize,
 }
 
-/// Public alias matching the literature's name.
-pub use SufferageSched as Sufferage;
-
-impl SufferageSched {
-    /// Creates a Sufferage scheduler with the paper-family default batch
-    /// size of 200.
-    pub fn new(n_procs: usize) -> Self {
-        Self::with_batch_size(n_procs, 200)
-    }
-
-    /// Creates a Sufferage scheduler with an explicit batch size.
-    pub fn with_batch_size(n_procs: usize, batch_size: usize) -> Self {
-        assert!(n_procs > 0);
-        assert!(batch_size > 0);
-        Self {
-            unscheduled: VecDeque::new(),
-            queues: TaskQueues::new(n_procs),
-            batch_size,
-        }
+impl Default for Suf {
+    fn default() -> Self {
+        Self { batch_size: 200 }
     }
 }
 
-impl Scheduler for SufferageSched {
-    fn name(&self) -> &'static str {
-        "SUF"
+impl Sufferage {
+    /// Creates a Sufferage scheduler with an explicit batch size (`new`
+    /// takes the paper-family default of 200).
+    pub fn with_batch_size(n_procs: usize, batch_size: usize) -> Self {
+        assert!(batch_size > 0);
+        Self::with_rule(n_procs, Suf { batch_size })
     }
-    fn mode(&self) -> SchedulerMode {
-        SchedulerMode::Batch
-    }
-    fn enqueue(&mut self, tasks: &[Task]) {
-        self.unscheduled.extend(tasks.iter().copied());
-    }
-    fn unscheduled_len(&self) -> usize {
-        self.unscheduled.len()
-    }
+}
 
-    fn plan(&mut self, view: &SystemView) -> PlanOutcome {
+impl MappingRule for Suf {
+    const NAME: &'static str = "SUF";
+    const MODE: SchedulerMode = SchedulerMode::Batch;
+
+    fn map(
+        &mut self,
+        unscheduled: &mut VecDeque<Task>,
+        queues: &mut TaskQueues,
+        view: &SystemView,
+    ) -> PlanOutcome {
         let m = view.processors.len();
-        let take = self.batch_size.min(self.unscheduled.len());
+        let take = self.batch_size.min(unscheduled.len());
         if take == 0 {
             return PlanOutcome::IDLE;
         }
-        let mut pending: Vec<Task> = self.unscheduled.drain(..take).collect();
+        let mut pending: Vec<Task> = unscheduled.drain(..take).collect();
         let mut load: Vec<f64> = (0..m)
             .map(|j| {
-                self.queues.queued_mflops(ProcessorId(j as u16))
-                    + view.processors[j].inflight_mflops
+                queues.queued_mflops(ProcessorId(j as u16)) + view.processors[j].inflight_mflops
             })
             .collect();
 
@@ -282,7 +215,7 @@ impl Scheduler for SufferageSched {
             }
             let task = pending.swap_remove(pick);
             load[pick_best_proc] += task.mflops;
-            self.queues.push(ProcessorId(pick_best_proc as u16), task);
+            queues.push(ProcessorId(pick_best_proc as u16), task);
         }
 
         PlanOutcome {
@@ -292,22 +225,13 @@ impl Scheduler for SufferageSched {
             generations: 0,
         }
     }
-
-    fn next_task_for(&mut self, p: ProcessorId) -> Option<Task> {
-        self.queues.pop(p)
-    }
-    fn queued_len(&self, p: ProcessorId) -> usize {
-        self.queues.queued_len(p)
-    }
-    fn queued_mflops(&self, p: ProcessorId) -> f64 {
-        self.queues.queued_mflops(p)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dts_model::sched::ProcessorView;
+    use dts_model::Scheduler;
     use dts_model::{SimTime, TaskId};
 
     fn tasks(sizes: &[f64]) -> Vec<Task> {
@@ -386,7 +310,7 @@ mod tests {
         // P0: 100 Mflop/s, P1: 10 Mflop/s.
         // T0 (1000): best 10 s on P0, second 100 s → sufferage 90.
         // T1 (100):  best  1 s on P0, second  10 s → sufferage 9.
-        let mut s = SufferageSched::with_batch_size(2, 2);
+        let mut s = Sufferage::with_batch_size(2, 2);
         s.enqueue(&tasks(&[1000.0, 100.0]));
         s.plan(&view(&[100.0, 10.0]));
         // T0 grabs P0 first; then T1's best is re-evaluated with P0 loaded:
@@ -399,7 +323,7 @@ mod tests {
 
     #[test]
     fn sufferage_conserves_tasks() {
-        let mut s = SufferageSched::with_batch_size(3, 16);
+        let mut s = Sufferage::with_batch_size(3, 16);
         s.enqueue(&tasks(&[50.0; 40]));
         let v = view(&[100.0, 50.0, 25.0]);
         while s.unscheduled_len() > 0 {
@@ -411,7 +335,7 @@ mod tests {
 
     #[test]
     fn sufferage_single_machine_degenerates() {
-        let mut s = SufferageSched::with_batch_size(1, 8);
+        let mut s = Sufferage::with_batch_size(1, 8);
         s.enqueue(&tasks(&[10.0, 20.0, 30.0]));
         s.plan(&view(&[100.0]));
         assert_eq!(s.queued_len(ProcessorId(0)), 3);
@@ -421,8 +345,8 @@ mod tests {
     fn modes_and_names() {
         assert_eq!(Olb::new(1).name(), "OLB");
         assert_eq!(KPercentBest::new(1, 0.5).name(), "KPB");
-        assert_eq!(SufferageSched::new(1).name(), "SUF");
-        assert_eq!(SufferageSched::new(1).mode(), SchedulerMode::Batch);
+        assert_eq!(Sufferage::new(1).name(), "SUF");
+        assert_eq!(Sufferage::new(1).mode(), SchedulerMode::Batch);
         assert_eq!(Olb::new(1).mode(), SchedulerMode::Immediate);
     }
 }

@@ -10,75 +10,76 @@
 
 use std::collections::VecDeque;
 
-use dts_model::{PlanOutcome, ProcessorId, Scheduler, SchedulerMode, SystemView, Task, TaskQueues};
+use dts_model::{
+    earliest_finish, PlanOutcome, ProcessorId, SchedulerMode, SystemView, Task, TaskQueues,
+};
 
 use crate::cost::sorted_batch_cost;
+use crate::queued::{MappingRule, Queued};
 
-/// Sort direction distinguishing MM from MX.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Order {
-    /// Ascending by size — min-min.
-    Ascending,
-    /// Descending by size — max-min.
-    Descending,
-}
+/// MX — max-min: largest tasks first, each to its earliest-finish
+/// processor.
+pub type MaxMin = Queued<SortedBatch<true>>;
 
-/// Shared implementation of the two sorted-batch heuristics.
-struct SortedBatch {
-    unscheduled: VecDeque<Task>,
-    queues: TaskQueues,
+/// MM — min-min: smallest tasks first, each to its earliest-finish
+/// processor.
+pub type MinMin = Queued<SortedBatch<false>>;
+
+/// The rule MM and MX share: take a batch off the front of the queue, sort
+/// it by size (descending when `DESCENDING`), and place each task on its
+/// earliest-finish processor.
+pub struct SortedBatch<const DESCENDING: bool> {
     batch_size: usize,
-    order: Order,
 }
 
-impl SortedBatch {
-    fn new(n_procs: usize, batch_size: usize, order: Order) -> Self {
-        assert!(n_procs > 0, "need at least one processor");
-        assert!(batch_size > 0, "batch size must be ≥ 1");
-        Self {
-            unscheduled: VecDeque::new(),
-            queues: TaskQueues::new(n_procs),
-            batch_size,
-            order,
-        }
+impl<const DESCENDING: bool> Default for SortedBatch<DESCENDING> {
+    fn default() -> Self {
+        Self { batch_size: 200 }
     }
+}
 
-    fn plan(&mut self, view: &SystemView) -> PlanOutcome {
+impl<const DESCENDING: bool> Queued<SortedBatch<DESCENDING>> {
+    /// Creates the scheduler with an explicit batch size.
+    pub fn with_batch_size(n_procs: usize, batch_size: usize) -> Self {
+        assert!(batch_size > 0, "batch size must be ≥ 1");
+        Self::with_rule(n_procs, SortedBatch { batch_size })
+    }
+}
+
+impl<const DESCENDING: bool> MappingRule for SortedBatch<DESCENDING> {
+    const NAME: &'static str = if DESCENDING { "MX" } else { "MM" };
+    const MODE: SchedulerMode = SchedulerMode::Batch;
+
+    fn map(
+        &mut self,
+        unscheduled: &mut VecDeque<Task>,
+        queues: &mut TaskQueues,
+        view: &SystemView,
+    ) -> PlanOutcome {
         let m = view.processors.len();
-        let take = self.batch_size.min(self.unscheduled.len());
+        let take = self.batch_size.min(unscheduled.len());
         if take == 0 {
             return PlanOutcome::IDLE;
         }
-        let mut batch: Vec<Task> = self.unscheduled.drain(..take).collect();
-        match self.order {
-            Order::Ascending => {
-                batch.sort_by(|a, b| a.mflops.partial_cmp(&b.mflops).expect("finite sizes"))
-            }
-            Order::Descending => {
-                batch.sort_by(|a, b| b.mflops.partial_cmp(&a.mflops).expect("finite sizes"))
-            }
+        let mut batch: Vec<Task> = unscheduled.drain(..take).collect();
+        if DESCENDING {
+            batch.sort_by(|a, b| b.mflops.partial_cmp(&a.mflops).expect("finite sizes"));
+        } else {
+            batch.sort_by(|a, b| a.mflops.partial_cmp(&b.mflops).expect("finite sizes"));
         }
         // Track assigned load locally so successive decisions see each
         // other (the "gaps" the paper describes filling).
         let mut load: Vec<f64> = (0..m)
             .map(|j| {
-                self.queues.queued_mflops(ProcessorId(j as u16))
-                    + view.processors[j].inflight_mflops
+                queues.queued_mflops(ProcessorId(j as u16)) + view.processors[j].inflight_mflops
             })
             .collect();
         for task in batch {
-            let mut best = 0usize;
-            let mut best_finish = f64::INFINITY;
-            for (j, p) in view.processors.iter().enumerate() {
-                let rate = p.rate_estimate.max(1e-9);
-                let finish = (load[j] + task.mflops) / rate;
-                if finish < best_finish {
-                    best_finish = finish;
-                    best = j;
-                }
-            }
+            let best = earliest_finish(0..m, |j| {
+                (load[j] + task.mflops) / view.processors[j].rate_estimate.max(1e-9)
+            });
             load[best] += task.mflops;
-            self.queues.push(ProcessorId(best as u16), task);
+            queues.push(ProcessorId(best as u16), task);
         }
         PlanOutcome {
             tasks_assigned: take,
@@ -88,77 +89,11 @@ impl SortedBatch {
     }
 }
 
-macro_rules! sorted_batch_scheduler {
-    ($(#[$doc:meta])* $name:ident, $label:literal, $order:expr) => {
-        $(#[$doc])*
-        pub struct $name {
-            inner: SortedBatch,
-        }
-
-        impl $name {
-            /// Creates the scheduler with the paper's default batch size
-            /// of 200.
-            pub fn new(n_procs: usize) -> Self {
-                Self::with_batch_size(n_procs, 200)
-            }
-
-            /// Creates the scheduler with an explicit batch size.
-            pub fn with_batch_size(n_procs: usize, batch_size: usize) -> Self {
-                Self {
-                    inner: SortedBatch::new(n_procs, batch_size, $order),
-                }
-            }
-        }
-
-        impl Scheduler for $name {
-            fn name(&self) -> &'static str {
-                $label
-            }
-            fn mode(&self) -> SchedulerMode {
-                SchedulerMode::Batch
-            }
-            fn enqueue(&mut self, tasks: &[Task]) {
-                self.inner.unscheduled.extend(tasks.iter().copied());
-            }
-            fn unscheduled_len(&self) -> usize {
-                self.inner.unscheduled.len()
-            }
-            fn plan(&mut self, view: &SystemView) -> PlanOutcome {
-                self.inner.plan(view)
-            }
-            fn next_task_for(&mut self, p: ProcessorId) -> Option<Task> {
-                self.inner.queues.pop(p)
-            }
-            fn queued_len(&self, p: ProcessorId) -> usize {
-                self.inner.queues.queued_len(p)
-            }
-            fn queued_mflops(&self, p: ProcessorId) -> f64 {
-                self.inner.queues.queued_mflops(p)
-            }
-        }
-    };
-}
-
-sorted_batch_scheduler!(
-    /// MX — max-min: largest tasks first, each to its earliest-finish
-    /// processor.
-    MaxMin,
-    "MX",
-    Order::Descending
-);
-
-sorted_batch_scheduler!(
-    /// MM — min-min: smallest tasks first, each to its earliest-finish
-    /// processor.
-    MinMin,
-    "MM",
-    Order::Ascending
-);
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dts_model::sched::ProcessorView;
+    use dts_model::Scheduler;
     use dts_model::{SimTime, TaskId};
 
     fn tasks(sizes: &[f64]) -> Vec<Task> {

@@ -1,10 +1,13 @@
 //! Property tests for the baseline schedulers: conservation, FIFO
-//! dispatch, and mode contracts under arbitrary task streams.
+//! dispatch, and mode contracts under arbitrary task streams. The
+//! conservation and accounting properties run every baseline, plus ZO.
 
 use dts_core::{PnConfig, PnScheduler};
 use dts_model::sched::{ProcessorView, SystemView};
 use dts_model::{ProcessorId, Scheduler, SimTime, Task, TaskId};
-use dts_schedulers::{EarliestFinish, LightestLoaded, MaxMin, MinMin, RoundRobin};
+use dts_schedulers::{
+    EarliestFinish, KPercentBest, LightestLoaded, MaxMin, MinMin, Olb, RoundRobin, Sufferage,
+};
 use proptest::prelude::*;
 
 fn view(rates: &[f64]) -> SystemView {
@@ -45,6 +48,9 @@ fn schedulers(m: usize) -> Vec<Box<dyn Scheduler>> {
         Box::new(RoundRobin::new(m)),
         Box::new(MinMin::with_batch_size(m, 16)),
         Box::new(MaxMin::with_batch_size(m, 16)),
+        Box::new(Olb::new(m)),
+        Box::new(KPercentBest::new(m, 0.5)),
+        Box::new(Sufferage::with_batch_size(m, 16)),
         Box::new(PnScheduler::new(m, zo)),
     ]
 }

@@ -11,7 +11,7 @@
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
 //! | [`core`] | `dts-core` | the PN scheduler: fitness, rebalancing, dynamic batching; the Zomaya-Teh GA as `PnConfig::zo_preset` |
-//! | [`schedulers`] | `dts-schedulers` | EF, LL, RR, min-min, max-min |
+//! | [`schedulers`] | `dts-schedulers` | EF, LL, RR, min-min, max-min, and the OLB, KPB and Sufferage extensions |
 //! | [`ga`] | `dts-ga` | generic GA engine over permutation encodings, with deterministic serial/parallel fitness evaluation |
 //! | [`server`] | `dts-server` | online scheduling service: bounded admission, batched GA replanning, trace replay |
 //! | [`sim`] | `dts-sim` | discrete-event distributed-system simulator |
