@@ -10,14 +10,14 @@
 //!
 //! * [`rng`] — a [`SplitMix64`] seeder and the
 //!   [xoshiro256++](rng::Xoshiro256PlusPlus) generator, plus the [`Rng`]
-//!   trait with range/shuffle/choice helpers.
-//! * [`dist`] — [`Uniform`], [`Normal`] (Box–Muller), [`Poisson`]
+//!   trait with range/shuffle helpers (a uniform draw is
+//!   [`Rng::range_f64`]).
+//! * [`dist`] — the [`normal`](dist::normal) (Box–Muller),
+//!   [`exponential`](dist::exponential) and [`poisson`](dist::poisson)
 //!   (Knuth product method + Hörmann's PTRS transformed rejection for large
-//!   means), [`Exponential`], and [`Constant`] behind the [`Distribution`]
-//!   trait.
-//! * [`stats`] — Welford online moments, five-number summaries, percentiles,
-//!   normal-approximation confidence intervals, and histograms used by the
-//!   experiment harness.
+//!   means) draws, plain functions over any [`Rng`].
+//! * [`stats`] — Welford online moments and normal-approximation
+//!   confidence intervals used by the experiment harness.
 //!
 //! # Determinism
 //!
@@ -29,12 +29,13 @@
 //! # Example
 //!
 //! ```
-//! use dts_distributions::{Rng, rng::Xoshiro256PlusPlus, dist::{DistributionExt, Normal}};
+//! use dts_distributions::{dist, Prng, Rng};
 //!
-//! let mut rng = Xoshiro256PlusPlus::seed_from(42);
-//! let task_sizes = Normal::new(1000.0, 9.0e5_f64.sqrt()).unwrap();
-//! let x = task_sizes.sample_rng(&mut rng);
+//! let mut rng = Prng::seed_from(42);
+//! let x = dist::normal(&mut rng, 1000.0, 9.0e5_f64.sqrt());
 //! assert!(x.is_finite());
+//! let y = rng.range_f64(10.0, 1000.0);
+//! assert!((10.0..1000.0).contains(&y));
 //! ```
 
 #![deny(missing_docs)]
@@ -45,11 +46,8 @@ pub mod rng;
 pub mod special;
 pub mod stats;
 
-pub use dist::{
-    Constant, DistError, Distribution, DistributionExt, Exponential, Normal, Poisson, Uniform,
-};
 pub use rng::{Rng, SeedSequence, SplitMix64, Xoshiro256PlusPlus};
-pub use stats::{Histogram, OnlineStats, Summary};
+pub use stats::OnlineStats;
 
 /// The default generator used throughout the workspace.
 ///

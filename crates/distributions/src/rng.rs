@@ -11,7 +11,7 @@
 //! third-party dependencies.
 
 /// A source of uniformly distributed 64-bit integers with convenience
-/// helpers for ranges, booleans, shuffles, and choices.
+/// helpers for ranges, booleans, and shuffles.
 ///
 /// The provided methods are implemented in terms of [`Rng::next_u64`], so a
 /// new generator only has to supply that single method.
@@ -95,16 +95,6 @@ pub trait Rng {
             xs.swap(i, j);
         }
     }
-
-    /// Returns a reference to a uniformly chosen element, or `None` if the
-    /// slice is empty.
-    fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.below(xs.len())])
-        }
-    }
 }
 
 /// SplitMix64: a tiny, fast generator used to expand seeds.
@@ -172,29 +162,6 @@ impl Xoshiro256PlusPlus {
     pub fn from_state(s: [u64; 4]) -> Self {
         assert!(s != [0; 4], "xoshiro256++ state must not be all zero");
         Self { s }
-    }
-
-    /// The 2¹²⁸-step jump: advances the generator as if 2¹²⁸ draws had been
-    /// made. Useful for carving one seed into long non-overlapping streams.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180e_c6d3_3cfd_0aba,
-            0xd5a6_1266_f0c9_392c,
-            0xa958_2618_e03f_c9aa,
-            0x39ab_dc45_29b1_661c,
-        ];
-        let mut acc = [0u64; 4];
-        for j in JUMP {
-            for bit in 0..64 {
-                if (j >> bit) & 1 == 1 {
-                    for (a, s) in acc.iter_mut().zip(self.s.iter()) {
-                        *a ^= s;
-                    }
-                }
-                self.next_u64();
-            }
-        }
-        self.s = acc;
     }
 }
 
@@ -376,30 +343,12 @@ mod tests {
     }
 
     #[test]
-    fn choose_empty_none() {
-        let mut g = Xoshiro256PlusPlus::seed_from(3);
-        let empty: [u8; 0] = [];
-        assert!(g.choose(&empty).is_none());
-        assert_eq!(g.choose(&[42]), Some(&42));
-    }
-
-    #[test]
     fn chance_extremes() {
         let mut g = Xoshiro256PlusPlus::seed_from(8);
         for _ in 0..100 {
             assert!(!g.chance(0.0));
             assert!(g.chance(1.0));
         }
-    }
-
-    #[test]
-    fn jump_decorrelates() {
-        let mut a = Xoshiro256PlusPlus::seed_from(17);
-        let mut b = a.clone();
-        b.jump();
-        let va: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let vb: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        assert_ne!(va, vb);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! Every plotted point in the paper is "an average of 50 runs" (Fig. 3) or
 //! "an average of 20 complete schedules" (Fig. 5). The harness therefore
-//! needs numerically robust online moments, percentiles, confidence
-//! intervals, and histograms; they live here so all crates share one
-//! implementation.
+//! needs numerically robust online moments and confidence intervals; they
+//! live here so all crates share one implementation.
 
 /// Online mean/variance accumulator (Welford's algorithm).
 ///
@@ -17,7 +16,7 @@
 ///     s.push(x);
 /// }
 /// assert_eq!(s.mean(), 5.0);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
+/// assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
@@ -50,27 +49,6 @@ impl OnlineStats {
         self.max = self.max.max(x);
     }
 
-    /// Merges another accumulator into this one (parallel reduction), using
-    /// Chan et al.'s pairwise update.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.n
@@ -91,15 +69,6 @@ impl OnlineStats {
             0.0
         } else {
             self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Population variance (n denominator); 0 when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
         }
     }
 
@@ -132,18 +101,6 @@ impl OnlineStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Snapshot of all derived statistics.
-    pub fn summary(&self) -> Summary {
-        Summary {
-            count: self.n,
-            mean: self.mean(),
-            std_dev: self.std_dev(),
-            min: self.min,
-            max: self.max,
-            ci95: self.ci95_half_width(),
-        }
-    }
 }
 
 impl FromIterator<f64> for OnlineStats {
@@ -153,131 +110,6 @@ impl FromIterator<f64> for OnlineStats {
             s.push(x);
         }
         s
-    }
-}
-
-/// An immutable snapshot of an [`OnlineStats`] accumulator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: u64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub std_dev: f64,
-    /// Minimum observation.
-    pub min: f64,
-    /// Maximum observation.
-    pub max: f64,
-    /// Half-width of the 95 % confidence interval of the mean.
-    pub ci95: f64,
-}
-
-impl std::fmt::Display for Summary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.4} ±{:.4} (sd {:.4}, range [{:.4}, {:.4}])",
-            self.count, self.mean, self.ci95, self.std_dev, self.min, self.max
-        )
-    }
-}
-
-/// Returns the `q`-th quantile (0 ≤ q ≤ 1) using linear interpolation
-/// between order statistics (type-7, the R/NumPy default).
-///
-/// Returns `None` for an empty slice. The input does not need to be sorted.
-pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
-    if xs.is_empty() || !(0.0..=1.0).contains(&q) {
-        return None;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    Some(sorted[lo] + frac * (sorted[hi] - sorted[lo]))
-}
-
-/// The median (50th percentile).
-pub fn median(xs: &[f64]) -> Option<f64> {
-    quantile(xs, 0.5)
-}
-
-/// A fixed-width histogram over `[lo, hi)` with saturating edge bins.
-///
-/// Observations below `lo` land in the first bin; at/above `hi` in the last.
-/// Used by the harness to describe makespan distributions across runs.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins ≥ 1` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(lo < hi, "histogram range must be non-empty");
-        Self {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        let bins = self.counts.len();
-        let idx = if x < self.lo {
-            0
-        } else if x >= self.hi {
-            bins - 1
-        } else {
-            let frac = (x - self.lo) / (self.hi - self.lo);
-            ((frac * bins as f64) as usize).min(bins - 1)
-        };
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Raw bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total number of recorded observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// The `(lower, upper)` bounds of bin `i`.
-    pub fn bin_bounds(&self, i: usize) -> (f64, f64) {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
-    }
-
-    /// Renders a compact ASCII bar chart, one bin per line.
-    pub fn render(&self, width: usize) -> String {
-        let peak = self.counts.iter().copied().max().unwrap_or(0).max(1);
-        let mut out = String::new();
-        for (i, &c) in self.counts.iter().enumerate() {
-            let (lo, hi) = self.bin_bounds(i);
-            let bar_len = (c as f64 / peak as f64 * width as f64).round() as usize;
-            out.push_str(&format!(
-                "[{lo:>10.2}, {hi:>10.2}) |{} {c}\n",
-                "#".repeat(bar_len)
-            ));
-        }
-        out
     }
 }
 
@@ -317,91 +149,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let whole: OnlineStats = xs.iter().copied().collect();
-        let left: OnlineStats = xs[..37].iter().copied().collect();
-        let mut merged = left;
-        let right: OnlineStats = xs[37..].iter().copied().collect();
-        merged.merge(&right);
-        assert_eq!(merged.count(), whole.count());
-        assert!((merged.mean() - whole.mean()).abs() < 1e-10);
-        assert!((merged.variance() - whole.variance()).abs() < 1e-10);
-        assert_eq!(merged.min(), whole.min());
-        assert_eq!(merged.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let xs: OnlineStats = [1.0, 2.0, 3.0].into_iter().collect();
-        let mut a = xs;
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, xs);
-        let mut b = OnlineStats::new();
-        b.merge(&xs);
-        assert_eq!(b, xs);
-    }
-
-    #[test]
     fn ci95_shrinks_with_n() {
         let small: OnlineStats = (0..10).map(|i| i as f64).collect();
         let large: OnlineStats = (0..1000).map(|i| (i % 10) as f64).collect();
         assert!(large.ci95_half_width() < small.ci95_half_width());
-    }
-
-    #[test]
-    fn quantiles() {
-        let xs = [3.0, 1.0, 2.0, 4.0, 5.0];
-        assert_eq!(median(&xs), Some(3.0));
-        assert_eq!(quantile(&xs, 0.0), Some(1.0));
-        assert_eq!(quantile(&xs, 1.0), Some(5.0));
-        assert_eq!(quantile(&xs, 0.25), Some(2.0));
-        assert_eq!(quantile(&[], 0.5), None);
-        assert_eq!(quantile(&xs, 1.5), None);
-    }
-
-    #[test]
-    fn quantile_interpolates() {
-        let xs = [0.0, 10.0];
-        assert_eq!(quantile(&xs, 0.5), Some(5.0));
-        assert_eq!(quantile(&xs, 0.25), Some(2.5));
-    }
-
-    #[test]
-    fn histogram_bins_and_saturation() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [-1.0, 0.0, 1.9, 2.0, 9.99, 10.0, 55.0] {
-            h.record(x);
-        }
-        assert_eq!(h.total(), 7);
-        // bin 0: -1.0, 0.0, 1.9 | bin 1: 2.0 | bin 4: 9.99, 10.0, 55.0
-        assert_eq!(h.counts(), &[3, 1, 0, 0, 3]);
-        assert_eq!(h.bin_bounds(0), (0.0, 2.0));
-        assert_eq!(h.bin_bounds(4), (8.0, 10.0));
-    }
-
-    #[test]
-    fn histogram_render_contains_counts() {
-        let mut h = Histogram::new(0.0, 4.0, 2);
-        h.record(1.0);
-        h.record(3.0);
-        h.record(3.5);
-        let s = h.render(10);
-        assert!(s.contains('#'));
-        assert!(s.lines().count() == 2);
-    }
-
-    #[test]
-    #[should_panic]
-    fn histogram_zero_bins_panics() {
-        let _ = Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    fn summary_display() {
-        let s: OnlineStats = [1.0, 2.0, 3.0].into_iter().collect();
-        let text = s.summary().to_string();
-        assert!(text.contains("n=3"));
-        assert!(text.contains("mean=2.0000"));
     }
 }

@@ -5,7 +5,7 @@
 //! [`ClusterSpec`] captures the knobs; [`ClusterSpec::build`] materialises a
 //! concrete, seeded [`Cluster`].
 
-use dts_distributions::{DistributionExt, Prng, SeedSequence};
+use dts_distributions::{Prng, SeedSequence};
 
 use crate::link::{CommCostSpec, Link};
 use crate::processor::{AvailabilityModel, Processor, ProcessorId};
@@ -43,21 +43,29 @@ impl ClusterSpec {
 
     /// Builds a concrete cluster; identical `(spec, seed)` pairs produce
     /// identical clusters.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero processors, on rating parameters that fail
+    /// [`SizeDistribution::validate`], and on a link cost spread that makes
+    /// a per-link normal non-finite (see [`CommCostSpec::draw_link_mean`]).
     pub fn build(&self, seed: u64) -> Cluster {
         assert!(
             self.processors > 0,
             "a cluster needs at least one processor"
         );
+        if let Err(e) = self.rating.validate() {
+            panic!("invalid processor-rating distribution: {e}");
+        }
         let mut seq = SeedSequence::new(seed);
         let mut rng = Prng::seed_from(seq.next_seed());
-        let rating_dist = self.rating.to_distribution();
         let mut processors = Vec::with_capacity(self.processors);
         let mut links = Vec::with_capacity(self.processors);
         for i in 0..self.processors {
             let id = ProcessorId(u16::try_from(i).expect("more than u16::MAX processors"));
             // Truncate ratings below at 1 Mflop/s: a processor with a
             // non-positive rating would never finish anything.
-            let mut rating = rating_dist.sample_rng(&mut rng);
+            let mut rating = self.rating.sample(&mut rng);
             if !rating.is_finite() || rating < 1.0 {
                 rating = 1.0;
             }

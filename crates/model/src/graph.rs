@@ -5,8 +5,8 @@
 //! arxiv 1001.1985) schedules *precedence-constrained* graphs. A
 //! [`TaskGraph`] attaches an edge list — edge `(u, v)` means *task `u`
 //! must complete before task `v` may start* — plus an optional per-task
-//! priority and deadline to a workload of `n` tasks identified by their
-//! dense [`crate::TaskId`] indices `0..n`.
+//! deadline to a workload of `n` tasks identified by their dense
+//! [`crate::TaskId`] indices `0..n`.
 //!
 //! The constructor rejects cycles up front (Kahn's algorithm), so every
 //! `TaskGraph` value is a DAG by construction and downstream layers never
@@ -85,8 +85,8 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Precedence constraints over `n` tasks: a DAG by construction, plus a
-/// priority and an optional deadline per task.
+/// Precedence constraints over `n` tasks: a DAG by construction, plus an
+/// optional deadline per task.
 ///
 /// Task indices are the dense [`crate::TaskId`] indices `0..n` of the
 /// workload the graph annotates. Edge `(u, v)` reads "`v` waits for `u`".
@@ -98,7 +98,6 @@ fn mix(mut x: u64) -> u64 {
 /// assert_eq!(g.preds(3), &[1, 2]);
 /// assert_eq!(g.succs(0), &[1, 2]);
 /// assert!(g.has_edges());
-/// assert_eq!(g.topo_order(), vec![0, 1, 2, 3]);
 /// // Cycles are rejected up front.
 /// assert!(TaskGraph::new(2, &[(0, 1), (1, 0)]).is_err());
 /// ```
@@ -110,8 +109,6 @@ pub struct TaskGraph {
     preds: Vec<Vec<u32>>,
     /// Successors of each task, ascending.
     succs: Vec<Vec<u32>>,
-    /// Scheduling priority per task (higher is more urgent, default 0).
-    priorities: Vec<i32>,
     /// Completion deadline per task in seconds since simulation start
     /// (`None` = no deadline).
     deadlines: Vec<Option<f64>>,
@@ -142,14 +139,21 @@ impl TaskGraph {
         for list in g.preds.iter_mut().chain(g.succs.iter_mut()) {
             list.sort_unstable();
         }
-        // Kahn's algorithm: if some task is never freed, it sits on (or
-        // behind) a cycle.
-        let order = g.kahn_order(false);
-        if order.len() != n {
-            let on_cycle = (0..n as u32)
-                .find(|&t| !order.contains(&t))
-                .expect("some task missing from a short topological order");
-            return Err(GraphError::Cycle { task: on_cycle });
+        // Kahn's algorithm: a task that is never freed (its in-degree never
+        // drains to 0) sits on (or behind) a cycle. Which tasks are freed
+        // does not depend on the visit order, so a stack will do.
+        let mut indeg = g.in_degrees();
+        let mut ready: Vec<u32> = (0..n as u32).filter(|&t| indeg[t as usize] == 0).collect();
+        while let Some(t) = ready.pop() {
+            for &s in &g.succs[t as usize] {
+                indeg[s as usize] -= 1;
+                if indeg[s as usize] == 0 {
+                    ready.push(s);
+                }
+            }
+        }
+        if let Some(t) = indeg.iter().position(|&d| d > 0) {
+            return Err(GraphError::Cycle { task: t as u32 });
         }
         Ok(g)
     }
@@ -162,7 +166,6 @@ impl TaskGraph {
             edges: 0,
             preds: vec![Vec::new(); n],
             succs: vec![Vec::new(); n],
-            priorities: vec![0; n],
             deadlines: vec![None; n],
         }
     }
@@ -205,18 +208,6 @@ impl TaskGraph {
         self.preds.iter().map(|p| p.len() as u32).collect()
     }
 
-    /// Sets the scheduling priority of task `t` (higher is more urgent;
-    /// default 0). Priorities order ready tasks in
-    /// [`TaskGraph::topo_order`].
-    pub fn set_priority(&mut self, t: u32, priority: i32) {
-        self.priorities[t as usize] = priority;
-    }
-
-    /// The scheduling priority of task `t`.
-    pub fn priority(&self, t: u32) -> i32 {
-        self.priorities[t as usize]
-    }
-
     /// Sets the completion deadline of task `t`, in seconds since
     /// simulation start. The simulator reports the fraction of tasks that
     /// finish after their deadline as the deadline-miss rate.
@@ -233,54 +224,15 @@ impl TaskGraph {
         self.deadlines[t as usize]
     }
 
-    /// A deterministic, priority-aware topological order: among the ready
-    /// tasks, the highest [`TaskGraph::priority`] goes first, ties broken
-    /// by lowest task id. Every task appears exactly once.
-    pub fn topo_order(&self) -> Vec<u32> {
-        self.kahn_order(true)
-    }
-
-    /// Kahn's algorithm. With `full`, panics unless every task is emitted
-    /// (callers on the validated-DAG path); without, returns the partial
-    /// order so [`TaskGraph::new`] can diagnose cycles.
-    fn kahn_order(&self, full: bool) -> Vec<u32> {
-        let mut indeg: Vec<u32> = self.in_degrees();
-        // Max-heap on (priority, Reverse(id)): highest priority first,
-        // then lowest id — a total order, so the output is deterministic.
-        let mut ready: std::collections::BinaryHeap<(i32, std::cmp::Reverse<u32>)> = (0..self.n)
-            .filter(|&t| indeg[t] == 0)
-            .map(|t| (self.priorities[t], std::cmp::Reverse(t as u32)))
-            .collect();
-        let mut order = Vec::with_capacity(self.n);
-        while let Some((_, std::cmp::Reverse(t))) = ready.pop() {
-            order.push(t);
-            for &s in &self.succs[t as usize] {
-                indeg[s as usize] -= 1;
-                if indeg[s as usize] == 0 {
-                    ready.push((self.priorities[s as usize], std::cmp::Reverse(s)));
-                }
-            }
-        }
-        if full {
-            assert_eq!(order.len(), self.n, "validated TaskGraph cannot cycle");
-        }
-        order
-    }
-
-    /// A 64-bit digest of the full graph content (edges, priorities,
-    /// deadlines): two graphs with equal digests constrain evaluation
-    /// identically for all practical purposes. The arrival-trace round-trip
+    /// A 64-bit digest of the full graph content (edges and deadlines):
+    /// two graphs with equal digests constrain evaluation identically for
+    /// all practical purposes. The arrival-trace round-trip
     /// test compares graphs by it.
     pub fn digest(&self) -> u64 {
         let mut h = mix(0x5441_534B_4752_5048 ^ self.n as u64);
         for (t, preds) in self.preds.iter().enumerate() {
             for &p in preds {
                 h = mix(h ^ ((t as u64) << 32 | p as u64));
-            }
-        }
-        for (t, &p) in self.priorities.iter().enumerate() {
-            if p != 0 {
-                h = mix(h ^ ((t as u64) << 32 | p as u32 as u64));
             }
         }
         for (t, d) in self.deadlines.iter().enumerate() {
@@ -440,7 +392,6 @@ mod tests {
         assert_eq!(g.preds(3), &[1, 2]);
         assert_eq!(g.succs(0), &[1, 2]);
         assert_eq!(g.in_degrees(), vec![0, 1, 1, 2]);
-        assert_eq!(g.topo_order(), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -448,7 +399,7 @@ mod tests {
         let g = TaskGraph::independent(5);
         assert!(!g.has_edges());
         assert_eq!(g.len(), 5);
-        assert_eq!(g.topo_order(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(g.in_degrees(), vec![0; 5]);
     }
 
     #[test]
@@ -480,28 +431,12 @@ mod tests {
     }
 
     #[test]
-    fn priorities_steer_topo_order() {
-        // Three independent tasks: priority order wins, id breaks ties.
-        let mut g = TaskGraph::independent(3);
-        g.set_priority(2, 10);
-        g.set_priority(0, 5);
-        assert_eq!(g.topo_order(), vec![2, 0, 1]);
-        // But precedence always dominates priority.
-        let mut g = TaskGraph::new(3, &[(0, 2)]).unwrap();
-        g.set_priority(2, 100);
-        assert_eq!(g.topo_order(), vec![0, 2, 1]);
-    }
-
-    #[test]
     fn digest_tracks_content() {
         let a = TaskGraph::new(4, &[(0, 2), (1, 3)]).unwrap();
         let b = TaskGraph::new(4, &[(0, 2), (1, 3)]).unwrap();
         assert_eq!(a.digest(), b.digest());
         let c = TaskGraph::new(4, &[(0, 2), (1, 2)]).unwrap();
         assert_ne!(a.digest(), c.digest());
-        let mut d = TaskGraph::new(4, &[(0, 2), (1, 3)]).unwrap();
-        d.set_priority(1, 3);
-        assert_ne!(a.digest(), d.digest());
         let mut e = TaskGraph::new(4, &[(0, 2), (1, 3)]).unwrap();
         e.set_deadline(3, 12.5);
         assert_ne!(a.digest(), e.digest());
@@ -573,7 +508,6 @@ mod tests {
             ] {
                 let g = f.build(n, 1);
                 assert_eq!(g.len(), n, "{}", f.label());
-                assert_eq!(g.topo_order().len(), n);
             }
         }
     }

@@ -9,8 +9,8 @@
 //! * [`task::Task`] — an indivisible task whose resource requirement is
 //!   measured in MFLOPs (millions of floating-point operations), exactly
 //!   as in the paper (§3).
-//! * [`graph::TaskGraph`] — optional precedence edges, priorities, and
-//!   deadlines over a workload's dense task ids (cycle-rejecting, DAG by
+//! * [`graph::TaskGraph`] — optional precedence edges and deadlines over
+//!   a workload's dense task ids (cycle-rejecting, DAG by
 //!   construction). An edge-free graph is the paper's independent-task
 //!   model and downstream layers treat it as a structural no-op.
 //! * [`processor`] — heterogeneous processors rated in Mflop/s with

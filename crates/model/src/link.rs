@@ -11,7 +11,7 @@
 //! and each message on link `j` costs `Normal(μⱼ, μⱼ·message_jitter)`
 //! seconds, truncated below at a small positive floor.
 
-use dts_distributions::{DistributionExt, Normal, Prng};
+use dts_distributions::{dist, Prng};
 
 use crate::processor::ProcessorId;
 
@@ -55,25 +55,41 @@ impl CommCostSpec {
         }
     }
 
-    /// Draws the per-link mean for one link.
+    /// Draws the per-link mean for one link: a normal truncated below at
+    /// [`MIN_MESSAGE_COST`], because a link's mean cost cannot be ≤ 0.
     pub fn draw_link_mean(&self, rng: &mut Prng) -> f64 {
-        if self.mean_cost <= 0.0 {
-            return 0.0;
-        }
-        let sigma = self.mean_cost * self.link_spread;
-        if sigma <= 0.0 {
-            return self.mean_cost;
-        }
-        let d = Normal::new(self.mean_cost, sigma).expect("validated above");
-        // Truncate: a link's mean cost cannot be ≤ 0.
-        for _ in 0..64 {
-            let x = d.sample_rng(rng);
-            if x > MIN_MESSAGE_COST {
-                return x;
-            }
-        }
-        MIN_MESSAGE_COST
+        truncated_normal(rng, self.mean_cost, self.link_spread)
     }
+}
+
+/// One draw from `Normal(mean, mean·spread)` truncated below at
+/// [`MIN_MESSAGE_COST`], the shape of per-link means and of per-message
+/// costs. A free mean (≤ 0) gives 0 and a spread that leaves σ ≤ 0 gives
+/// the mean, both without drawing; otherwise the draw is repeated until it
+/// exceeds the floor (64-attempt cap, then the floor).
+///
+/// # Panics
+///
+/// Panics when the mean or σ is not finite (e.g. a NaN or infinite spread).
+fn truncated_normal(rng: &mut Prng, mean: f64, spread: f64) -> f64 {
+    if mean <= 0.0 {
+        return 0.0;
+    }
+    let sigma = mean * spread;
+    if sigma <= 0.0 {
+        return mean;
+    }
+    assert!(
+        mean.is_finite() && sigma.is_finite(),
+        "link cost normal(mu={mean}, sigma={sigma}) must be finite"
+    );
+    for _ in 0..64 {
+        let x = dist::normal(rng, mean, sigma);
+        if x > MIN_MESSAGE_COST {
+            return x;
+        }
+    }
+    MIN_MESSAGE_COST
 }
 
 /// One client↔scheduler link with its own mean cost.
@@ -106,21 +122,7 @@ impl Link {
     /// Free links (mean 0) always return 0; stochastic links return a
     /// truncated normal draw ≥ [`MIN_MESSAGE_COST`].
     pub fn sample_cost(&self, rng: &mut Prng) -> f64 {
-        if self.mean_cost <= 0.0 {
-            return 0.0;
-        }
-        let sigma = self.mean_cost * self.message_jitter;
-        if sigma <= 0.0 {
-            return self.mean_cost;
-        }
-        let d = Normal::new(self.mean_cost, sigma).expect("parameters validated");
-        for _ in 0..64 {
-            let x = d.sample_rng(rng);
-            if x > MIN_MESSAGE_COST {
-                return x;
-            }
-        }
-        MIN_MESSAGE_COST
+        truncated_normal(rng, self.mean_cost, self.message_jitter)
     }
 }
 

@@ -62,16 +62,6 @@ impl Smoother {
     pub fn value_or(&self, default: f64) -> f64 {
         self.value.unwrap_or(default)
     }
-
-    /// The smoothing factor ν.
-    pub fn nu(&self) -> f64 {
-        self.nu
-    }
-
-    /// Discards history, returning the smoother to its initial state.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
 }
 
 #[cfg(test)]
@@ -133,15 +123,6 @@ mod tests {
         let mut s2 = s;
         s2.observe(1.0);
         assert_eq!(s2.value_or(7.0), 1.0);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut s = Smoother::new(0.5);
-        s.observe(1.0);
-        s.reset();
-        assert_eq!(s.value(), None);
-        assert_eq!(s.observe(9.0), 9.0);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! `t`-MFLOP task in `t / P` seconds when fully available.
 //!
 //! The paper additionally assumes tasks are independent of one another;
-//! this reproduction relaxes that: precedence constraints, priorities, and
-//! deadlines live in a separate [`crate::TaskGraph`] keyed by the dense
+//! this reproduction relaxes that: precedence constraints and deadlines
+//! live in a separate [`crate::TaskGraph`] keyed by the dense
 //! [`TaskId`] indices, so a workload without a graph (or with an edge-free
 //! one) is exactly the paper's independent-task model.
 
@@ -62,70 +62,11 @@ impl Task {
             arrival,
         }
     }
-
-    /// Seconds needed on a processor delivering `rate` Mflop/s.
-    ///
-    /// Guards against zero/negative rates by returning `f64::INFINITY`,
-    /// which naturally makes a dead processor the worst choice in every
-    /// scheduler's cost comparison.
-    #[inline]
-    pub fn runtime_at(&self, rate: f64) -> f64 {
-        if rate > 0.0 {
-            self.mflops / rate
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// Summary statistics over a set of tasks, used by schedulers and reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TaskSetStats {
-    /// Number of tasks.
-    pub count: usize,
-    /// Sum of all sizes in MFLOPs.
-    pub total_mflops: f64,
-    /// Smallest task size.
-    pub min_mflops: f64,
-    /// Largest task size.
-    pub max_mflops: f64,
-}
-
-/// Computes [`TaskSetStats`] for a slice of tasks.
-pub fn task_set_stats(tasks: &[Task]) -> TaskSetStats {
-    let mut total = 0.0;
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for t in tasks {
-        total += t.mflops;
-        min = min.min(t.mflops);
-        max = max.max(t.mflops);
-    }
-    TaskSetStats {
-        count: tasks.len(),
-        total_mflops: total,
-        min_mflops: min,
-        max_mflops: max,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn runtime_scales_inversely_with_rate() {
-        let t = Task::new(TaskId(0), 1000.0, SimTime::ZERO);
-        assert_eq!(t.runtime_at(100.0), 10.0);
-        assert_eq!(t.runtime_at(200.0), 5.0);
-    }
-
-    #[test]
-    fn zero_rate_is_infinite_runtime() {
-        let t = Task::new(TaskId(0), 1000.0, SimTime::ZERO);
-        assert_eq!(t.runtime_at(0.0), f64::INFINITY);
-        assert_eq!(t.runtime_at(-5.0), f64::INFINITY);
-    }
 
     #[test]
     #[should_panic]
@@ -137,20 +78,6 @@ mod tests {
     #[should_panic]
     fn nan_size_rejected() {
         let _ = Task::new(TaskId(0), f64::NAN, SimTime::ZERO);
-    }
-
-    #[test]
-    fn stats() {
-        let tasks = vec![
-            Task::new(TaskId(0), 10.0, SimTime::ZERO),
-            Task::new(TaskId(1), 30.0, SimTime::ZERO),
-            Task::new(TaskId(2), 20.0, SimTime::ZERO),
-        ];
-        let s = task_set_stats(&tasks);
-        assert_eq!(s.count, 3);
-        assert_eq!(s.total_mflops, 60.0);
-        assert_eq!(s.min_mflops, 10.0);
-        assert_eq!(s.max_mflops, 30.0);
     }
 
     #[test]

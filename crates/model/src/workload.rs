@@ -18,10 +18,7 @@
 //! supports Poisson and uniform streams for the dynamic scenarios exercised
 //! by the examples and integration tests.
 
-use dts_distributions::{
-    Constant, Distribution, DistributionExt, Exponential, Normal, Poisson, Prng, Rng, SeedSequence,
-    Uniform,
-};
+use dts_distributions::{dist, Prng, Rng, SeedSequence};
 
 use crate::graph::{DagFamily, TaskGraph};
 use crate::task::{Task, TaskId};
@@ -66,35 +63,51 @@ pub enum SizeDistribution {
 }
 
 impl SizeDistribution {
-    /// Materialises the boxed sampler.
-    pub fn to_distribution(&self) -> Box<dyn Distribution> {
+    /// Draws one value. A uniform draw is [`Rng::range_f64`], normal and
+    /// Poisson draws are [`dist::normal`] and [`dist::poisson`], and a
+    /// constant draws nothing. The parameters must pass
+    /// [`SizeDistribution::validate`].
+    pub fn sample(&self, rng: &mut Prng) -> f64 {
         match *self {
-            SizeDistribution::Constant { value } => Box::new(Constant(value)),
-            SizeDistribution::Uniform { lo, hi } => {
-                Box::new(Uniform::new(lo, hi).expect("invalid uniform bounds"))
-            }
-            SizeDistribution::Normal { mean, variance } => {
-                Box::new(Normal::from_variance(mean, variance).expect("invalid normal params"))
-            }
-            SizeDistribution::Poisson { lambda } => {
-                Box::new(Poisson::new(lambda).expect("invalid poisson lambda"))
-            }
+            SizeDistribution::Constant { value } => value,
+            SizeDistribution::Uniform { lo, hi } => rng.range_f64(lo, hi),
+            SizeDistribution::Normal { mean, variance } => dist::normal(rng, mean, variance.sqrt()),
+            SizeDistribution::Poisson { lambda } => dist::poisson(rng, lambda),
         }
     }
 
-    /// Analytic mean of the distribution (before truncation).
-    pub fn mean(&self) -> f64 {
-        self.to_distribution().mean()
+    /// Checks the parameters every [`SizeDistribution::sample`] relies on:
+    /// finite uniform bounds with `lo < hi`, a finite normal mean with a
+    /// finite variance `> 0`, and a finite Poisson mean `> 0`. A constant
+    /// is any value. [`ClusterSpec::build`](crate::ClusterSpec::build)
+    /// applies it to ratings and [`SizeDistribution::validate_as_task_sizes`]
+    /// to task sizes.
+    pub fn validate(&self) -> Result<(), String> {
+        let ok = match *self {
+            SizeDistribution::Constant { .. } => true,
+            SizeDistribution::Uniform { lo, hi } => lo.is_finite() && hi.is_finite() && lo < hi,
+            SizeDistribution::Normal { mean, variance } => {
+                mean.is_finite() && variance.is_finite() && variance > 0.0
+            }
+            SizeDistribution::Poisson { lambda } => lambda.is_finite() && lambda > 0.0,
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("invalid parameters for {}", self.label()))
+        }
     }
 
-    /// Checks that the distribution can meaningfully generate task sizes:
-    /// enough of its support must clear [`MIN_TASK_MFLOPS`], because
-    /// samples below the floor are redrawn (and clamped after 64
-    /// attempts). A distribution whose support lies (essentially) entirely
-    /// below the floor — e.g. `Uniform { lo: 0.0, hi: 0.5 }` — would
-    /// silently degenerate the whole workload to 1-MFLOP tasks, so
-    /// [`WorkloadSpec::generate`] rejects it up front via this check.
+    /// On top of [`SizeDistribution::validate`], checks that the
+    /// distribution can meaningfully generate task sizes: enough of its
+    /// support must clear [`MIN_TASK_MFLOPS`], because samples below the
+    /// floor are redrawn (and clamped after 64 attempts). A distribution
+    /// whose support lies (essentially) entirely below the floor — e.g.
+    /// `Uniform { lo: 0.0, hi: 0.5 }` — would silently degenerate the
+    /// whole workload to 1-MFLOP tasks, so [`WorkloadSpec::generate`]
+    /// rejects it up front via this check.
     pub fn validate_as_task_sizes(&self) -> Result<(), String> {
+        self.validate()?;
         match *self {
             SizeDistribution::Constant { value } => {
                 if !value.is_finite() || value < MIN_TASK_MFLOPS {
@@ -104,10 +117,6 @@ impl SizeDistribution {
                 }
             }
             SizeDistribution::Uniform { lo, hi } => {
-                // NaN bounds must be rejected too, hence the explicit check.
-                if lo.is_nan() || hi.is_nan() || lo >= hi {
-                    return Err(format!("invalid uniform bounds [{lo}, {hi})"));
-                }
                 if hi <= MIN_TASK_MFLOPS {
                     return Err(format!(
                         "uniform[{lo},{hi}) lies entirely below the \
@@ -116,9 +125,6 @@ impl SizeDistribution {
                 }
             }
             SizeDistribution::Normal { mean, variance } => {
-                if variance.is_nan() || variance <= 0.0 || !mean.is_finite() {
-                    return Err(format!("invalid normal(mu={mean}, var={variance})"));
-                }
                 // Support is all of ℝ, but with (essentially) no mass above
                 // the floor the redraw loop degenerates the same way: 8σ
                 // above the mean covers all but ~6e-16 of the distribution.
@@ -129,11 +135,7 @@ impl SizeDistribution {
                     ));
                 }
             }
-            SizeDistribution::Poisson { lambda } => {
-                if lambda.is_nan() || lambda <= 0.0 {
-                    return Err(format!("poisson lambda {lambda} must be positive"));
-                }
-            }
+            SizeDistribution::Poisson { .. } => {}
         }
         Ok(())
     }
@@ -197,7 +199,10 @@ impl WorkloadSpec {
     /// # Panics
     ///
     /// Panics if the size distribution cannot generate meaningful task
-    /// sizes (see [`SizeDistribution::validate_as_task_sizes`]).
+    /// sizes (see [`SizeDistribution::validate_as_task_sizes`]), if a
+    /// Poisson stream's mean inter-arrival time is not finite and positive
+    /// (with a finite rate), or if a uniform arrival window is not
+    /// positive.
     pub fn generate(&self, seed: u64) -> Vec<Task> {
         if let Err(e) = self.sizes.validate_as_task_sizes() {
             panic!("invalid task-size distribution: {e}");
@@ -205,25 +210,27 @@ impl WorkloadSpec {
         let mut seq = SeedSequence::new(seed);
         let mut size_rng = Prng::seed_from(seq.next_seed());
         let mut arrival_rng = Prng::seed_from(seq.next_seed());
-        let dist = self.sizes.to_distribution();
 
-        let mut arrivals: Vec<f64> = match &self.arrival {
+        let mut arrivals: Vec<f64> = match self.arrival {
             ArrivalProcess::AllAtStart => vec![0.0; self.count],
             ArrivalProcess::PoissonStream { mean_interarrival } => {
-                let exp = Exponential::from_mean(*mean_interarrival)
-                    .expect("invalid mean inter-arrival time");
+                let lambda = 1.0 / mean_interarrival;
+                assert!(
+                    mean_interarrival.is_finite() && mean_interarrival > 0.0 && lambda.is_finite(),
+                    "invalid mean inter-arrival time {mean_interarrival}"
+                );
                 let mut t = 0.0;
                 (0..self.count)
                     .map(|_| {
-                        t += exp.sample_rng(&mut arrival_rng);
+                        t += dist::exponential(&mut arrival_rng, lambda);
                         t
                     })
                     .collect()
             }
             ArrivalProcess::UniformOver { window } => {
-                assert!(*window > 0.0, "arrival window must be positive");
+                assert!(window > 0.0, "arrival window must be positive");
                 (0..self.count)
-                    .map(|_| arrival_rng.range_f64(0.0, *window))
+                    .map(|_| arrival_rng.range_f64(0.0, window))
                     .collect()
             }
         };
@@ -233,7 +240,7 @@ impl WorkloadSpec {
             .into_iter()
             .enumerate()
             .map(|(i, at)| {
-                let mflops = draw_positive_size(dist.as_ref(), &mut size_rng);
+                let mflops = draw_positive_size(&self.sizes, &mut size_rng);
                 Task::new(
                     TaskId(u32::try_from(i).expect("more than u32::MAX tasks")),
                     mflops,
@@ -268,9 +275,9 @@ impl WorkloadSpec {
 
 /// Draws one size, redrawing until it clears [`MIN_TASK_MFLOPS`]
 /// (64-attempt cap, then clamps).
-fn draw_positive_size(dist: &dyn Distribution, rng: &mut Prng) -> f64 {
+fn draw_positive_size(sizes: &SizeDistribution, rng: &mut Prng) -> f64 {
     for _ in 0..64 {
-        let x = dist.sample_rng(rng);
+        let x = sizes.sample(rng);
         if x.is_finite() && x >= MIN_TASK_MFLOPS {
             return x;
         }
@@ -417,6 +424,100 @@ mod tests {
     }
 
     #[test]
+    fn constant_is_constant() {
+        let d = SizeDistribution::Constant { value: 42.0 };
+        let mut rng = Prng::seed_from(1);
+        for _ in 0..100 {
+            assert_eq!(d.sample(&mut rng), 42.0);
+        }
+        assert_eq!(rng, Prng::seed_from(1), "a constant draws nothing");
+    }
+
+    #[test]
+    fn parameter_check_rejects_each_bad_input() {
+        use crate::{ClusterSpec, Link, ProcessorId};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        fn panics<T>(f: impl FnOnce() -> T) -> bool {
+            catch_unwind(AssertUnwindSafe(f)).is_err()
+        }
+        let bad = [
+            ("lo == hi", SizeDistribution::Uniform { lo: 5.0, hi: 5.0 }),
+            ("lo > hi", SizeDistribution::Uniform { lo: 9.0, hi: 3.0 }),
+            (
+                "NaN bound",
+                SizeDistribution::Uniform {
+                    lo: f64::NAN,
+                    hi: 3.0,
+                },
+            ),
+            (
+                "σ² = 0",
+                SizeDistribution::Normal {
+                    mean: 1000.0,
+                    variance: 0.0,
+                },
+            ),
+            (
+                "σ² = +∞",
+                SizeDistribution::Normal {
+                    mean: 1000.0,
+                    variance: f64::INFINITY,
+                },
+            ),
+            ("λ = 0", SizeDistribution::Poisson { lambda: 0.0 }),
+            ("λ < 0", SizeDistribution::Poisson { lambda: -1.0 }),
+        ];
+        for (case, d) in bad {
+            assert!(d.validate().is_err(), "{case}: accepted");
+            let workload = WorkloadSpec::batch(4, d.clone());
+            assert!(
+                panics(|| workload.generate(1)),
+                "{case}: workload generated"
+            );
+            let cluster = ClusterSpec {
+                rating: d,
+                ..ClusterSpec::paper_defaults(2, 1.0)
+            };
+            assert!(panics(|| cluster.build(1)), "{case}: cluster built");
+        }
+        for mean_interarrival in [0.0, -1.0] {
+            let spec = WorkloadSpec {
+                count: 4,
+                sizes: SizeDistribution::Constant { value: 5.0 },
+                arrival: ArrivalProcess::PoissonStream { mean_interarrival },
+            };
+            assert!(
+                panics(|| spec.generate(1)),
+                "mean inter-arrival {mean_interarrival}: generated"
+            );
+        }
+        let link = Link::new(ProcessorId(0), 20.0, f64::NAN);
+        assert!(
+            panics(|| link.sample_cost(&mut Prng::seed_from(1))),
+            "NaN link jitter: drew a cost"
+        );
+        let mut cluster = ClusterSpec::paper_defaults(2, 1.0);
+        cluster.comm.link_spread = f64::NAN;
+        assert!(
+            panics(|| cluster.build(1)),
+            "NaN link spread: cluster built"
+        );
+        // A constant rating is any value: the cluster clamps it to 1 Mflop/s.
+        let cluster = ClusterSpec {
+            rating: SizeDistribution::Constant { value: f64::NAN },
+            ..ClusterSpec::paper_defaults(2, 1.0)
+        };
+        assert!(cluster.rating.validate().is_ok());
+        let ratings: Vec<f64> = cluster
+            .build(1)
+            .processors
+            .iter()
+            .map(|p| p.rated_mflops)
+            .collect();
+        assert_eq!(ratings, [1.0, 1.0]);
+    }
+
+    #[test]
     #[should_panic(expected = "invalid task-size distribution")]
     fn generate_rejects_sub_floor_spec() {
         let spec = WorkloadSpec::batch(10, SizeDistribution::Uniform { lo: 0.0, hi: 0.5 });
@@ -458,11 +559,5 @@ mod tests {
         assert!(SizeDistribution::Poisson { lambda: 10.0 }
             .label()
             .contains("poisson"));
-    }
-
-    #[test]
-    fn mean_passthrough() {
-        assert_eq!(SizeDistribution::Constant { value: 3.0 }.mean(), 3.0);
-        assert_eq!(SizeDistribution::Uniform { lo: 0.0, hi: 10.0 }.mean(), 5.0);
     }
 }

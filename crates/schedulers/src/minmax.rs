@@ -172,25 +172,24 @@ mod tests {
 
     #[test]
     fn mx_packs_large_tasks_better_than_mm_on_mixed_batches() {
-        // Classic property: with a few huge tasks and many small ones,
-        // max-min fills the gaps with small tasks while min-min strands the
-        // huge ones at the end. Compare estimated makespans.
-        let sizes: Vec<f64> = std::iter::repeat_n(10.0, 30)
-            .chain([500.0, 500.0])
-            .collect();
-        let makespan = |queued: &dyn Fn(&mut dyn Scheduler)| {
-            let rates = [100.0, 100.0];
-            let v = view(&rates);
-            let mut mx = MaxMin::new(2);
-            queued(&mut mx);
-            mx.plan(&v);
+        // Classic property: with one huge task among many small ones,
+        // max-min places the huge task first and fills the other processor
+        // with the small ones, while min-min spreads the small ones evenly
+        // and then strands the huge one on top. 20 × 10 + 200 MFLOPs over
+        // two 100 Mflop/s processors: MX 2 s (200 | 20 × 10), MM 3 s
+        // (100 | 100 + 200).
+        let sizes: Vec<f64> = std::iter::repeat_n(10.0, 20).chain([200.0]).collect();
+        let rates = [100.0, 100.0];
+        let makespan = |s: &mut dyn Scheduler| {
+            s.enqueue(&tasks(&sizes));
+            s.plan(&view(&rates));
             (0..2)
-                .map(|j| mx.queued_mflops(ProcessorId(j as u16)) / rates[j as usize])
+                .map(|j| s.queued_mflops(ProcessorId(j as u16)) / rates[j])
                 .fold(0.0f64, f64::max)
         };
-        let mx_span = makespan(&|s| s.enqueue(&tasks(&sizes)));
-        // Perfect split of 1600 MFLOPs over two equal processors = 8 s.
-        assert!(mx_span <= 9.0, "MX makespan {mx_span}");
+        let mx = makespan(&mut MaxMin::new(2));
+        let mm = makespan(&mut MinMin::new(2));
+        assert!(mx < mm, "MX makespan {mx} s not below MM's {mm} s");
     }
 
     #[test]

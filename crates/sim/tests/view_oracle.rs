@@ -3,7 +3,7 @@
 //! per plan call. In debug builds every plan call checks each view entry
 //! against one recomputed from the worker's state (and the count of
 //! waiting workers against a recount), so this suite's job is to reach
-//! every path that changes a worker: all seven schedulers, immediate and
+//! every path that changes a worker: all ten schedulers, immediate and
 //! batch mode, on dedicated and non-dedicated processors (availability
 //! changes rewrite the in-flight work), on independent tasks and on a
 //! layered DAG (results release held-back successors). A stale entry
@@ -14,13 +14,15 @@ use dts_model::{
     ArrivalProcess, AvailabilityModel, ClusterSpec, CommCostSpec, DagFamily, Scheduler,
     SizeDistribution, TaskGraph, WorkloadSpec,
 };
-use dts_schedulers::{EarliestFinish, LightestLoaded, MaxMin, MinMin, RoundRobin};
+use dts_schedulers::{
+    EarliestFinish, KPercentBest, LightestLoaded, MaxMin, MinMin, Olb, RoundRobin, Sufferage,
+};
 use dts_sim::{SimConfig, Simulation};
 
 const PROCS: usize = 4;
 const TASKS: usize = 48;
 
-/// The seven schedulers, GA ones at a small generation cap.
+/// The ten schedulers, GA ones at a small generation cap.
 fn schedulers() -> Vec<Box<dyn Scheduler>> {
     let small = |mut cfg: PnConfig| {
         cfg.ga.max_generations = 20;
@@ -33,6 +35,9 @@ fn schedulers() -> Vec<Box<dyn Scheduler>> {
         Box::new(RoundRobin::new(PROCS)),
         Box::new(MinMin::with_batch_size(PROCS, 8)),
         Box::new(MaxMin::with_batch_size(PROCS, 8)),
+        Box::new(Olb::new(PROCS)),
+        Box::new(KPercentBest::new(PROCS, 0.5)),
+        Box::new(Sufferage::with_batch_size(PROCS, 8)),
         Box::new(PnScheduler::new(PROCS, small(PnConfig::zo_preset()))),
         Box::new(PnScheduler::new(PROCS, small(PnConfig::default()))),
     ]
