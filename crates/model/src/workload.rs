@@ -433,13 +433,30 @@ mod tests {
         assert_eq!(rng, Prng::seed_from(1), "a constant draws nothing");
     }
 
-    #[test]
-    fn parameter_check_rejects_each_bad_input() {
-        use crate::{ClusterSpec, Link, ProcessorId};
+    /// Asserts that `d` fails the parameter check and that both entry
+    /// points that sample it (workload generation and cluster build) panic.
+    fn assert_rejected_everywhere(case: &str, d: SizeDistribution) {
+        use crate::ClusterSpec;
+        assert!(d.validate().is_err(), "{case}: accepted");
+        let workload = WorkloadSpec::batch(4, d.clone());
+        assert!(
+            panics(|| workload.generate(1)),
+            "{case}: workload generated"
+        );
+        let cluster = ClusterSpec {
+            rating: d,
+            ..ClusterSpec::paper_defaults(2, 1.0)
+        };
+        assert!(panics(|| cluster.build(1)), "{case}: cluster built");
+    }
+
+    fn panics<T>(f: impl FnOnce() -> T) -> bool {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        fn panics<T>(f: impl FnOnce() -> T) -> bool {
-            catch_unwind(AssertUnwindSafe(f)).is_err()
-        }
+        catch_unwind(AssertUnwindSafe(f)).is_err()
+    }
+
+    #[test]
+    fn uniform_rejects_bad_range() {
         let bad = [
             ("lo == hi", SizeDistribution::Uniform { lo: 5.0, hi: 5.0 }),
             ("lo > hi", SizeDistribution::Uniform { lo: 9.0, hi: 3.0 }),
@@ -450,35 +467,52 @@ mod tests {
                     hi: 3.0,
                 },
             ),
-            (
-                "σ² = 0",
-                SizeDistribution::Normal {
-                    mean: 1000.0,
-                    variance: 0.0,
-                },
-            ),
-            (
-                "σ² = +∞",
-                SizeDistribution::Normal {
-                    mean: 1000.0,
-                    variance: f64::INFINITY,
-                },
-            ),
+        ];
+        for (case, d) in bad {
+            assert_rejected_everywhere(case, d);
+        }
+    }
+
+    #[test]
+    fn normal_rejects_bad_sigma() {
+        let bad = [
+            ("σ² = 0", 0.0),
+            ("σ² < 0", -1.0),
+            ("σ² = +∞", f64::INFINITY),
+        ];
+        for (case, variance) in bad {
+            let d = SizeDistribution::Normal {
+                mean: 1000.0,
+                variance,
+            };
+            assert_rejected_everywhere(case, d);
+        }
+    }
+
+    #[test]
+    fn error_display_is_informative() {
+        let e = SizeDistribution::Uniform { lo: 5.0, hi: 2.0 }
+            .validate()
+            .unwrap_err();
+        assert!(e.contains("uniform[5,2)"), "{e}");
+        let e = SizeDistribution::Normal {
+            mean: 0.0,
+            variance: -3.0,
+        }
+        .validate()
+        .unwrap_err();
+        assert!(e.contains("-3"), "{e}");
+    }
+
+    #[test]
+    fn parameter_check_rejects_each_bad_input() {
+        use crate::{ClusterSpec, Link, ProcessorId};
+        let bad = [
             ("λ = 0", SizeDistribution::Poisson { lambda: 0.0 }),
             ("λ < 0", SizeDistribution::Poisson { lambda: -1.0 }),
         ];
         for (case, d) in bad {
-            assert!(d.validate().is_err(), "{case}: accepted");
-            let workload = WorkloadSpec::batch(4, d.clone());
-            assert!(
-                panics(|| workload.generate(1)),
-                "{case}: workload generated"
-            );
-            let cluster = ClusterSpec {
-                rating: d,
-                ..ClusterSpec::paper_defaults(2, 1.0)
-            };
-            assert!(panics(|| cluster.build(1)), "{case}: cluster built");
+            assert_rejected_everywhere(case, d);
         }
         for mean_interarrival in [0.0, -1.0] {
             let spec = WorkloadSpec {
